@@ -159,9 +159,10 @@ def _cmd_report(args) -> int:
                 raise ConfigError(f"{path}: real zones do not match the labels file")
             runs.append(PredictionRun(pred, cfg.window.window_size, cfg.window.scope, seed=0))
     with pipeline._stage("aggregation"):
+        series = []
         for r, run in enumerate(runs):
-            series = aggregate(traces, zoning.labels, run.labels_pred, zoning.zone_count)
-            csvio.write_zone_series(out / f"zone_series_run{r}.csv", series)
+            series.append(aggregate(traces, zoning.labels, run.labels_pred, zoning.zone_count))
+            csvio.write_zone_series(out / f"zone_series_run{r}.csv", series[-1])
     with pipeline._stage("error"):
         extent_min, extent_max = position_extent(traces)
         errors = [error_series(zoning, run, extent_min, extent_max) for run in runs]
@@ -171,7 +172,7 @@ def _cmd_report(args) -> int:
         hist = [(r, error_histogram(es, cfg.bin_count)) for r, es in enumerate(errors)]
         csvio.write_histogram(out / "histogram.csv", hist, edges)
     with pipeline._stage("report"):
-        pipeline.emit_plots(out, cfg, traces, zoning, runs, errors)
+        pipeline.emit_plots(out, cfg, traces, zoning, runs, series, hist)
     pooled = np.concatenate([es.e.ravel() for es in errors])
     print(f"report written to {out}; mean error {pooled.mean():.4f} over {len(runs)} run(s)")
     return 0

@@ -8,6 +8,7 @@ are marked read-only), so instances can be shared across workers freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class Venue:
             if region.overlaps_interior(precinct):
                 raise ValueError(f"outside_regions[{i}] overlaps the precinct")
 
-    @property
+    @cached_property
     def precinct(self) -> Rect:
         return Rect(self.precinct_min, self.precinct_max)
 

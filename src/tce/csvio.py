@@ -1,7 +1,8 @@
 """CSV interchange formats shared by the pipeline stages and the CLI.
 
 All writers emit a header row and sort rows (user_id, then t) so identical
-data gives identical bytes. Loaders validate coverage and report the
+data gives identical bytes. Tables are built and parsed a column at a time;
+a float is written as its ``repr``. Loaders validate coverage and report the
 offending file row in error messages.
 """
 
@@ -26,8 +27,14 @@ ERRORS_HEADER = ["user_id", "t", "error"]
 HISTOGRAM_HEADER = ["run_id", "bin_lo", "bin_hi", "count"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _values(a, dtype=np.float64) -> list:
+    """Flattened values as Python ints or floats, converted as int()/float() would."""
+    return np.asarray(a).astype(dtype, copy=False).ravel().tolist()
+
+
+def _index(outer: int, inner: int) -> tuple[list, list]:
+    """The two id columns of an (outer, inner) table written row-major."""
+    return np.repeat(np.arange(outer), inner).tolist(), np.tile(np.arange(inner), outer).tolist()
 
 
 def _write_rows(path, header, rows) -> None:
@@ -37,8 +44,9 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_rows(path, header) -> list[tuple[int, list[str]]]:
-    """Rows with their 1-based file line numbers, header validated."""
+def _read_rows(path, header) -> tuple[range | list[int], list[list[str]]]:
+    """The 1-based file line numbers of the non-blank data rows and the rows,
+    header validated."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{path}: file not found")
@@ -50,7 +58,12 @@ def _read_rows(path, header) -> list[tuple[int, list[str]]]:
             raise DataError(f"{path}: empty file") from None
         if [c.strip() for c in first] != header:
             raise DataError(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
-        return [(i, row) for i, row in enumerate(reader, start=2) if row]
+        rows = list(reader)
+    lines = range(2, len(rows) + 2)
+    if not all(rows):
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+    return lines, rows
 
 
 def _parse(path, line, value, kind, what):
@@ -60,22 +73,78 @@ def _parse(path, line, value, kind, what):
         raise DataError(f"{path}, row {line}: bad {what} {value!r}") from None
 
 
+def _columns(path, header, kinds) -> tuple[range | list[int], list]:
+    """File line numbers of the data rows and one array per column.
+
+    ``kinds`` holds int, float or str per column; numbers are converted with
+    int()/float() semantics, and a value that does not convert names its row.
+    """
+    lines, rows = _read_rows(path, header)
+    if set(map(len, rows)) - {len(header)}:
+        line, row = next((line, row) for line, row in zip(lines, rows) if len(row) != len(header))
+        raise DataError(f"{path}, row {line}: expected {len(header)} fields, got {len(row)}")
+    columns = list(zip(*rows)) or [()] * len(header)
+    out = []
+    for name, kind, col in zip(header, kinds, columns):
+        if kind is str:
+            out.append([value.strip() for value in col])
+            continue
+        try:
+            out.append(np.array(col, dtype=np.int64 if kind is int else np.float64))
+        except (ValueError, OverflowError):
+            for line, value in zip(lines, col):
+                number = _parse(path, line, value, kind, name)
+                if kind is int and not -(2**63) <= number < 2**63:
+                    raise DataError(f"{path}, row {line}: {name} {value!r} out of range") from None
+            raise
+    return lines, out
+
+
+def _grid(path, lines, u, t, instant_count: int | None = None, entry="entry") -> np.ndarray:
+    """Row indices that fill the (users, instants) table keyed by columns u, t.
+
+    Users must be contiguous from 0 and every (user, instant) must appear
+    exactly once; without ``instant_count`` the instants are 0..max(t).
+    """
+    if u.size == 0:
+        raise DataError(f"{path}: no data rows")
+    instants = int(t.max()) + 1 if instant_count is None else instant_count
+    bad = np.flatnonzero((t < 0) | (t >= instants))
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"{path}, row {lines[i]}: instant {t[i]} outside [0, {instants})")
+    users = np.unique(u)
+    if users[0] != 0 or users[-1] != users.size - 1:
+        raise DataError(f"{path}: user ids must be contiguous from 0, got {users[:8].tolist()}...")
+    order = np.lexsort((t, u))
+    su, st = u[order], t[order]
+    repeated = (su[1:] == su[:-1]) & (st[1:] == st[:-1])
+    if repeated.any():
+        i = order[1:][repeated].min()
+        raise DataError(
+            f"{path}, row {lines[i]}: duplicate {entry} for user {u[i]}, instant {t[i]}"
+        )
+    if u.size != users.size * instants:
+        # sorted distinct keys: the first that differs from its position is missing
+        k = np.arange(u.size)
+        gap = np.flatnonzero((su != k // instants) | (st != k % instants))
+        first = gap[0] if gap.size else u.size
+        raise DataError(f"{path}: user {first // instants} is missing instant {first % instants}")
+    return order.reshape(users.size, instants)
+
+
 # ---------------------------------------------------------------------------
 # traces and traffic
 
 
 def write_trace(path, traces: TraceSet) -> None:
-    rows = []
-    for u in range(traces.user_count):
-        for t in range(traces.instant_count):
-            x, y = traces.positions[u, t]
-            rows.append([u, t, _fmt(x), _fmt(y)])
-    _write_rows(path, TRACE_HEADER, rows)
+    users, instants = _index(traces.user_count, traces.instant_count)
+    x, y = traces.positions.reshape(-1, 2).T.tolist()
+    _write_rows(path, TRACE_HEADER, zip(users, instants, x, y))
 
 
 def write_traffic(path, traces: TraceSet) -> None:
-    rows = [[u, _fmt(traces.mean_traffic[u])] for u in range(traces.user_count)]
-    _write_rows(path, TRAFFIC_HEADER, rows)
+    _write_rows(path, TRAFFIC_HEADER, zip(range(traces.user_count), _values(traces.mean_traffic)))
 
 
 def load_trace(trace_path, traffic_path, venue: Venue, grid: TimeGrid) -> TraceSet:
@@ -84,45 +153,19 @@ def load_trace(trace_path, traffic_path, venue: Venue, grid: TimeGrid) -> TraceS
     Every user must cover every instant exactly once and appear in both
     files; violations name the user, instant, or file row.
     """
-    rows = _read_rows(trace_path, TRACE_HEADER)
-    entries = {}
-    for line, row in rows:
-        if len(row) != 4:
-            raise DataError(f"{trace_path}, row {line}: expected 4 fields, got {len(row)}")
-        u = _parse(trace_path, line, row[0], int, "user_id")
-        t = _parse(trace_path, line, row[1], int, "t")
-        x = _parse(trace_path, line, row[2], float, "x")
-        y = _parse(trace_path, line, row[3], float, "y")
-        if not (np.isfinite(x) and np.isfinite(y)):
-            raise DataError(f"{trace_path}, row {line}: non-finite position")
-        if not 0 <= t < grid.instant_count:
-            raise DataError(
-                f"{trace_path}, row {line}: instant {t} outside [0, {grid.instant_count})"
-            )
-        if (u, t) in entries:
-            raise DataError(f"{trace_path}, row {line}: duplicate entry for user {u}, instant {t}")
-        entries[(u, t)] = (x, y)
-
-    users = sorted({u for u, _ in entries})
-    if not users:
-        raise DataError(f"{trace_path}: no data rows")
-    if users != list(range(len(users))):
-        raise DataError(f"{trace_path}: user ids must be contiguous from 0, got {users[:8]}...")
-    positions = np.empty((len(users), grid.instant_count, 2), np.float64)
-    for u in users:
-        for t in range(grid.instant_count):
-            if (u, t) not in entries:
-                raise DataError(f"{trace_path}: user {u} is missing instant {t}")
-            positions[u, t] = entries[(u, t)]
-
-    traffic = load_traffic(traffic_path, len(users))
-    return TraceSet(positions, traffic)
+    lines, (u, t, x, y) = _columns(trace_path, TRACE_HEADER, (int, int, float, float))
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        raise DataError(f"{trace_path}, row {lines[bad[0]]}: non-finite position")
+    order = _grid(trace_path, lines, u, t, grid.instant_count)
+    traffic = load_traffic(traffic_path, order.shape[0])
+    return TraceSet(np.stack([x[order], y[order]], axis=-1), traffic)
 
 
 def load_traffic(path, user_count: int) -> np.ndarray:
-    rows = _read_rows(path, TRAFFIC_HEADER)
+    lines, rows = _read_rows(path, TRAFFIC_HEADER)
     traffic = np.full(user_count, np.nan)
-    for line, row in rows:
+    for line, row in zip(lines, rows):
         if len(row) != 2:
             raise DataError(f"{path}, row {line}: expected 2 fields, got {len(row)}")
         u = _parse(path, line, row[0], int, "user_id")
@@ -176,68 +219,31 @@ def load_waypoint_lines(path, grid: TimeGrid) -> np.ndarray:
 
 
 def write_zoning(zones_path, labels_path, zoning: Zoning) -> None:
-    rows = []
-    for z in range(zoning.inside_count):
-        cx, cy = zoning.inside_centroids[z]
-        rows.append([z, "inside", _fmt(cx), _fmt(cy)])
-    for i in range(zoning.outside_centroids.shape[0]):
-        cx, cy = zoning.outside_centroids[i]
-        rows.append([zoning.inside_count + i, "outside", _fmt(cx), _fmt(cy)])
-    _write_rows(zones_path, ZONES_HEADER, rows)
-
-    label_rows = []
-    for u in range(zoning.labels.shape[0]):
-        for t in range(zoning.labels.shape[1]):
-            label_rows.append([u, t, int(zoning.labels[u, t])])
-    _write_rows(labels_path, LABELS_HEADER, label_rows)
+    cx, cy = zoning.all_centroids().T.tolist()
+    regions = ["inside"] * zoning.inside_count + ["outside"] * zoning.outside_centroids.shape[0]
+    _write_rows(zones_path, ZONES_HEADER, zip(range(zoning.zone_count), regions, cx, cy))
+    users, instants = _index(*zoning.labels.shape)
+    _write_rows(labels_path, LABELS_HEADER, zip(users, instants, _values(zoning.labels, np.int64)))
 
 
 def load_zoning(zones_path, labels_path) -> Zoning:
-    zone_rows = _read_rows(zones_path, ZONES_HEADER)
-    inside, outside = [], []
-    for line, row in zone_rows:
-        if len(row) != 4:
-            raise DataError(f"{zones_path}, row {line}: expected 4 fields")
-        zid = _parse(zones_path, line, row[0], int, "zone_id")
-        region = row[1].strip()
-        cx = _parse(zones_path, line, row[2], float, "cx")
-        cy = _parse(zones_path, line, row[3], float, "cy")
-        if region == "inside":
-            inside.append((zid, cx, cy))
-        elif region == "outside":
-            outside.append((zid, cx, cy))
-        else:
+    lines, (zid, region, cx, cy) = _columns(zones_path, ZONES_HEADER, (int, str, float, float))
+    for line, name in zip(lines, region):
+        if name not in ("inside", "outside"):
             raise DataError(f"{zones_path}, row {line}: region must be inside or outside")
-    ids = [z for z, _, _ in inside] + [z for z, _, _ in outside]
-    if sorted(ids) != list(range(len(ids))) or ids != sorted(ids):
-        raise DataError(f"{zones_path}: zone ids must be 0..{len(ids) - 1} with inside ids first")
+    inside = np.array([name == "inside" for name in region], dtype=bool)
+    ids = np.concatenate([zid[inside], zid[~inside]])
+    if not np.array_equal(ids, np.arange(ids.size)):
+        raise DataError(f"{zones_path}: zone ids must be 0..{ids.size - 1} with inside ids first")
+    centroids = np.stack([cx, cy], axis=-1)
 
-    label_rows = _read_rows(labels_path, LABELS_HEADER)
-    entries = {}
-    for line, row in label_rows:
-        if len(row) != 3:
-            raise DataError(f"{labels_path}, row {line}: expected 3 fields")
-        u = _parse(labels_path, line, row[0], int, "user_id")
-        t = _parse(labels_path, line, row[1], int, "t")
-        z = _parse(labels_path, line, row[2], int, "zone_id")
-        if not 0 <= z < len(ids):
-            raise DataError(f"{labels_path}, row {line}: zone id {z} outside [0, {len(ids)})")
-        if (u, t) in entries:
-            raise DataError(f"{labels_path}, row {line}: duplicate label for user {u}, instant {t}")
-        entries[(u, t)] = z
-    users = sorted({u for u, _ in entries})
-    instants = sorted({t for _, t in entries})
-    if users != list(range(len(users))) or instants != list(range(len(instants))):
-        raise DataError(f"{labels_path}: labels must cover users and instants contiguously from 0")
-    labels = np.empty((len(users), len(instants)), np.int64)
-    for u in users:
-        for t in instants:
-            if (u, t) not in entries:
-                raise DataError(f"{labels_path}: user {u} is missing instant {t}")
-            labels[u, t] = entries[(u, t)]
-    inside_c = np.array([(cx, cy) for _, cx, cy in inside], np.float64).reshape(-1, 2)
-    outside_c = np.array([(cx, cy) for _, cx, cy in outside], np.float64).reshape(-1, 2)
-    return Zoning(inside_c, outside_c, labels)
+    lines, (u, t, z) = _columns(labels_path, LABELS_HEADER, (int, int, int))
+    bad = np.flatnonzero((z < 0) | (z >= ids.size))
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"{labels_path}, row {lines[i]}: zone id {z[i]} outside [0, {ids.size})")
+    labels = z[_grid(labels_path, lines, u, t, entry="label")]
+    return Zoning(centroids[inside], centroids[~inside], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -246,74 +252,47 @@ def load_zoning(zones_path, labels_path) -> Zoning:
 
 def write_matrix(path, table: np.ndarray) -> None:
     k = table.shape[0]
-    rows = []
-    for z in range(k):
-        vals = [int(v) if np.issubdtype(table.dtype, np.integer) else _fmt(v) for v in table[z]]
-        rows.append([z] + vals)
+    dtype = np.int64 if np.issubdtype(table.dtype, np.integer) else np.float64
+    rows = ([z] + values for z, values in enumerate(np.asarray(table).astype(dtype).tolist()))
     _write_rows(path, ["zone"] + [str(z) for z in range(k)], rows)
 
 
 def write_predictions(path, labels_real: np.ndarray, labels_pred: np.ndarray) -> None:
-    rows = []
-    for u in range(labels_real.shape[0]):
-        for t in range(labels_real.shape[1]):
-            rows.append([u, t, int(labels_real[u, t]), int(labels_pred[u, t])])
+    users, instants = _index(*np.shape(labels_real))
+    rows = zip(users, instants, _values(labels_real, np.int64), _values(labels_pred, np.int64))
     _write_rows(path, PREDICTIONS_HEADER, rows)
 
 
 def load_predictions(path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_rows(path, PREDICTIONS_HEADER)
-    entries = {}
-    for line, row in rows:
-        if len(row) != 4:
-            raise DataError(f"{path}, row {line}: expected 4 fields")
-        u = _parse(path, line, row[0], int, "user_id")
-        t = _parse(path, line, row[1], int, "t")
-        real = _parse(path, line, row[2], int, "real_zone")
-        pred = _parse(path, line, row[3], int, "predicted_zone")
-        entries[(u, t)] = (real, pred)
-    users = sorted({u for u, _ in entries})
-    instants = sorted({t for _, t in entries})
-    real = np.empty((len(users), len(instants)), np.int64)
-    pred = np.empty((len(users), len(instants)), np.int64)
-    for u in users:
-        for t in instants:
-            if (u, t) not in entries:
-                raise DataError(f"{path}: user {u} is missing instant {t}")
-            real[u, t], pred[u, t] = entries[(u, t)]
-    return real, pred
+    lines, (u, t, real, pred) = _columns(path, PREDICTIONS_HEADER, (int, int, int, int))
+    order = _grid(path, lines, u, t)
+    return real[order], pred[order]
 
 
 def write_zone_series(path, series) -> None:
-    rows = []
-    for z in range(series.zone_count):
-        for t in range(series.instant_count):
-            rows.append(
-                [
-                    z,
-                    t,
-                    int(series.users_real[z, t]),
-                    int(series.users_pred[z, t]),
-                    _fmt(series.traffic_real[z, t]),
-                    _fmt(series.traffic_pred[z, t]),
-                ]
-            )
+    zones, instants = _index(series.zone_count, series.instant_count)
+    rows = zip(
+        zones,
+        instants,
+        _values(series.users_real, np.int64),
+        _values(series.users_pred, np.int64),
+        _values(series.traffic_real),
+        _values(series.traffic_pred),
+    )
     _write_rows(path, ZONE_SERIES_HEADER, rows)
 
 
 def write_errors(path, errors) -> None:
-    rows = []
-    first = errors.first_instant
-    for u in range(errors.e.shape[0]):
-        for i in range(errors.e.shape[1]):
-            rows.append([u, first + i, _fmt(errors.e[u, i])])
-    _write_rows(path, ERRORS_HEADER, rows)
+    users, steps = _index(*errors.e.shape)
+    instants = [errors.first_instant + i for i in steps]
+    _write_rows(path, ERRORS_HEADER, zip(users, instants, _values(errors.e)))
 
 
 def write_histogram(path, per_run_counts, edges) -> None:
     """per_run_counts: list of (run_id, counts) pairs over shared bin edges."""
+    edges = _values(edges)
     rows = []
     for run_id, counts in per_run_counts:
-        for b, count in enumerate(counts):
-            rows.append([run_id, _fmt(edges[b]), _fmt(edges[b + 1]), int(count)])
+        counts = _values(counts, np.int64)
+        rows += zip([run_id] * len(counts), edges, edges[1:], counts)
     _write_rows(path, HISTOGRAM_HEADER, rows)

@@ -115,10 +115,11 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
                 )
                 runs.append(pred)
 
+        series = []
         with _stage("aggregation"):
             for r, pred in enumerate(runs):
-                series = aggregate(traces, zoning.labels, pred.labels_pred, zoning.zone_count)
-                csvio.write_zone_series(out_dir / f"zone_series_run{r}.csv", series)
+                series.append(aggregate(traces, zoning.labels, pred.labels_pred, zoning.zone_count))
+                csvio.write_zone_series(out_dir / f"zone_series_run{r}.csv", series[-1])
 
         errors = []
         with _stage("error"):
@@ -132,7 +133,7 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
             csvio.write_histogram(out_dir / "histogram.csv", hist, edges)
 
         with _stage("report"):
-            emit_plots(out_dir, cfg, traces, zoning, runs, errors)
+            emit_plots(out_dir, cfg, traces, zoning, runs, series, hist)
 
         manifest = {
             "config_digest": config_digest(cfg),
@@ -174,12 +175,14 @@ def _summary(errors, zoning, traces) -> dict:
     }
 
 
-def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, errors) -> list[Path]:
+def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, series, hist) -> list[Path]:
     """Write the plot-data CSVs and their SVG renderings under ``out_dir``/plots.
 
     Emits the all-positions scatter, per-run overlaid error histograms,
     per-zone user and traffic series, and a real-vs-predicted step series for
     each selected user and run (with the learning/prediction boundary marked).
+    ``series`` holds each run's ZoneSeries and ``hist`` its (run, counts)
+    error histogram, as the aggregation and error stages computed them.
     """
     out_dir = Path(out_dir)
     plots = out_dir / "plots"
@@ -199,9 +202,9 @@ def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, errors) -> list[Pa
     written += [scatter_csv, plots / "positions_scatter.svg"]
 
     # per-run error histograms, overlaid
-    edges = histogram_edges(cfg.bin_count)
-    hist = [(r, error_histogram(es, cfg.bin_count)) for r, es in enumerate(errors)]
-    svgplot.histogram_chart(plots / "histogram.svg", hist, edges, "Prediction error by run")
+    svgplot.histogram_chart(
+        plots / "histogram.svg", hist, histogram_edges(cfg.bin_count), "Prediction error by run"
+    )
     written.append(plots / "histogram.svg")
 
     instants = np.arange(traces.instant_count)
@@ -228,15 +231,14 @@ def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, errors) -> list[Pa
             )
             written += [path_csv, plots / f"user{uid}_run{r}_zones.svg"]
 
-    for r, pred in enumerate(runs):
-        series = aggregate(traces, zoning.labels, pred.labels_pred, zoning.zone_count)
+    for r, zs in enumerate(series):
         users_series = []
         traffic_series = []
         for z in range(zoning.zone_count):
-            users_series.append((f"zone {z} real", series.users_real[z], ""))
-            users_series.append((f"zone {z} pred", series.users_pred[z], "5 3"))
-            traffic_series.append((f"zone {z} real", series.traffic_real[z], ""))
-            traffic_series.append((f"zone {z} pred", series.traffic_pred[z], "5 3"))
+            users_series.append((f"zone {z} real", zs.users_real[z], ""))
+            users_series.append((f"zone {z} pred", zs.users_pred[z], "5 3"))
+            traffic_series.append((f"zone {z} real", zs.traffic_real[z], ""))
+            traffic_series.append((f"zone {z} pred", zs.traffic_pred[z], "5 3"))
         svgplot.line_chart(
             plots / f"zone_users_run{r}.svg", instants, users_series,
             f"Users per zone, run {r}", "instant", "users", vline_at=boundary,

@@ -314,6 +314,28 @@ class TestStageSubcommands:
                 full / f"zone_series_run{r}.csv"
             ).read_bytes()
 
+    def test_malformed_predictions_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        full = tmp_path / "full"
+        main(["run", "--config", str(cfg), "--out", str(full)])
+        lines = (full / "predictions_run0.csv").read_text().splitlines()
+        gap = [line for line in lines if not line.startswith("1,")]  # user ids 0, 2, 3, ...
+        cases = {
+            "gap.csv": (gap, "gap.csv: user ids must be contiguous from 0"),
+            # header plus 6 users x 12 instants, so the repeated row is row 74
+            "dup.csv": (lines + [lines[1]], "dup.csv, row 74: duplicate entry for user 0"),
+        }
+        for name, (rows, message) in cases.items():
+            (tmp_path / name).write_text("\n".join(rows) + "\n")
+            code = main([
+                "report", "--config", str(cfg), "--out", str(tmp_path / f"rep_{name}"),
+                "--trace", str(full / "trace.csv"), "--traffic", str(full / "traffic.csv"),
+                "--zones", str(full / "zones.csv"), "--labels", str(full / "labels.csv"),
+                "--predictions", str(tmp_path / name),
+            ])
+            assert code == 3, name
+            assert message in capsys.readouterr().err
+
     def test_missing_data_file_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path)
         code = main([

@@ -80,6 +80,11 @@ class TestVenue:
         with pytest.raises(ValueError):
             Venue((0, 0), (1, 1), (), index_scale=0.0)
 
+    def test_precinct_built_once(self, festival_venue):
+        # the generator asks for it once per waypoint
+        assert festival_venue.precinct is festival_venue.precinct
+        assert np.array_equal(festival_venue.precinct.hi, festival_venue.precinct_max)
+
 
 class TestTimeGrid:
     def test_requires_two_instants(self):

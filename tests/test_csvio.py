@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tce import csvio
-from tce.core import TimeGrid
+from tce.aggregation import ZoneSeries
+from tce.core import TimeGrid, TraceSet
 from tce.errors import DataError
 from tce.metrics import ErrorSeries
 from tce.scenario import generate_scenario
@@ -138,3 +139,119 @@ class TestErrorExports:
         assert len(lines) == 5
         assert lines[1] == "0,0.0,0.5,2"
         assert lines[4] == "1,0.5,1.0,3"
+
+
+AWKWARD = [0.1, 1 / 3, 1e-7, 12345678.9, 0.0]
+
+
+class TestByteContract:
+    """Floats are written as their repr, rows end in CRLF, and loading the
+    text back gives the same arrays bit for bit."""
+
+    def test_trace_and_traffic_text(self, tmp_path, festival_venue):
+        positions = np.array(AWKWARD[:4] + AWKWARD[::-1][:4]).reshape(2, 2, 2)
+        traces = TraceSet(positions, [12345678.9, 1e-7])
+        csvio.write_trace(tmp_path / "trace.csv", traces)
+        csvio.write_traffic(tmp_path / "traffic.csv", traces)
+        assert (tmp_path / "trace.csv").read_bytes() == (
+            b"user_id,t,x,y\r\n"
+            b"0,0,0.1,0.3333333333333333\r\n"
+            b"0,1,1e-07,12345678.9\r\n"
+            b"1,0,0.0,12345678.9\r\n"
+            b"1,1,1e-07,0.3333333333333333\r\n"
+        )
+        assert (tmp_path / "traffic.csv").read_bytes() == (
+            b"user_id,mean_traffic_mbps\r\n0,12345678.9\r\n1,1e-07\r\n"
+        )
+        loaded = csvio.load_trace(
+            tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, TimeGrid(300.0, 2)
+        )
+        assert loaded.positions.tobytes() == traces.positions.tobytes()
+        assert loaded.mean_traffic.tobytes() == traces.mean_traffic.tobytes()
+
+    def test_errors_text(self, tmp_path):
+        e = np.array([[0.1, 1 / 3], [1e-7, 0.0]])
+        csvio.write_errors(tmp_path / "e.csv", ErrorSeries(e, (0, 0), (1, 1), first_instant=3))
+        text = (tmp_path / "e.csv").read_bytes()
+        assert text == (
+            b"user_id,t,error\r\n"
+            b"0,3,0.1\r\n"
+            b"0,4,0.3333333333333333\r\n"
+            b"1,3,1e-07\r\n"
+            b"1,4,0.0\r\n"
+        )
+        back = np.array([line.split(",")[2] for line in text.decode().splitlines()[1:]], float)
+        assert back.tobytes() == e.ravel().tobytes()
+
+    def test_zone_series_text(self, tmp_path):
+        traffic_real = np.array([[12345678.9, 0.0], [0.1, 1 / 3]])
+        traffic_pred = np.array([[1e-7, 0.1], [0.0, 12345678.9]])
+        series = ZoneSeries(
+            np.array([[2, 0], [1, 3]]), np.array([[1, 1], [2, 2]]), traffic_real, traffic_pred
+        )
+        csvio.write_zone_series(tmp_path / "z.csv", series)
+        text = (tmp_path / "z.csv").read_bytes()
+        assert text == (
+            b"zone_id,t,users_real,users_pred,traffic_real,traffic_pred\r\n"
+            b"0,0,2,1,12345678.9,1e-07\r\n"
+            b"0,1,0,1,0.0,0.1\r\n"
+            b"1,0,1,2,0.1,0.0\r\n"
+            b"1,1,3,2,0.3333333333333333,12345678.9\r\n"
+        )
+        rows = np.array([line.split(",") for line in text.decode().splitlines()[1:]], float)
+        assert rows[:, 4].tobytes() == traffic_real.ravel().tobytes()
+        assert rows[:, 5].tobytes() == traffic_pred.ravel().tobytes()
+
+
+class TestRowNumbers:
+    def load(self, tmp_path, trace_text, grid):
+        (tmp_path / "trace.csv").write_text("user_id,t,x,y\n" + trace_text)
+        (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n0,1\n")
+        return csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", None, grid)
+
+    def test_bad_float_names_its_row(self, tmp_path):
+        with pytest.raises(DataError, match=r"trace\.csv, row 4: bad y '1\.2\.3'"):
+            self.load(tmp_path, "0,0,1,1\n0,1,2,2\n0,2,3,1.2.3\n", TimeGrid(60.0, 3))
+
+    def test_non_finite_position_names_its_row(self, tmp_path):
+        with pytest.raises(DataError, match=r"trace\.csv, row 3: non-finite position"):
+            self.load(tmp_path, "0,0,1,1\n0,1,inf,2\n0,2,3,3\n", TimeGrid(60.0, 3))
+
+    def test_integer_beyond_int64_names_its_row(self, tmp_path):
+        with pytest.raises(DataError, match=r"row 3: t '99999999999999999999' out of range"):
+            self.load(tmp_path, "0,0,1,1\n0,99999999999999999999,2,2\n", TimeGrid(60.0, 2))
+
+    def test_instant_outside_grid_names_its_row(self, tmp_path):
+        with pytest.raises(DataError, match=r"row 3: instant 2 outside \[0, 2\)"):
+            self.load(tmp_path, "0,0,1,1\n0,2,2,2\n", TimeGrid(60.0, 2))
+
+    def test_out_of_range_zone_label_names_its_row(self, tmp_path):
+        (tmp_path / "zones.csv").write_text("zone_id,region,cx,cy\n0,inside,1,1\n1,outside,9,9\n")
+        (tmp_path / "labels.csv").write_text("user_id,t,zone_id\n0,0,0\n0,1,1\n0,2,2\n")
+        with pytest.raises(DataError, match=r"labels\.csv, row 4: zone id 2 outside \[0, 2\)"):
+            csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv")
+
+
+class TestPredictionsValidation:
+    HEADER = "user_id,t,real_zone,predicted_zone\n"
+
+    def test_non_contiguous_user_ids_rejected(self, tmp_path):
+        (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n2,0,0,0\n2,1,0,1\n")
+        with pytest.raises(DataError, match=r"p\.csv: user ids must be contiguous from 0, got \[0, 2"):
+            csvio.load_predictions(tmp_path / "p.csv")
+
+    def test_duplicate_row_names_file_and_row(self, tmp_path):
+        (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n0,0,1,0\n")
+        with pytest.raises(DataError, match=r"p\.csv, row 4: duplicate entry for user 0, instant 0"):
+            csvio.load_predictions(tmp_path / "p.csv")
+
+    def test_missing_instant_names_user_and_instant(self, tmp_path):
+        (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n1,1,0,0\n")
+        with pytest.raises(DataError, match=r"p\.csv: user 1 is missing instant 0"):
+            csvio.load_predictions(tmp_path / "p.csv")
+
+    def test_rows_in_any_order_fill_the_table(self, tmp_path):
+        (tmp_path / "p.csv").write_text(self.HEADER + "1,1,3,4\n0,1,1,2\n1,0,2,2\n0,0,0,0\n")
+        real, pred = csvio.load_predictions(tmp_path / "p.csv")
+        assert real.tolist() == [[0, 1], [2, 3]]
+        assert pred.tolist() == [[0, 2], [2, 4]]
