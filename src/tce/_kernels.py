@@ -1,39 +1,23 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, vectorized with numpy.
 
-Each kernel ships in two variants: a numba ``@njit`` loop (``*_nb``) and a
-vectorized pure-numpy fallback (``*_np``). Set ``TCE_PURE_NUMPY=1`` to force
-the numpy path; otherwise numba is used when importable. The two variants are
-bit-identical by construction: float accumulations happen in the same scalar
-order on both paths (np.add.at and np.cumsum accumulate sequentially, exactly
-like the loops), so a run gives byte-identical results on either backend.
+One implementation per kernel: nearest-centroid assignment, the K-Means
+update sums, transition counting and the sliding-window prediction chain.
+Float accumulations run in a fixed scalar order (``np.add.at`` and
+``np.cumsum`` add sequentially), so a seed fixes every output bit;
+``tests/test_kernels.py`` checks each kernel against a plain-Python loop.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-_FORCE_NUMPY = os.environ.get("TCE_PURE_NUMPY", "").strip().lower() in {"1", "true", "yes"}
-USE_NUMBA = HAVE_NUMBA and not _FORCE_NUMPY
 
 
 def backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded in the run manifest."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# nearest centroid assignment
-
-
-def nearest_labels_np(points, centroids):
+def nearest_labels(points, centroids):
     """For each point, index of the nearest centroid (ties to the lowest index)
     and the squared distance to it."""
     d = points[:, None, :] - centroids[None, :, :]
@@ -42,67 +26,19 @@ def nearest_labels_np(points, centroids):
     return labels, d2[np.arange(points.shape[0]), labels]
 
 
-def _nearest_labels_loop(points, centroids):
-    n = points.shape[0]
-    k = centroids.shape[0]
-    labels = np.empty(n, np.int64)
-    dist2 = np.empty(n, np.float64)
-    for i in range(n):
-        dx = points[i, 0] - centroids[0, 0]
-        dy = points[i, 1] - centroids[0, 1]
-        best = 0
-        bd = dx * dx + dy * dy
-        for j in range(1, k):
-            dx = points[i, 0] - centroids[j, 0]
-            dy = points[i, 1] - centroids[j, 1]
-            d = dx * dx + dy * dy
-            if d < bd:  # strict: first minimum wins, same as np.argmin
-                bd = d
-                best = j
-        labels[i] = best
-        dist2[i] = bd
-    return labels, dist2
-
-
-# ---------------------------------------------------------------------------
-# per-cluster coordinate sums (K-Means update step)
-
-
-def accumulate_points_np(points, labels, k):
+def accumulate_points(points, labels, k):
+    """Per-cluster coordinate sums and point counts (K-Means update step)."""
     sums = np.zeros((k, 2), np.float64)
     np.add.at(sums, labels, points)  # unbuffered, ascending-index adds
     counts = np.bincount(labels, minlength=k).astype(np.int64)
     return sums, counts
 
 
-def _accumulate_points_loop(points, labels, k):
-    sums = np.zeros((k, 2), np.float64)
-    counts = np.zeros(k, np.int64)
-    for i in range(points.shape[0]):
-        j = labels[i]
-        sums[j, 0] += points[i, 0]
-        sums[j, 1] += points[i, 1]
-        counts[j] += 1
-    return sums, counts
-
-
-# ---------------------------------------------------------------------------
-# transition counting
-
-
-def count_transitions_np(labels, t0, t1, k):
+def count_transitions(labels, t0, t1, k):
     """Tally zone transitions (t -> t+1) for pair starts t in [t0, t1)."""
     frm = labels[:, t0:t1].ravel()
     to = labels[:, t0 + 1 : t1 + 1].ravel()
     return np.bincount(frm * k + to, minlength=k * k).reshape(k, k)
-
-
-def _count_transitions_loop(labels, t0, t1, k):
-    counts = np.zeros((k, k), np.int64)
-    for u in range(labels.shape[0]):
-        for s in range(t0, t1):
-            counts[labels[u, s], labels[u, s + 1]] += 1
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +52,7 @@ def _count_transitions_loop(labels, t0, t1, k):
 # "stay". uniforms[u, t-w] is the draw for user u at instant t.
 
 
-def predict_series_np(labels, k, w, per_user, uniforms):
+def predict_series(labels, k, w, per_user, uniforms):
     U, T = labels.shape
     out = labels.copy()
     state = labels[:, w - 1].copy()
@@ -144,68 +80,3 @@ def predict_series_np(labels, k, w, per_user, uniforms):
         state = np.where(rowsum == 0, state, j)
         out[:, t] = state
     return out
-
-
-def _predict_series_loop(labels, k, w, per_user, uniforms):
-    U, T = labels.shape
-    out = labels.copy()
-    state = labels[:, w - 1].copy()
-    counts = np.zeros((k, k), np.int64)
-    for t in range(w, T):
-        if not per_user:
-            counts[:, :] = 0
-            for u in range(U):
-                for s in range(t - w, t - 1):
-                    counts[labels[u, s], labels[u, s + 1]] += 1
-        for u in range(U):
-            if per_user:
-                counts[:, :] = 0
-                for s in range(t - w, t - 1):
-                    counts[labels[u, s], labels[u, s + 1]] += 1
-            row = counts[state[u]]
-            rowsum = np.int64(0)
-            last_pos = 0
-            for j in range(k):
-                rowsum += row[j]
-                if row[j] > 0:
-                    last_pos = j
-            if rowsum > 0:
-                uval = uniforms[u, t - w]
-                acc = 0.0
-                nxt = last_pos
-                for j in range(k):
-                    acc += row[j] / rowsum
-                    if uval < acc:
-                        nxt = j
-                        break
-                if nxt > last_pos:
-                    nxt = last_pos
-                state[u] = nxt
-            out[u, t] = state[u]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# variant selection
-
-if HAVE_NUMBA:
-    nearest_labels_nb = njit(cache=True)(_nearest_labels_loop)
-    accumulate_points_nb = njit(cache=True)(_accumulate_points_loop)
-    count_transitions_nb = njit(cache=True)(_count_transitions_loop)
-    predict_series_nb = njit(cache=True)(_predict_series_loop)
-else:  # pragma: no cover
-    nearest_labels_nb = None
-    accumulate_points_nb = None
-    count_transitions_nb = None
-    predict_series_nb = None
-
-if USE_NUMBA:
-    nearest_labels = nearest_labels_nb
-    accumulate_points = accumulate_points_nb
-    count_transitions = count_transitions_nb
-    predict_series = predict_series_nb
-else:
-    nearest_labels = nearest_labels_np
-    accumulate_points = accumulate_points_np
-    count_transitions = count_transitions_np
-    predict_series = predict_series_np

@@ -14,14 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvio, pipeline
-from .aggregation import aggregate
-from .config import load_config
-from .core import TraceSet
+from . import pipeline
+from .config import MODE_GENERATE, load_config
 from .errors import ConfigError, ToolError
-from .markov import PredictionRun, run_prediction
-from .metrics import error_histogram, error_series, histogram_edges, position_extent
-from .zoning import cluster
 
 _EPILOG = """\
 config file sections (INI format):
@@ -36,7 +31,7 @@ config file sections (INI format):
   [traffic]     tiers (one "fraction rate_mbps" per line; fractions sum to 1)
   [clustering]  k_inside, k_outside
   [prediction]  window_size, scope = per_user | general, run_count,
-                base_seed, error_metric = diagonal | per_axis
+                base_seed
   [report]      plot_users (ids, space separated), bin_count
   [output]      directory (overridden by --out)
 """
@@ -86,6 +81,16 @@ def _out_dir(args, cfg) -> Path:
     return Path(out)
 
 
+def _stage_args(args):
+    """Config, created output directory and seed of a stage subcommand."""
+    cfg = load_config(args.config)
+    if args.command == "generate" and cfg.mode != MODE_GENERATE:
+        raise ConfigError("generate subcommand needs [input] mode = generate")
+    out = _out_dir(args, cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out, cfg.base_seed if args.seed is None else args.seed
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     manifest = pipeline.run(cfg, _out_dir(args, cfg), base_seed=args.seed)
@@ -99,80 +104,34 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.mode != "generate":
-        raise ConfigError("generate subcommand needs [input] mode = generate")
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.base_seed if args.seed is None else args.seed
-    with pipeline._stage("input"):
-        traces = pipeline._load_input(cfg, seed)
-        csvio.write_trace(out / "trace.csv", traces)
-        csvio.write_traffic(out / "traffic.csv", traces)
+    cfg, out, seed = _stage_args(args)
+    pipeline.input_stage(cfg, seed, out)
     print(f"wrote {out / 'trace.csv'} and {out / 'traffic.csv'}")
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.base_seed if args.seed is None else args.seed
-    with pipeline._stage("input"):
-        traces = csvio.load_trace(args.trace, args.traffic, cfg.venue, cfg.grid)
-    with pipeline._stage("clustering"):
-        zoning = cluster(traces, cfg.venue, cfg.k_inside, cfg.k_outside, seed)
-        csvio.write_zoning(out / "zones.csv", out / "labels.csv", zoning)
+    cfg, out, seed = _stage_args(args)
+    traces = pipeline.load_traces(cfg, args.trace, args.traffic)
+    zoning = pipeline.clustering_stage(cfg, traces, seed, out)
     print(f"fitted {zoning.zone_count} zones; wrote {out / 'zones.csv'}, {out / 'labels.csv'}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    base_seed = cfg.base_seed if args.seed is None else args.seed
-    with pipeline._stage("input"):
-        zoning = csvio.load_zoning(args.zones, args.labels)
-    with pipeline._stage("prediction"):
-        # the chain needs only the label table; positions never enter it
-        users, instants = zoning.labels.shape
-        traces = TraceSet(np.zeros((users, instants, 2)), np.zeros(users))
-        for r in range(cfg.run_count):
-            pred = run_prediction(traces, zoning, cfg.window, base_seed + r)
-            csvio.write_predictions(out / f"predictions_run{r}.csv", zoning.labels, pred.labels_pred)
+    cfg, out, seed = _stage_args(args)
+    zoning = pipeline.load_zoning(args.zones, args.labels)
+    pipeline.prediction_stage(cfg, zoning, seed, out)
     print(f"wrote {cfg.run_count} prediction run(s) to {out}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    with pipeline._stage("input"):
-        traces = csvio.load_trace(args.trace, args.traffic, cfg.venue, cfg.grid)
-        zoning = csvio.load_zoning(args.zones, args.labels)
-        runs = []
-        for path in args.predictions:
-            real, pred = csvio.load_predictions(path)
-            if real.shape != zoning.labels.shape or not np.array_equal(real, zoning.labels):
-                raise ConfigError(f"{path}: real zones do not match the labels file")
-            runs.append(PredictionRun(pred, cfg.window.window_size, cfg.window.scope, seed=0))
-    with pipeline._stage("aggregation"):
-        series = []
-        for r, run in enumerate(runs):
-            series.append(aggregate(traces, zoning.labels, run.labels_pred, zoning.zone_count))
-            csvio.write_zone_series(out / f"zone_series_run{r}.csv", series[-1])
-    with pipeline._stage("error"):
-        extent_min, extent_max = position_extent(traces)
-        errors = [error_series(zoning, run, extent_min, extent_max) for run in runs]
-        for r, es in enumerate(errors):
-            csvio.write_errors(out / f"errors_run{r}.csv", es)
-        edges = histogram_edges(cfg.bin_count)
-        hist = [(r, error_histogram(es, cfg.bin_count)) for r, es in enumerate(errors)]
-        csvio.write_histogram(out / "histogram.csv", hist, edges)
-    with pipeline._stage("report"):
-        pipeline.emit_plots(out, cfg, traces, zoning, runs, series, hist)
+    cfg, out, _ = _stage_args(args)
+    traces = pipeline.load_traces(cfg, args.trace, args.traffic)
+    zoning = pipeline.load_zoning(args.zones, args.labels)
+    runs = pipeline.load_runs(cfg, zoning, args.predictions)
+    errors = pipeline.report_stage(cfg, traces, zoning, runs, out)
     pooled = np.concatenate([es.e.ravel() for es in errors])
     print(f"report written to {out}; mean error {pooled.mean():.4f} over {len(runs)} run(s)")
     return 0

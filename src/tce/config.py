@@ -15,7 +15,6 @@ from pathlib import Path
 from .core import Rect, TimeGrid, Venue
 from .errors import ConfigError
 from .markov import PER_USER, WindowConfig
-from .metrics import DIAGONAL, PER_AXIS
 from .scenario import Attractor, MobilityParams, TrafficTiers
 
 MODE_GENERATE = "generate"
@@ -38,7 +37,6 @@ class RunConfig:
     trace_file: str | None = None
     traffic_file: str | None = None
     trace_format: str = "csv"
-    error_metric: str = DIAGONAL
     plot_users: tuple[int, ...] = ()
     bin_count: int = 10
     out_dir: str | None = None
@@ -178,9 +176,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         window = WindowConfig(_get(prediction, "window_size", int), scope)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    metric = _get(prediction, "error_metric", str, DIAGONAL)
-    if metric not in (DIAGONAL, PER_AXIS):
-        raise ConfigError(f"error_metric must be {DIAGONAL} or {PER_AXIS}, got {metric!r}")
 
     plot_users: tuple[int, ...] = ()
     bin_count = 10
@@ -214,7 +209,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         trace_file=trace_file,
         traffic_file=traffic_file,
         trace_format=trace_format,
-        error_metric=metric,
         plot_users=plot_users,
         bin_count=bin_count,
         out_dir=out_dir,

@@ -160,7 +160,7 @@ class PredictionRun:
         return self.labels_pred.shape[1] - self.window_size
 
 
-def run_prediction(traces: TraceSet, zoning: Zoning, cfg: WindowConfig, seed: int) -> PredictionRun:
+def predict_labels(labels, zone_count: int, cfg: WindowConfig, seed: int) -> PredictionRun:
     """Forecast every user's zone at each instant from ``window_size`` on.
 
     Each step builds the window matrix ending at t-1 from true labels only,
@@ -168,18 +168,26 @@ def run_prediction(traces: TraceSet, zoning: Zoning, cfg: WindowConfig, seed: in
     (the true zone at t-1 for the first prediction). One seeded generator
     drives the whole run; draws are laid out in (user, instant) order.
     """
+    labels = _check_labels(labels, zone_count)
+    users, instants = labels.shape
+    w = cfg.window_size
+    if instants <= w:
+        raise InfeasibleError(
+            f"not enough history: {instants} instants cannot support a window of {w}"
+        )
+    rng = np.random.default_rng(seed)
+    uniforms = rng.random((users, instants - w))
+    pred = kern.predict_series(labels, zone_count, w, cfg.scope == PER_USER, uniforms)
+    return PredictionRun(pred, w, cfg.scope, seed)
+
+
+def run_prediction(traces: TraceSet, zoning: Zoning, cfg: WindowConfig, seed: int) -> PredictionRun:
+    """``predict_labels`` over ``zoning``'s labels, after checking that they
+    cover the users and instants of ``traces``."""
     labels = zoning.labels
     if labels.shape != (traces.user_count, traces.instant_count):
         raise ValueError(
             f"zoning labels shape {labels.shape} does not match traces "
             f"({traces.user_count} users x {traces.instant_count} instants)"
         )
-    w = cfg.window_size
-    if traces.instant_count <= w:
-        raise InfeasibleError(
-            f"not enough history: {traces.instant_count} instants cannot support a window of {w}"
-        )
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random((traces.user_count, traces.instant_count - w))
-    pred = kern.predict_series(labels, zoning.zone_count, w, cfg.scope == PER_USER, uniforms)
-    return PredictionRun(pred, w, cfg.scope, seed)
+    return predict_labels(labels, zoning.zone_count, cfg, seed)

@@ -15,9 +15,6 @@ from .core import TraceSet, _frozen
 from .markov import PredictionRun
 from .zoning import Zoning
 
-DIAGONAL = "diagonal"
-PER_AXIS = "per_axis"
-
 
 @dataclass(frozen=True)
 class ErrorSeries:
@@ -59,24 +56,13 @@ def prediction_error(
     zoning: Zoning,
     extent_min,
     extent_max,
-    mode: str = DIAGONAL,
 ) -> float:
-    """Centroid distance between the real and predicted zones, normalized.
-
-    ``diagonal`` divides the Euclidean centroid distance by the extent
-    diagonal. ``per_axis`` divides the centroid difference component-wise by
-    the extent span first and takes the norm of the quotient (sensitivity
-    variant, not bounded by 1).
-    """
+    """Euclidean distance between the real and predicted zone centroids,
+    divided by the diagonal of the extent."""
     extent_min, extent_max = _check_extent(extent_min, extent_max)
     centroids = zoning.all_centroids()
     diff = centroids[real_zone] - centroids[pred_zone]
-    span = extent_max - extent_min
-    if mode == DIAGONAL:
-        return float(np.linalg.norm(diff) / np.linalg.norm(span))
-    if mode == PER_AXIS:
-        return float(np.linalg.norm(diff / span))
-    raise ValueError(f"unknown error metric mode {mode!r}")
+    return float(np.linalg.norm(diff) / np.linalg.norm(extent_max - extent_min))
 
 
 def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> ErrorSeries:

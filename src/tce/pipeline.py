@@ -1,8 +1,11 @@
 """End-to-end pipeline: input -> zoning -> general matrix -> seeded prediction
-runs -> aggregation -> errors -> exports, with a manifest hashing every file.
+runs -> report (aggregation, errors, histogram, plots), with a manifest hashing
+every file.
 
-Stage failures are tagged with the stage name and any partially written
-output is removed.
+Each stage is a function from artefacts to artefacts that writes its own
+files. ``run`` chains them; each ``tce`` stage subcommand calls one of them
+on artefacts loaded from CSV. Stage failures are tagged with the stage name,
+and ``run`` removes any partially written output.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from .aggregation import aggregate
 from .config import MODE_GENERATE, RunConfig, config_digest
 from .core import TraceSet
 from .errors import ConfigError, ToolError
-from .markov import build_general_matrix, run_prediction
-from .metrics import error_histogram, error_series, histogram_edges, position_extent
+from .markov import PredictionRun, build_general_matrix, predict_labels
+from .metrics import ErrorSeries, error_histogram, error_series, histogram_edges, position_extent
 from .scenario import generate_scenario
-from .zoning import cluster
+from .zoning import Zoning, cluster
 
 
 class StageError(ToolError):
@@ -68,16 +71,101 @@ def _prepare_out_dir(out_dir: Path) -> bool:
     return True
 
 
-def _load_input(cfg: RunConfig, seed: int) -> TraceSet:
-    if cfg.mode == MODE_GENERATE:
-        return generate_scenario(
-            cfg.venue, cfg.grid, cfg.user_count, cfg.mobility, cfg.traffic, seed
-        )
-    if cfg.trace_format == "waypoint":
-        positions = csvio.load_waypoint_lines(cfg.trace_file, cfg.grid)
-        traffic = csvio.load_traffic(cfg.traffic_file, positions.shape[0])
-        return TraceSet(positions, traffic)
-    return csvio.load_trace(cfg.trace_file, cfg.traffic_file, cfg.venue, cfg.grid)
+def input_stage(cfg: RunConfig, seed: int, out_dir: Path) -> TraceSet:
+    """Generate the scenario, or load the configured trace files, and write
+    trace.csv and traffic.csv."""
+    with _stage("input"):
+        if cfg.mode == MODE_GENERATE:
+            traces = generate_scenario(
+                cfg.venue, cfg.grid, cfg.user_count, cfg.mobility, cfg.traffic, seed
+            )
+        elif cfg.trace_format == "waypoint":
+            positions = csvio.load_waypoint_lines(cfg.trace_file, cfg.grid)
+            traffic = csvio.load_traffic(cfg.traffic_file, positions.shape[0])
+            traces = TraceSet(positions, traffic)
+        else:
+            traces = csvio.load_trace(cfg.trace_file, cfg.traffic_file, cfg.venue, cfg.grid)
+        csvio.write_trace(out_dir / "trace.csv", traces)
+        csvio.write_traffic(out_dir / "traffic.csv", traces)
+    return traces
+
+
+def clustering_stage(cfg: RunConfig, traces: TraceSet, seed: int, out_dir: Path) -> Zoning:
+    """Fit the zones and write zones.csv and labels.csv."""
+    with _stage("clustering"):
+        zoning = cluster(traces, cfg.venue, cfg.k_inside, cfg.k_outside, seed)
+        csvio.write_zoning(out_dir / "zones.csv", out_dir / "labels.csv", zoning)
+    return zoning
+
+
+def general_matrix_stage(zoning: Zoning, out_dir: Path) -> None:
+    """Write the descriptive all-users, all-instants transition matrix."""
+    with _stage("general-matrix"):
+        general = build_general_matrix(zoning.labels, zoning.zone_count)
+        csvio.write_matrix(out_dir / "general_matrix_probs.csv", general.probs)
+        csvio.write_matrix(out_dir / "general_matrix_counts.csv", general.counts)
+
+
+def prediction_stage(
+    cfg: RunConfig, zoning: Zoning, base_seed: int, out_dir: Path
+) -> list[PredictionRun]:
+    """Forecast ``cfg.run_count`` runs, run r seeded with base_seed + r, and
+    write predictions_run<r>.csv for each."""
+    runs = []
+    with _stage("prediction"):
+        for r in range(cfg.run_count):
+            runs.append(predict_labels(zoning.labels, zoning.zone_count, cfg.window, base_seed + r))
+            csvio.write_predictions(
+                out_dir / f"predictions_run{r}.csv", zoning.labels, runs[-1].labels_pred
+            )
+    return runs
+
+
+def report_stage(
+    cfg: RunConfig, traces: TraceSet, zoning: Zoning, runs, out_dir: Path
+) -> list[ErrorSeries]:
+    """Aggregate users and traffic per zone and score every run; write the
+    zone series, errors, histogram and plots. Returns each run's errors."""
+    with _stage("aggregation"):
+        series = [aggregate(traces, zoning.labels, p.labels_pred, zoning.zone_count) for p in runs]
+        for r, zs in enumerate(series):
+            csvio.write_zone_series(out_dir / f"zone_series_run{r}.csv", zs)
+
+    with _stage("error"):
+        extent_min, extent_max = position_extent(traces)
+        errors = [error_series(zoning, p, extent_min, extent_max) for p in runs]
+        for r, es in enumerate(errors):
+            csvio.write_errors(out_dir / f"errors_run{r}.csv", es)
+        hist = [(r, error_histogram(es, cfg.bin_count)) for r, es in enumerate(errors)]
+        csvio.write_histogram(out_dir / "histogram.csv", hist, histogram_edges(cfg.bin_count))
+
+    with _stage("report"):
+        emit_plots(out_dir, cfg, traces, zoning, runs, series, hist)
+    return errors
+
+
+def load_traces(cfg: RunConfig, trace_file, traffic_file) -> TraceSet:
+    """Read a trace/traffic CSV pair as the input of a stage subcommand."""
+    with _stage("input"):
+        return csvio.load_trace(trace_file, traffic_file, cfg.venue, cfg.grid)
+
+
+def load_zoning(zones_file, labels_file) -> Zoning:
+    """Read the zones/labels CSV pair as the input of a stage subcommand."""
+    with _stage("input"):
+        return csvio.load_zoning(zones_file, labels_file)
+
+
+def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
+    """Read predictions CSVs whose real zones must equal ``zoning``'s labels."""
+    runs = []
+    with _stage("input"):
+        for path in paths:
+            real, pred = csvio.load_predictions(path)
+            if not np.array_equal(real, zoning.labels):
+                raise ConfigError(f"{path}: real zones do not match the labels file")
+            runs.append(PredictionRun(pred, cfg.window.window_size, cfg.window.scope, seed=0))
+    return runs
 
 
 def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
@@ -92,48 +180,11 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
     created = _prepare_out_dir(out_dir)
     started = time.perf_counter()
     try:
-        with _stage("input"):
-            traces = _load_input(cfg, base_seed)
-            csvio.write_trace(out_dir / "trace.csv", traces)
-            csvio.write_traffic(out_dir / "traffic.csv", traces)
-
-        with _stage("clustering"):
-            zoning = cluster(traces, cfg.venue, cfg.k_inside, cfg.k_outside, base_seed)
-            csvio.write_zoning(out_dir / "zones.csv", out_dir / "labels.csv", zoning)
-
-        with _stage("general-matrix"):
-            general = build_general_matrix(zoning.labels, zoning.zone_count)
-            csvio.write_matrix(out_dir / "general_matrix_probs.csv", general.probs)
-            csvio.write_matrix(out_dir / "general_matrix_counts.csv", general.counts)
-
-        runs = []
-        with _stage("prediction"):
-            for r in range(cfg.run_count):
-                pred = run_prediction(traces, zoning, cfg.window, base_seed + r)
-                csvio.write_predictions(
-                    out_dir / f"predictions_run{r}.csv", zoning.labels, pred.labels_pred
-                )
-                runs.append(pred)
-
-        series = []
-        with _stage("aggregation"):
-            for r, pred in enumerate(runs):
-                series.append(aggregate(traces, zoning.labels, pred.labels_pred, zoning.zone_count))
-                csvio.write_zone_series(out_dir / f"zone_series_run{r}.csv", series[-1])
-
-        errors = []
-        with _stage("error"):
-            extent_min, extent_max = position_extent(traces)
-            for r, pred in enumerate(runs):
-                es = error_series(zoning, pred, extent_min, extent_max)
-                csvio.write_errors(out_dir / f"errors_run{r}.csv", es)
-                errors.append(es)
-            edges = histogram_edges(cfg.bin_count)
-            hist = [(r, error_histogram(es, cfg.bin_count)) for r, es in enumerate(errors)]
-            csvio.write_histogram(out_dir / "histogram.csv", hist, edges)
-
-        with _stage("report"):
-            emit_plots(out_dir, cfg, traces, zoning, runs, series, hist)
+        traces = input_stage(cfg, base_seed, out_dir)
+        zoning = clustering_stage(cfg, traces, base_seed, out_dir)
+        general_matrix_stage(zoning, out_dir)
+        runs = prediction_stage(cfg, zoning, base_seed, out_dir)
+        errors = report_stage(cfg, traces, zoning, runs, out_dir)
 
         manifest = {
             "config_digest": config_digest(cfg),
@@ -175,8 +226,9 @@ def _summary(errors, zoning, traces) -> dict:
     }
 
 
-def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, series, hist) -> list[Path]:
-    """Write the plot-data CSVs and their SVG renderings under ``out_dir``/plots.
+def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist) -> None:
+    """Write the plots under ``out_dir``/plots as dependency-free SVG, with a
+    CSV of each selected user's step series.
 
     Emits the all-positions scatter, per-run overlaid error histograms,
     per-zone user and traffic series, and a real-vs-predicted step series for
@@ -184,36 +236,29 @@ def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, series, hist) -> l
     ``series`` holds each run's ZoneSeries and ``hist`` its (run, counts)
     error histogram, as the aggregation and error stages computed them.
     """
-    out_dir = Path(out_dir)
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
-    written: list[Path] = []
 
     for uid in cfg.plot_users:
         if not 0 <= uid < traces.user_count:
             raise ConfigError(f"plot user id {uid} out of range [0, {traces.user_count})")
 
-    # scatter of every observed position
-    scatter_csv = plots / "positions_scatter.csv"
-    csvio.write_trace(scatter_csv, traces)
+    # scatter of every observed position; its data is trace.csv
     rects = [(cfg.venue.precinct_min, cfg.venue.precinct_max, "precinct")]
     rects += [(r.lo, r.hi, "outside") for r in cfg.venue.outside_regions]
     svgplot.scatter_chart(plots / "positions_scatter.svg", traces.all_points(), rects, "Observed positions, all users and instants")
-    written += [scatter_csv, plots / "positions_scatter.svg"]
 
     # per-run error histograms, overlaid
     svgplot.histogram_chart(
         plots / "histogram.svg", hist, histogram_edges(cfg.bin_count), "Prediction error by run"
     )
-    written.append(plots / "histogram.svg")
 
     instants = np.arange(traces.instant_count)
     boundary = cfg.window.window_size
     for uid in cfg.plot_users:
         for r, pred in enumerate(runs):
-            path_csv = plots / f"user{uid}_run{r}_zones.csv"
             csvio.write_predictions(
-                path_csv,
+                plots / f"user{uid}_run{r}_zones.csv",
                 zoning.labels[uid : uid + 1],
                 pred.labels_pred[uid : uid + 1],
             )
@@ -229,7 +274,6 @@ def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, series, hist) -> l
                 "zone id",
                 vline_at=boundary,
             )
-            written += [path_csv, plots / f"user{uid}_run{r}_zones.svg"]
 
     for r, zs in enumerate(series):
         users_series = []
@@ -247,5 +291,3 @@ def emit_plots(out_dir, cfg: RunConfig, traces, zoning, runs, series, hist) -> l
             plots / f"zone_traffic_run{r}.svg", instants, traffic_series,
             f"Traffic per zone, run {r}", "instant", "traffic (Mbit/s)", vline_at=boundary,
         )
-        written += [plots / f"zone_users_run{r}.svg", plots / f"zone_traffic_run{r}.svg"]
-    return written

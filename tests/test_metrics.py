@@ -4,7 +4,6 @@ import pytest
 from tce.core import TraceSet
 from tce.markov import PER_USER, PredictionRun
 from tce.metrics import (
-    PER_AXIS,
     ErrorSeries,
     error_histogram,
     error_series,
@@ -55,12 +54,6 @@ class TestPredictionError:
         z = zoning_with([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
         assert prediction_error(0, 1, z, (0, 0), (10, 10)) == 0.0
         assert prediction_error(0, 2, z, (0, 0), (10, 10)) > 0.0
-
-    def test_per_axis_mode(self):
-        z = zoning_with([[0.0, 0.0], [25.0, 40.0]])
-        expected = np.hypot(25.0 / 50.0, 40.0 / 80.0)
-        got = prediction_error(0, 1, z, (0, 0), (50, 80), mode=PER_AXIS)
-        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_extent_rejected(self):
         z = zoning_with([[0.0, 0.0], [1.0, 1.0]])
