@@ -74,28 +74,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args, cfg) -> Path:
-    out = args.out or cfg.out_dir
-    if not out:
-        raise ConfigError("no output directory: pass --out or set [output] directory")
-    return Path(out)
-
-
-def _stage_args(args):
-    """Config, created output directory and seed of a stage subcommand."""
+def _command_args(args):
+    """Config, output directory and base seed of a command."""
     cfg = load_config(args.config)
     if args.command == "generate" and cfg.mode != MODE_GENERATE:
         raise ConfigError("generate subcommand needs [input] mode = generate")
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out, cfg.base_seed if args.seed is None else args.seed
+    if not (args.out or cfg.out_dir):
+        raise ConfigError("no output directory: pass --out or set [output] directory")
+    return cfg, Path(args.out or cfg.out_dir), cfg.base_seed if args.seed is None else args.seed
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    manifest = pipeline.run(cfg, _out_dir(args, cfg), base_seed=args.seed)
+    cfg, out, seed = _command_args(args)
+    manifest = pipeline.run(cfg, out, base_seed=seed)
     summary = manifest["summary"]
-    print(f"run complete: {len(manifest['files'])} files in {_out_dir(args, cfg)}")
+    print(f"run complete: {len(manifest['files'])} files in {out}")
     print(
         f"mean error {summary['mean_error']:.4f}, median {summary['median_error']:.4f} "
         f"over {len(manifest['run_seeds'])} run(s) [{manifest['backend']} backend]"
@@ -104,34 +97,38 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg, out, seed = _stage_args(args)
-    pipeline.input_stage(cfg, seed, out)
+    cfg, out, seed = _command_args(args)
+    with pipeline.atomic_dir(out) as tmp:
+        pipeline.input_stage(cfg, seed, tmp)
     print(f"wrote {out / 'trace.csv'} and {out / 'traffic.csv'}")
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    cfg, out, seed = _stage_args(args)
-    traces = pipeline.load_traces(cfg, args.trace, args.traffic)
-    zoning = pipeline.clustering_stage(cfg, traces, seed, out)
+    cfg, out, seed = _command_args(args)
+    with pipeline.atomic_dir(out) as tmp:
+        traces = pipeline.load_traces(cfg, args.trace, args.traffic)
+        zoning = pipeline.clustering_stage(cfg, traces, seed, tmp)
     print(f"fitted {zoning.zone_count} zones; wrote {out / 'zones.csv'}, {out / 'labels.csv'}")
     return 0
 
 
 def _cmd_predict(args) -> int:
-    cfg, out, seed = _stage_args(args)
-    zoning = pipeline.load_zoning(args.zones, args.labels)
-    pipeline.prediction_stage(cfg, zoning, seed, out)
+    cfg, out, seed = _command_args(args)
+    with pipeline.atomic_dir(out) as tmp:
+        zoning = pipeline.load_zoning(args.zones, args.labels)
+        pipeline.prediction_stage(cfg, zoning, seed, tmp)
     print(f"wrote {cfg.run_count} prediction run(s) to {out}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg, out, _ = _stage_args(args)
-    traces = pipeline.load_traces(cfg, args.trace, args.traffic)
-    zoning = pipeline.load_zoning(args.zones, args.labels)
-    runs = pipeline.load_runs(cfg, zoning, args.predictions)
-    errors = pipeline.report_stage(cfg, traces, zoning, runs, out)
+    cfg, out, _ = _command_args(args)
+    with pipeline.atomic_dir(out) as tmp:
+        traces = pipeline.load_traces(cfg, args.trace, args.traffic)
+        zoning = pipeline.load_zoning(args.zones, args.labels)
+        runs = pipeline.load_runs(cfg, zoning, args.predictions)
+        errors = pipeline.report_stage(cfg, traces, zoning, runs, tmp)
     pooled = np.concatenate([es.e.ravel() for es in errors])
     print(f"report written to {out}; mean error {pooled.mean():.4f} over {len(runs)} run(s)")
     return 0

@@ -100,6 +100,18 @@ def _columns(path, header, kinds) -> tuple[range | list[int], list]:
     return lines, out
 
 
+def _finite(path, lines, x, y, what) -> None:
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        raise DataError(f"{path}, row {lines[bad[0]]}: non-finite {what}")
+
+
+def _zone_ids(path, lines, z, zone_count: int) -> None:
+    bad = np.flatnonzero((z < 0) | (z >= zone_count))
+    if bad.size:
+        raise DataError(f"{path}, row {lines[bad[0]]}: zone id {z[bad[0]]} outside [0, {zone_count})")
+
+
 def _grid(path, lines, u, t, instant_count: int | None = None, entry="entry") -> np.ndarray:
     """Row indices that fill the (users, instants) table keyed by columns u, t.
 
@@ -154,9 +166,7 @@ def load_trace(trace_path, traffic_path, venue: Venue, grid: TimeGrid) -> TraceS
     files; violations name the user, instant, or file row.
     """
     lines, (u, t, x, y) = _columns(trace_path, TRACE_HEADER, (int, int, float, float))
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
-    if bad.size:
-        raise DataError(f"{trace_path}, row {lines[bad[0]]}: non-finite position")
+    _finite(trace_path, lines, x, y, "position")
     order = _grid(trace_path, lines, u, t, grid.instant_count)
     traffic = load_traffic(traffic_path, order.shape[0])
     return TraceSet(np.stack([x[order], y[order]], axis=-1), traffic)
@@ -228,6 +238,7 @@ def write_zoning(zones_path, labels_path, zoning: Zoning) -> None:
 
 def load_zoning(zones_path, labels_path) -> Zoning:
     lines, (zid, region, cx, cy) = _columns(zones_path, ZONES_HEADER, (int, str, float, float))
+    _finite(zones_path, lines, cx, cy, "centroid")
     for line, name in zip(lines, region):
         if name not in ("inside", "outside"):
             raise DataError(f"{zones_path}, row {line}: region must be inside or outside")
@@ -238,10 +249,7 @@ def load_zoning(zones_path, labels_path) -> Zoning:
     centroids = np.stack([cx, cy], axis=-1)
 
     lines, (u, t, z) = _columns(labels_path, LABELS_HEADER, (int, int, int))
-    bad = np.flatnonzero((z < 0) | (z >= ids.size))
-    if bad.size:
-        i = bad[0]
-        raise DataError(f"{labels_path}, row {lines[i]}: zone id {z[i]} outside [0, {ids.size})")
+    _zone_ids(labels_path, lines, z, ids.size)
     labels = z[_grid(labels_path, lines, u, t, entry="label")]
     return Zoning(centroids[inside], centroids[~inside], labels)
 
@@ -263,8 +271,12 @@ def write_predictions(path, labels_real: np.ndarray, labels_pred: np.ndarray) ->
     _write_rows(path, PREDICTIONS_HEADER, rows)
 
 
-def load_predictions(path) -> tuple[np.ndarray, np.ndarray]:
+def load_predictions(path, zone_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Real and predicted zones as (users, instants) tables; with ``zone_count``
+    a predicted zone id must lie in [0, zone_count)."""
     lines, (u, t, real, pred) = _columns(path, PREDICTIONS_HEADER, (int, int, int, int))
+    if zone_count is not None:
+        _zone_ids(path, lines, pred, zone_count)
     order = _grid(path, lines, u, t)
     return real[order], pred[order]
 

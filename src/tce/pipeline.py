@@ -4,8 +4,9 @@ every file.
 
 Each stage is a function from artefacts to artefacts that writes its own
 files. ``run`` chains them; each ``tce`` stage subcommand calls one of them
-on artefacts loaded from CSV. Stage failures are tagged with the stage name,
-and ``run`` removes any partially written output.
+on artefacts loaded from CSV. Stage failures are tagged with the stage name.
+Every command writes through ``atomic_dir``, so an output directory appears
+only complete.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import os
 import shutil
 import time
 from contextlib import contextmanager
@@ -52,23 +54,26 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _prepare_out_dir(out_dir: Path) -> bool:
-    """Create the output directory; refuse to clobber existing content.
-    Returns True when this call created it."""
-    if out_dir.exists():
-        if any(out_dir.iterdir()):
-            raise ConfigError(f"output directory {out_dir} is not empty")
-        return False
-    out_dir.mkdir(parents=True)
-    return True
+@contextmanager
+def atomic_dir(target):
+    """Yield a new hidden sibling of ``target`` to write into, and rename it
+    onto ``target`` when the body succeeds; on any failure remove it and leave
+    ``target`` untouched. ``target`` must be absent or an empty directory."""
+    target = Path(os.path.abspath(target))
+    if target.exists() and (not target.is_dir() or any(target.iterdir())):
+        raise ConfigError(f"output directory {target} is not an empty directory")
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp.mkdir()  # not mkdtemp: the published directory keeps mkdir's mode
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {target}: {exc}") from None
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def input_stage(cfg: RunConfig, seed: int, out_dir: Path) -> TraceSet:
@@ -126,6 +131,11 @@ def report_stage(
 ) -> list[ErrorSeries]:
     """Aggregate users and traffic per zone and score every run; write the
     zone series, errors, histogram and plots. Returns each run's errors."""
+    with _stage("report"):
+        for uid in cfg.plot_users:
+            if not 0 <= uid < traces.user_count:
+                raise ConfigError(f"plot user id {uid} out of range [0, {traces.user_count})")
+
     with _stage("aggregation"):
         series = [aggregate(traces, zoning.labels, p.labels_pred, zoning.zone_count) for p in runs]
         for r, zs in enumerate(series):
@@ -161,7 +171,7 @@ def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
     runs = []
     with _stage("input"):
         for path in paths:
-            real, pred = csvio.load_predictions(path)
+            real, pred = csvio.load_predictions(path, zoning.zone_count)
             if not np.array_equal(real, zoning.labels):
                 raise ConfigError(f"{path}: real zones do not match the labels file")
             runs.append(PredictionRun(pred, cfg.window.window_size, cfg.window.scope, seed=0))
@@ -175,16 +185,14 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
     base_seed + r. Outputs are byte-stable for a fixed config and seed
     (the manifest carries the only timestamp).
     """
-    out_dir = Path(out_dir)
     base_seed = cfg.base_seed if base_seed is None else int(base_seed)
-    created = _prepare_out_dir(out_dir)
     started = time.perf_counter()
-    try:
-        traces = input_stage(cfg, base_seed, out_dir)
-        zoning = clustering_stage(cfg, traces, base_seed, out_dir)
-        general_matrix_stage(zoning, out_dir)
-        runs = prediction_stage(cfg, zoning, base_seed, out_dir)
-        errors = report_stage(cfg, traces, zoning, runs, out_dir)
+    with atomic_dir(out_dir) as tmp:
+        traces = input_stage(cfg, base_seed, tmp)
+        zoning = clustering_stage(cfg, traces, base_seed, tmp)
+        general_matrix_stage(zoning, tmp)
+        runs = prediction_stage(cfg, zoning, base_seed, tmp)
+        errors = report_stage(cfg, traces, zoning, runs, tmp)
 
         manifest = {
             "config_digest": config_digest(cfg),
@@ -195,20 +203,12 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
             "elapsed_seconds": round(time.perf_counter() - started, 3),
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-        files = sorted(p for p in out_dir.rglob("*") if p.is_file() and p.name != "manifest.json")
-        manifest["files"] = {str(p.relative_to(out_dir)): _sha256(p) for p in files}
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-        return manifest
-    except BaseException:
-        if created:
-            shutil.rmtree(out_dir, ignore_errors=True)
-        else:
-            for child in out_dir.iterdir():
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
-                else:
-                    child.unlink(missing_ok=True)
-        raise
+        files = sorted(p for p in tmp.rglob("*") if p.is_file())
+        manifest["files"] = {
+            str(p.relative_to(tmp)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files
+        }
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return manifest
 
 
 def _summary(errors, zoning, traces) -> dict:
@@ -227,8 +227,8 @@ def _summary(errors, zoning, traces) -> dict:
 
 
 def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist) -> None:
-    """Write the plots under ``out_dir``/plots as dependency-free SVG, with a
-    CSV of each selected user's step series.
+    """Write the plots under ``out_dir``/plots as dependency-free SVG; the
+    data of each selected user's step series is predictions_run<r>.csv.
 
     Emits the all-positions scatter, per-run overlaid error histograms,
     per-zone user and traffic series, and a real-vs-predicted step series for
@@ -238,10 +238,6 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
     """
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
-
-    for uid in cfg.plot_users:
-        if not 0 <= uid < traces.user_count:
-            raise ConfigError(f"plot user id {uid} out of range [0, {traces.user_count})")
 
     # scatter of every observed position; its data is trace.csv
     rects = [(cfg.venue.precinct_min, cfg.venue.precinct_max, "precinct")]
@@ -257,11 +253,6 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
     boundary = cfg.window.window_size
     for uid in cfg.plot_users:
         for r, pred in enumerate(runs):
-            csvio.write_predictions(
-                plots / f"user{uid}_run{r}_zones.csv",
-                zoning.labels[uid : uid + 1],
-                pred.labels_pred[uid : uid + 1],
-            )
             svgplot.step_chart(
                 plots / f"user{uid}_run{r}_zones.svg",
                 instants,

@@ -1,8 +1,18 @@
+import csv
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tce
+from tce import csvio
 from tce.cli import main
 
 CONFIG = """\
@@ -103,7 +113,7 @@ class TestRun:
             "predictions_run0.csv", "predictions_run1.csv",
             "zone_series_run0.csv", "errors_run0.csv", "histogram.csv",
             "plots/positions_scatter.svg",
-            "plots/histogram.svg", "plots/user0_run0_zones.csv",
+            "plots/histogram.svg", "plots/user0_run0_zones.svg",
             "plots/user1_run1_zones.svg", "plots/zone_users_run0.svg",
             "plots/zone_traffic_run1.svg", "manifest.json",
         ]:
@@ -322,6 +332,11 @@ class TestStageSubcommands:
             "gap.csv": (gap, "gap.csv: user ids must be contiguous from 0"),
             # header plus 6 users x 12 instants, so the repeated row is row 74
             "dup.csv": (lines + [lines[1]], "dup.csv, row 74: duplicate entry for user 0"),
+            # four zones, so a predicted zone id 4 is out of range
+            "zone.csv": (
+                lines[:2] + [lines[2].rsplit(",", 1)[0] + ",4"] + lines[3:],
+                "zone.csv, row 3: zone id 4 outside [0, 4)",
+            ),
         }
         for name, (rows, message) in cases.items():
             (tmp_path / name).write_text("\n".join(rows) + "\n")
@@ -355,3 +370,189 @@ class TestStageSubcommands:
         prow = np.array(probs[1].split(",")[1:], dtype=float)
         if crow.sum():
             assert np.allclose(prow, crow / crow.sum())
+
+
+@pytest.fixture(scope="module")
+def full(tmp_path_factory):
+    """The outputs of one ``tce run`` of CONFIG, the inputs of the stage subcommands."""
+    tmp = tmp_path_factory.mktemp("full")
+    out = tmp / "full"
+    assert main(["run", "--config", str(write_cfg(tmp)), "--out", str(out)]) == 0
+    return out
+
+
+def command_argv(command, cfg, full, out, **files):
+    """argv of ``command`` over the files of ``full``; ``files`` replaces
+    some of them by name, e.g. ``trace="missing.csv"``."""
+    def f(name):
+        return files.get(name, full / f"{name}.csv")
+
+    inputs = {
+        "run": [],
+        "generate": [],
+        "cluster": ["--trace", f("trace"), "--traffic", f("traffic")],
+        "predict": ["--zones", f("zones"), "--labels", f("labels")],
+        "report": [
+            "--trace", f("trace"), "--traffic", f("traffic"),
+            "--zones", f("zones"), "--labels", f("labels"),
+            "--predictions", f("predictions_run0"), f("predictions_run1"),
+        ],
+    }[command]
+    return [str(a) for a in [command, "--config", cfg, "--out", out, *inputs]]
+
+
+def hidden_siblings(out):
+    return sorted(p.name for p in out.parent.iterdir() if p.name.startswith(f".{out.name}."))
+
+
+def write_then_fail(real):
+    def writer(path, *args):
+        real(path, *args)
+        raise ValueError(f"injected failure after writing {Path(path).name}")
+
+    return writer
+
+
+COMMANDS = ["run", "generate", "cluster", "predict", "report"]
+
+
+class TestOutputDirectory:
+    """Every command builds its output in a hidden sibling of --out and
+    renames it into place only when it succeeds."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failure_leaves_no_output(self, tmp_path, full, monkeypatch, command, existing):
+        cfg = write_cfg(tmp_path, CONFIG.replace("plot_users = 0 1", "plot_users = 0 999"))
+        files = {"trace": tmp_path / "missing.csv"} if command == "cluster" else {}
+        if command == "generate":
+            monkeypatch.setattr(csvio, "write_trace", write_then_fail(csvio.write_trace))
+        if command == "predict":
+            monkeypatch.setattr(csvio, "write_predictions", write_then_fail(csvio.write_predictions))
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+        code = main(command_argv(command, cfg, full, out, **files))
+        assert code == {"cluster": 3, "generate": 4, "predict": 4}.get(command, 2)
+        if existing:
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
+        assert hidden_siblings(out) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_empty_out_refused(self, tmp_path, full, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("hands off")
+        assert main(command_argv(command, write_cfg(tmp_path), full, out)) == 2
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "hands off"
+        assert hidden_siblings(out) == []
+
+    def test_out_below_a_file_is_config_error(self, tmp_path, full):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main(command_argv("run", write_cfg(tmp_path), full, out)) == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_publishes_with_mkdir_mode(self, tmp_path, full, command):
+        out = tmp_path / "nested" / "out"
+        assert main(command_argv(command, write_cfg(tmp_path), full, out)) == 0
+        (tmp_path / "made").mkdir()
+        assert out.stat().st_mode == (tmp_path / "made").stat().st_mode
+        assert hidden_siblings(out) == []
+
+    @pytest.mark.parametrize("command", ["run", "predict"])
+    def test_sigkill_mid_write_leaves_no_out(self, tmp_path, full, command):
+        # the stage kills its own process right after the first predictions file
+        driver = (
+            "import os, signal, sys\n"
+            "from tce import cli, csvio\n"
+            "real = csvio.write_predictions\n"
+            "def write_then_die(*args):\n"
+            "    real(*args)\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "csvio.write_predictions = write_then_die\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        pythonpath = [str(Path(tce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        out = tmp_path / "out"
+        argv = command_argv(command, write_cfg(tmp_path), full, out)
+        proc = subprocess.run([sys.executable, "-c", driver, *argv], env=env, capture_output=True)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert not out.exists()
+        # what a killed process leaves is one hidden sibling holding the partial files
+        (left,) = hidden_siblings(out)
+        assert (tmp_path / left / "predictions_run0.csv").exists()
+
+    def test_non_finite_centroid_exit_code(self, tmp_path, full, capsys):
+        zones = (full / "zones.csv").read_text().splitlines()
+        zone_id, region, _, cy = zones[1].split(",")
+        zones[1] = ",".join([zone_id, region, "inf", cy])
+        (tmp_path / "zones.csv").write_text("\n".join(zones) + "\n")
+        out = tmp_path / "out"
+        argv = command_argv("report", write_cfg(tmp_path), full, out, zones=tmp_path / "zones.csv")
+        assert main(argv) == 3
+        assert "zones.csv, row 2: non-finite centroid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# report inputs for the property test: every file of one prediction run
+REPORT_FILES = ["trace", "traffic", "zones", "labels", "predictions_run0", "predictions_run1"]
+CELLS = [
+    "", " ", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "5", "11", "12", "999",
+    "2.5", "-0.0", "1e309", "99999999999999999999", "inside", "outside", "1,2",
+]
+EDITS = st.tuples(
+    st.sampled_from(REPORT_FILES),
+    st.sampled_from(["cell", "drop", "dup", "swap", "blank", "extra", "truncate"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(CELLS),
+)
+
+
+def mutate(rows, op, i, j, value):
+    """Apply one edit to the rows of a CSV file (header included)."""
+    if not rows:
+        return rows
+    i %= len(rows)
+    if op == "cell" and rows[i]:
+        rows[i][j % len(rows[i])] = value
+    elif op == "drop":
+        del rows[i]
+    elif op == "dup":
+        rows.insert(i, list(rows[i]))
+    elif op == "swap":
+        rows[i], rows[j % len(rows)] = rows[j % len(rows)], rows[i]
+    elif op == "blank":
+        rows[i] = []
+    elif op == "extra":
+        rows[i].append(value)
+    elif op == "truncate":
+        del rows[i:]
+    return rows
+
+
+class TestReportInputProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edits=st.lists(EDITS, min_size=1, max_size=3))
+    def test_mutated_inputs_exit_cleanly(self, tmp_path_factory, full, edits):
+        case = tmp_path_factory.mktemp("case")
+        tables = {}
+        for name in REPORT_FILES:
+            with open(full / f"{name}.csv", newline="") as fh:
+                tables[name] = list(csv.reader(fh))
+        for name, *edit in edits:
+            tables[name] = mutate(tables[name], *edit)
+        for name, rows in tables.items():
+            with open(case / f"{name}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        cfg = write_cfg(case)
+        out = case / "out"
+        code = main(command_argv("report", cfg, full, out, **{n: case / f"{n}.csv" for n in REPORT_FILES}))
+        assert code in (0, 2, 3, 4)
+        assert out.exists() == (code == 0)
+        assert hidden_siblings(out) == []

@@ -231,6 +231,12 @@ class TestRowNumbers:
         with pytest.raises(DataError, match=r"labels\.csv, row 4: zone id 2 outside \[0, 2\)"):
             csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv")
 
+    def test_non_finite_centroid_names_its_row(self, tmp_path):
+        (tmp_path / "zones.csv").write_text("zone_id,region,cx,cy\n0,inside,1,1\n1,outside,inf,68.1\n")
+        (tmp_path / "labels.csv").write_text("user_id,t,zone_id\n0,0,0\n0,1,1\n")
+        with pytest.raises(DataError, match=r"zones\.csv, row 3: non-finite centroid"):
+            csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv")
+
 
 class TestPredictionsValidation:
     HEADER = "user_id,t,real_zone,predicted_zone\n"
@@ -249,6 +255,11 @@ class TestPredictionsValidation:
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n1,1,0,0\n")
         with pytest.raises(DataError, match=r"p\.csv: user 1 is missing instant 0"):
             csvio.load_predictions(tmp_path / "p.csv")
+
+    def test_predicted_zone_out_of_range_names_its_row(self, tmp_path):
+        (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,4\n")
+        with pytest.raises(DataError, match=r"p\.csv, row 3: zone id 4 outside \[0, 4\)"):
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=4)
 
     def test_rows_in_any_order_fill_the_table(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "1,1,3,4\n0,1,1,2\n1,0,2,2\n0,0,0,0\n")
