@@ -46,26 +46,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--seed", type=int, default=None, help="override the config base seed")
         p.add_argument("--out", default=None, help="output directory")
         return p
 
-    add("run", "run the full pipeline and write a manifest")
+    add("run", "run the full pipeline and write a manifest", _cmd_run)
 
-    add("generate", "generate a synthetic trace/traffic CSV pair")
+    add("generate", "generate a synthetic trace/traffic CSV pair", _cmd_generate)
 
-    p = add("cluster", "fit zones over a trace and write zones.csv / labels.csv")
+    p = add("cluster", "fit zones over a trace and write zones.csv / labels.csv", _cmd_cluster)
     p.add_argument("--trace", required=True, help="trace CSV (user_id,t,x,y)")
     p.add_argument("--traffic", required=True, help="traffic CSV (user_id,mean_traffic_mbps)")
 
-    p = add("predict", "run seeded predictions over fitted zone labels")
+    p = add("predict", "run seeded predictions over fitted zone labels", _cmd_predict)
     p.add_argument("--zones", required=True, help="zones CSV from the cluster stage")
     p.add_argument("--labels", required=True, help="labels CSV from the cluster stage")
 
-    p = add("report", "aggregate, score and plot existing prediction runs")
+    p = add("report", "aggregate, score and plot existing prediction runs", _cmd_report)
     p.add_argument("--trace", required=True)
     p.add_argument("--traffic", required=True)
     p.add_argument("--zones", required=True)
@@ -134,25 +135,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "generate": _cmd_generate,
-    "cluster": _cmd_cluster,
-    "predict": _cmd_predict,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ToolError as exc:
+        return args.handler(args)
+    except (ToolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 4)
 
 
 if __name__ == "__main__":

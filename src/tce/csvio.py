@@ -271,12 +271,11 @@ def write_predictions(path, labels_real: np.ndarray, labels_pred: np.ndarray) ->
     _write_rows(path, PREDICTIONS_HEADER, rows)
 
 
-def load_predictions(path, zone_count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Real and predicted zones as (users, instants) tables; with ``zone_count``
-    a predicted zone id must lie in [0, zone_count)."""
+def load_predictions(path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and predicted zones as (users, instants) tables; a predicted zone id
+    must lie in [0, zone_count)."""
     lines, (u, t, real, pred) = _columns(path, PREDICTIONS_HEADER, (int, int, int, int))
-    if zone_count is not None:
-        _zone_ids(path, lines, pred, zone_count)
+    _zone_ids(path, lines, pred, zone_count)
     order = _grid(path, lines, u, t)
     return real[order], pred[order]
 

@@ -54,12 +54,21 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @contextmanager
 def atomic_dir(target):
     """Yield a new hidden sibling of ``target`` to write into, and rename it
     onto ``target`` when the body succeeds; on any failure remove it and leave
-    ``target`` untouched. ``target`` must be absent or an empty directory."""
-    target = Path(os.path.abspath(target))
+    ``target`` untouched. ``target`` must be absent or an empty directory, which
+    the rename replaces (a symlink is resolved first; a mount point cannot be)."""
+    target = Path(os.path.realpath(target))
     if target.exists() and (not target.is_dir() or any(target.iterdir())):
         raise ConfigError(f"output directory {target} is not an empty directory")
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}")
@@ -70,7 +79,10 @@ def atomic_dir(target):
         raise ConfigError(f"cannot create output directory {target}: {exc}") from None
     try:
         yield tmp
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:
+            raise ConfigError(f"cannot move the output onto {target}: {exc.strerror}") from None
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -204,9 +216,7 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         files = sorted(p for p in tmp.rglob("*") if p.is_file())
-        manifest["files"] = {
-            str(p.relative_to(tmp)): hashlib.sha256(p.read_bytes()).hexdigest() for p in files
-        }
+        manifest["files"] = {str(p.relative_to(tmp)): _sha256(p) for p in files}
         (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest
 

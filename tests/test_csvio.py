@@ -117,7 +117,7 @@ class TestPredictionsRoundTrip:
         real = rng.integers(0, 3, (4, 6)).astype(np.int64)
         pred = rng.integers(0, 3, (4, 6)).astype(np.int64)
         csvio.write_predictions(tmp_path / "p.csv", real, pred)
-        r2, p2 = csvio.load_predictions(tmp_path / "p.csv")
+        r2, p2 = csvio.load_predictions(tmp_path / "p.csv", zone_count=3)
         assert np.array_equal(real, r2)
         assert np.array_equal(pred, p2)
 
@@ -244,17 +244,17 @@ class TestPredictionsValidation:
     def test_non_contiguous_user_ids_rejected(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n2,0,0,0\n2,1,0,1\n")
         with pytest.raises(DataError, match=r"p\.csv: user ids must be contiguous from 0, got \[0, 2"):
-            csvio.load_predictions(tmp_path / "p.csv")
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=2)
 
     def test_duplicate_row_names_file_and_row(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n0,0,1,0\n")
         with pytest.raises(DataError, match=r"p\.csv, row 4: duplicate entry for user 0, instant 0"):
-            csvio.load_predictions(tmp_path / "p.csv")
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=2)
 
     def test_missing_instant_names_user_and_instant(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n1,1,0,0\n")
         with pytest.raises(DataError, match=r"p\.csv: user 1 is missing instant 0"):
-            csvio.load_predictions(tmp_path / "p.csv")
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=2)
 
     def test_predicted_zone_out_of_range_names_its_row(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,4\n")
@@ -263,6 +263,6 @@ class TestPredictionsValidation:
 
     def test_rows_in_any_order_fill_the_table(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "1,1,3,4\n0,1,1,2\n1,0,2,2\n0,0,0,0\n")
-        real, pred = csvio.load_predictions(tmp_path / "p.csv")
+        real, pred = csvio.load_predictions(tmp_path / "p.csv", zone_count=5)
         assert real.tolist() == [[0, 1], [2, 3]]
         assert pred.tolist() == [[0, 2], [2, 4]]
