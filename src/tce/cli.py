@@ -117,7 +117,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_predict(args) -> int:
     cfg, out, seed = _command_args(args)
     with pipeline.atomic_dir(out) as tmp:
-        zoning = pipeline.load_zoning(args.zones, args.labels)
+        zoning = pipeline.load_zoning(cfg, args.zones, args.labels)
         pipeline.prediction_stage(cfg, zoning, seed, tmp)
     print(f"wrote {cfg.run_count} prediction run(s) to {out}")
     return 0
@@ -127,7 +127,7 @@ def _cmd_report(args) -> int:
     cfg, out, _ = _command_args(args)
     with pipeline.atomic_dir(out) as tmp:
         traces = pipeline.load_traces(cfg, args.trace, args.traffic)
-        zoning = pipeline.load_zoning(args.zones, args.labels)
+        zoning = pipeline.load_zoning(cfg, args.zones, args.labels)
         runs = pipeline.load_runs(cfg, zoning, args.predictions)
         errors = pipeline.report_stage(cfg, traces, zoning, runs, tmp)
     pooled = np.concatenate([es.e.ravel() for es in errors])

@@ -52,10 +52,6 @@ class Rect:
         """Boolean mask over an (n, 2) array, boundary counted as inside."""
         return np.all(pts >= self.lo, axis=-1) & np.all(pts <= self.hi, axis=-1)
 
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
     def overlaps_interior(self, other: "Rect") -> bool:
         """True when the two open interiors intersect (touching edges do not count)."""
         return bool(np.all(np.maximum(self.lo, other.lo) < np.minimum(self.hi, other.hi)))

@@ -112,15 +112,14 @@ def _zone_ids(path, lines, z, zone_count: int) -> None:
         raise DataError(f"{path}, row {lines[bad[0]]}: zone id {z[bad[0]]} outside [0, {zone_count})")
 
 
-def _grid(path, lines, u, t, instant_count: int | None = None, entry="entry") -> np.ndarray:
+def _grid(path, lines, u, t, instants: int, entry="entry") -> np.ndarray:
     """Row indices that fill the (users, instants) table keyed by columns u, t.
 
-    Users must be contiguous from 0 and every (user, instant) must appear
-    exactly once; without ``instant_count`` the instants are 0..max(t).
+    Users must be contiguous from 0 and every (user, instant in
+    0..instants-1) must appear exactly once.
     """
     if u.size == 0:
         raise DataError(f"{path}: no data rows")
-    instants = int(t.max()) + 1 if instant_count is None else instant_count
     bad = np.flatnonzero((t < 0) | (t >= instants))
     if bad.size:
         i = bad[0]
@@ -173,20 +172,24 @@ def load_trace(trace_path, traffic_path, venue: Venue, grid: TimeGrid) -> TraceS
 
 
 def load_traffic(path, user_count: int) -> np.ndarray:
-    lines, rows = _read_rows(path, TRAFFIC_HEADER)
+    """Per-user mean rates; each user id in [0, user_count) exactly once."""
+    lines, (u, rate) = _columns(path, TRAFFIC_HEADER, (int, float))
+    unknown = (u < 0) | (u >= user_count)
+    negative = ~(np.isfinite(rate) & (rate >= 0))
+    repeated = np.ones(u.size, dtype=bool)
+    repeated[np.unique(u, return_index=True)[1]] = False
+    bad = np.flatnonzero(unknown | negative | repeated)
+    if bad.size:  # the first faulty row in file order, checks in the order below
+        i = bad[0]
+        if unknown[i]:
+            fault = f"unknown user id {u[i]}"
+        elif negative[i]:
+            fault = f"mean_traffic must be >= 0, got {rate[i]}"
+        else:
+            fault = f"duplicate user id {u[i]}"
+        raise DataError(f"{path}, row {lines[i]}: {fault}")
     traffic = np.full(user_count, np.nan)
-    for line, row in zip(lines, rows):
-        if len(row) != 2:
-            raise DataError(f"{path}, row {line}: expected 2 fields, got {len(row)}")
-        u = _parse(path, line, row[0], int, "user_id")
-        rate = _parse(path, line, row[1], float, "mean_traffic_mbps")
-        if not 0 <= u < user_count:
-            raise DataError(f"{path}, row {line}: unknown user id {u}")
-        if not np.isfinite(rate) or rate < 0:
-            raise DataError(f"{path}, row {line}: mean_traffic must be >= 0, got {row[1]}")
-        if not np.isnan(traffic[u]):
-            raise DataError(f"{path}, row {line}: duplicate user id {u}")
-        traffic[u] = rate
+    traffic[u] = rate
     missing = np.flatnonzero(np.isnan(traffic))
     if missing.size:
         raise DataError(f"{path}: missing traffic for user {missing[0]}")
@@ -236,7 +239,8 @@ def write_zoning(zones_path, labels_path, zoning: Zoning) -> None:
     _write_rows(labels_path, LABELS_HEADER, zip(users, instants, _values(zoning.labels, np.int64)))
 
 
-def load_zoning(zones_path, labels_path) -> Zoning:
+def load_zoning(zones_path, labels_path, instant_count: int) -> Zoning:
+    """Zone centroids and the (users, instant_count) label table."""
     lines, (zid, region, cx, cy) = _columns(zones_path, ZONES_HEADER, (int, str, float, float))
     _finite(zones_path, lines, cx, cy, "centroid")
     for line, name in zip(lines, region):
@@ -250,7 +254,7 @@ def load_zoning(zones_path, labels_path) -> Zoning:
 
     lines, (u, t, z) = _columns(labels_path, LABELS_HEADER, (int, int, int))
     _zone_ids(labels_path, lines, z, ids.size)
-    labels = z[_grid(labels_path, lines, u, t, entry="label")]
+    labels = z[_grid(labels_path, lines, u, t, instant_count, entry="label")]
     return Zoning(centroids[inside], centroids[~inside], labels)
 
 
@@ -271,12 +275,12 @@ def write_predictions(path, labels_real: np.ndarray, labels_pred: np.ndarray) ->
     _write_rows(path, PREDICTIONS_HEADER, rows)
 
 
-def load_predictions(path, zone_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and predicted zones as (users, instants) tables; a predicted zone id
-    must lie in [0, zone_count)."""
+def load_predictions(path, zone_count: int, instant_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and predicted zones as (users, instant_count) tables; a predicted
+    zone id must lie in [0, zone_count)."""
     lines, (u, t, real, pred) = _columns(path, PREDICTIONS_HEADER, (int, int, int, int))
     _zone_ids(path, lines, pred, zone_count)
-    order = _grid(path, lines, u, t)
+    order = _grid(path, lines, u, t, instant_count)
     return real[order], pred[order]
 
 

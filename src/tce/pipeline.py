@@ -27,7 +27,7 @@ from ._kernels import backend
 from .aggregation import aggregate
 from .config import MODE_GENERATE, RunConfig, config_digest
 from .core import TraceSet
-from .errors import ConfigError, ToolError
+from .errors import ConfigError, DataError, ToolError
 from .markov import PredictionRun, build_general_matrix, predict_labels
 from .metrics import ErrorSeries, error_histogram, error_series, histogram_edges, position_extent
 from .scenario import generate_scenario
@@ -172,10 +172,11 @@ def load_traces(cfg: RunConfig, trace_file, traffic_file) -> TraceSet:
         return csvio.load_trace(trace_file, traffic_file, cfg.venue, cfg.grid)
 
 
-def load_zoning(zones_file, labels_file) -> Zoning:
-    """Read the zones/labels CSV pair as the input of a stage subcommand."""
+def load_zoning(cfg: RunConfig, zones_file, labels_file) -> Zoning:
+    """Read the zones/labels CSV pair on the config's time grid as the input
+    of a stage subcommand."""
     with _stage("input"):
-        return csvio.load_zoning(zones_file, labels_file)
+        return csvio.load_zoning(zones_file, labels_file, cfg.grid.instant_count)
 
 
 def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
@@ -183,9 +184,17 @@ def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
     runs = []
     with _stage("input"):
         for path in paths:
-            real, pred = csvio.load_predictions(path, zoning.zone_count)
-            if not np.array_equal(real, zoning.labels):
-                raise ConfigError(f"{path}: real zones do not match the labels file")
+            real, pred = csvio.load_predictions(path, zoning.zone_count, cfg.grid.instant_count)
+            if real.shape != zoning.labels.shape:
+                raise DataError(
+                    f"{path}: {real.shape[0]} users, the labels file has {zoning.labels.shape[0]}"
+                )
+            differ = np.argwhere(real != zoning.labels)
+            if differ.size:
+                u, t = differ[0]
+                raise DataError(
+                    f"{path}: real zone of user {u} at instant {t} differs from the labels file"
+                )
             runs.append(PredictionRun(pred, cfg.window.window_size, cfg.window.scope, seed=0))
     return runs
 

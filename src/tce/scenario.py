@@ -2,9 +2,10 @@
 regions, plus tiered constant traffic rates.
 
 Waypoints are drawn by attractor weight (with an optional uniform background
-share over the precinct); legs that cross between the precinct and an outside
-region are routed through the midpoint of the shared boundary, so every
-sampled position stays within the precinct or a declared outside region.
+share over the precinct). Each attractor must lie within its host region: the
+precinct or one declared outside region. A leg between hosts passes through
+the midpoint of the boundary each outside host shares with the precinct, so
+every sampled position stays within the precinct or a declared outside region.
 Generation is single-threaded per scenario so a seed fixes the whole trace.
 """
 
@@ -103,15 +104,6 @@ def assign_tiers(user_count: int, tiers: TrafficTiers, rng: np.random.Generator)
     return rates
 
 
-def _region_of(p: np.ndarray, venue: Venue) -> int:
-    if venue.precinct.contains(p):
-        return _PRECINCT
-    for i, region in enumerate(venue.outside_regions):
-        if region.contains(p):
-            return i
-    raise RuntimeError(f"position {p} is not inside the venue")
-
-
 def _gate(venue: Venue, region_index: int) -> np.ndarray:
     """Midpoint of the boundary shared by the precinct and an outside region."""
     region = venue.outside_regions[region_index]
@@ -125,60 +117,54 @@ def _gate(venue: Venue, region_index: int) -> np.ndarray:
     return (lo + hi) / 2.0
 
 
-def _route(pos: np.ndarray, target: np.ndarray, src: int, dst: int, venue: Venue):
-    """Leg sequence (point, clip rect) from pos to target staying in the venue."""
-    precinct = venue.precinct
-    if src == dst:
-        rect = precinct if dst == _PRECINCT else venue.outside_regions[dst]
-        return [(target, rect)]
-    legs = []
-    if src != _PRECINCT:
-        legs.append((_gate(venue, src), venue.outside_regions[src]))
-    if dst != _PRECINCT:
-        legs.append((_gate(venue, dst), precinct))
-        legs.append((target, venue.outside_regions[dst]))
-    else:
-        legs.append((target, precinct))
-    return legs
+def _host(venue: Venue, attractor: Attractor) -> int:
+    """Region holding both corners of the attractor: the precinct, else the
+    first outside region that does."""
+    for i, region in enumerate((venue.precinct, *venue.outside_regions)):
+        if region.contains(attractor.region.lo) and region.contains(attractor.region.hi):
+            return i - 1  # the precinct is _PRECINCT
+    raise ValueError(
+        f"attractor {attractor.label or attractor.region} must lie within the precinct "
+        "or within one declared outside region"
+    )
 
 
 class _WaypointDraw:
-    """Weighted choice of attractor rectangles plus a uniform background share."""
+    """Weighted choice of destination rectangles (attractors plus a uniform
+    background share of the precinct), each with its host region, and the legs
+    that move a user between hosts through their gates."""
 
     def __init__(self, venue: Venue, mobility: MobilityParams):
-        self.venue = venue
         self.rects = [a.region for a in mobility.attractors]
+        self.hosts = [_host(venue, a) for a in mobility.attractors]
         weights = [a.weight for a in mobility.attractors]
         if mobility.background_weight > 0:
             self.rects.append(venue.precinct)
+            self.hosts.append(_PRECINCT)
             weights.append(mobility.background_weight)
         w = np.asarray(weights, np.float64)
         self.probs = w / w.sum()
-        # destinations must be reachable: outside rects route through a gate
-        for rect in self.rects:
-            mid = rect.center
-            idx = _region_of(mid, venue)
-            if idx != _PRECINCT:
-                _gate(venue, idx)
+        self.regions = (*venue.outside_regions, venue.precinct)  # index _PRECINCT is the precinct
+        self.gates = {h: _gate(venue, h) for h in self.hosts if h != _PRECINCT}
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        rect = self.rects[rng.choice(len(self.rects), p=self.probs)]
-        return rng.uniform(rect.lo, rect.hi)
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        """A destination point and its host region."""
+        i = rng.choice(len(self.rects), p=self.probs)
+        rect = self.rects[i]
+        return rng.uniform(rect.lo, rect.hi), self.hosts[i]
 
-
-def _validate_attractors(venue: Venue, mobility: MobilityParams) -> None:
-    precinct = venue.precinct
-    for a in mobility.attractors:
-        if precinct.contains(a.region.lo) and precinct.contains(a.region.hi):
-            continue
-        hosted = any(
-            r.contains(a.region.lo) and r.contains(a.region.hi) for r in venue.outside_regions
-        )
-        if not hosted:
-            raise ValueError(
-                f"attractor {a.label or a.region} must lie within the precinct "
-                "or within one declared outside region"
-            )
+    def route(self, src: int, target: np.ndarray, dst: int) -> list:
+        """Leg sequence (point, clip rect) from a point of host src to target
+        in host dst, staying in the venue."""
+        if src == dst:
+            return [(target, self.regions[dst])]
+        legs = []
+        if src != _PRECINCT:
+            legs.append((self.gates[src], self.regions[src]))
+        if dst != _PRECINCT:
+            legs.append((self.gates[dst], self.regions[_PRECINCT]))
+        legs.append((target, self.regions[dst]))
+        return legs
 
 
 def generate_scenario(
@@ -194,13 +180,13 @@ def generate_scenario(
     Identical parameters and seed give a bit-identical TraceSet. Per-instant
     displacement never exceeds speed_max * step_seconds / index_scale in index
     units; leftover movement budget at a waypoint is dropped (the user dwells
-    there until the next instant).
+    there until the next instant). Raises ValueError when an attractor has no
+    host region or an outside host does not touch the precinct.
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     if not mobility.attractors:
         raise ValueError("at least one attractor is required")
-    _validate_attractors(venue, mobility)
     draw = _WaypointDraw(venue, mobility)
     rng = np.random.default_rng(seed)
 
@@ -209,7 +195,7 @@ def generate_scenario(
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
 
     for u in range(user_count):
-        pos = draw.draw(rng)
+        pos, region = draw.draw(rng)
         positions[u, 0] = pos
         legs: list = []
         speed = 0.0
@@ -219,8 +205,10 @@ def generate_scenario(
                 pause_left -= 1
             else:
                 if not legs:
-                    target = draw.draw(rng)
-                    legs = _route(pos, target, _region_of(pos, venue), _region_of(target, venue), venue)
+                    # routes start only at the previous target, so pos lies in region
+                    target, dst = draw.draw(rng)
+                    legs = draw.route(region, target, dst)
+                    region = dst
                     speed = rng.uniform(mobility.speed_min, mobility.speed_max)
                 budget = speed * step_budget
                 while budget > 0 and legs:

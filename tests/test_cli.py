@@ -521,3 +521,44 @@ class TestOutputDirectory:
         assert main(argv) == 3
         assert "zones.csv, row 2: non-finite centroid" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestInputsAgainstLabels:
+    """Labels are read on the config's time grid and predictions must repeat
+    them; either fault is a data error (exit 3)."""
+
+    @pytest.mark.parametrize("command", ["predict", "report"])
+    def test_short_labels_exit_code(self, tmp_path, full, command, capsys):
+        # CONFIG has 12 instants; keep instants 0..5 of every user
+        lines = (full / "labels.csv").read_text().splitlines()
+        short = lines[:1] + [line for line in lines[1:] if int(line.split(",")[1]) < 6]
+        (tmp_path / "labels.csv").write_text("\n".join(short) + "\n")
+        out = tmp_path / "out"
+        argv = command_argv(command, write_cfg(tmp_path), full, out, labels=tmp_path / "labels.csv")
+        assert main(argv) == 3
+        assert "labels.csv: user 0 is missing instant 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_predictions_exit_code(self, tmp_path, full, capsys):
+        # header plus the 12 rows of each of the first 5 of 6 users
+        lines = (full / "predictions_run0.csv").read_text().splitlines()
+        (tmp_path / "p.csv").write_text("\n".join(lines[: 1 + 5 * 12]) + "\n")
+        argv = command_argv(
+            "report", write_cfg(tmp_path), full, tmp_path / "out", predictions_run0=tmp_path / "p.csv"
+        )
+        assert main(argv) == 3
+        assert "p.csv: 5 users, the labels file has 6" in capsys.readouterr().err
+
+    def test_edited_real_zone_exit_code(self, tmp_path, full, capsys):
+        lines = (full / "predictions_run0.csv").read_text().splitlines()
+        row = 1 + 2 * 12 + 3  # user 2, instant 3
+        u, t, real, pred = lines[row].split(",")
+        lines[row] = ",".join([u, t, str((int(real) + 1) % 4), pred])
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        argv = command_argv(
+            "report", write_cfg(tmp_path), full, tmp_path / "out", predictions_run0=tmp_path / "p.csv"
+        )
+        assert main(argv) == 3
+        assert "p.csv: real zone of user 2 at instant 3 differs from the labels file" in (
+            capsys.readouterr().err
+        )

@@ -105,7 +105,7 @@ class TestZoningRoundTrip:
             rng.integers(0, 4, (5, 7)).astype(np.int64),
         )
         csvio.write_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", zoning)
-        loaded = csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv")
+        loaded = csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", 7)
         assert loaded.inside_centroids.tobytes() == zoning.inside_centroids.tobytes()
         assert loaded.outside_centroids.tobytes() == zoning.outside_centroids.tobytes()
         assert np.array_equal(loaded.labels, zoning.labels)
@@ -117,7 +117,7 @@ class TestPredictionsRoundTrip:
         real = rng.integers(0, 3, (4, 6)).astype(np.int64)
         pred = rng.integers(0, 3, (4, 6)).astype(np.int64)
         csvio.write_predictions(tmp_path / "p.csv", real, pred)
-        r2, p2 = csvio.load_predictions(tmp_path / "p.csv", zone_count=3)
+        r2, p2 = csvio.load_predictions(tmp_path / "p.csv", zone_count=3, instant_count=6)
         assert np.array_equal(real, r2)
         assert np.array_equal(pred, p2)
 
@@ -225,17 +225,32 @@ class TestRowNumbers:
         with pytest.raises(DataError, match=r"row 3: instant 2 outside \[0, 2\)"):
             self.load(tmp_path, "0,0,1,1\n0,2,2,2\n", TimeGrid(60.0, 2))
 
+    @pytest.mark.parametrize(
+        "traffic, message",
+        [
+            ("0,1\n1,2\n0,3\n", r"traffic\.csv, row 4: duplicate user id 0"),
+            ("0,1\n2,2\n1,3\n", r"traffic\.csv, row 3: unknown user id 2"),
+            ("0,1\n1,-2\n1,3\n", r"traffic\.csv, row 3: mean_traffic must be >= 0, got -2\.0"),
+            ("0,1\n1,x\n", r"traffic\.csv, row 3: bad mean_traffic_mbps 'x'"),
+            ("1,1\n", r"traffic\.csv: missing traffic for user 0"),
+        ],
+    )
+    def test_traffic_fault_names_its_row(self, tmp_path, traffic, message):
+        (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n" + traffic)
+        with pytest.raises(DataError, match=message):
+            csvio.load_traffic(tmp_path / "traffic.csv", 2)
+
     def test_out_of_range_zone_label_names_its_row(self, tmp_path):
         (tmp_path / "zones.csv").write_text("zone_id,region,cx,cy\n0,inside,1,1\n1,outside,9,9\n")
         (tmp_path / "labels.csv").write_text("user_id,t,zone_id\n0,0,0\n0,1,1\n0,2,2\n")
         with pytest.raises(DataError, match=r"labels\.csv, row 4: zone id 2 outside \[0, 2\)"):
-            csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv")
+            csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", 3)
 
     def test_non_finite_centroid_names_its_row(self, tmp_path):
         (tmp_path / "zones.csv").write_text("zone_id,region,cx,cy\n0,inside,1,1\n1,outside,inf,68.1\n")
         (tmp_path / "labels.csv").write_text("user_id,t,zone_id\n0,0,0\n0,1,1\n")
         with pytest.raises(DataError, match=r"zones\.csv, row 3: non-finite centroid"):
-            csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv")
+            csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", 2)
 
 
 class TestPredictionsValidation:
@@ -244,25 +259,25 @@ class TestPredictionsValidation:
     def test_non_contiguous_user_ids_rejected(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n2,0,0,0\n2,1,0,1\n")
         with pytest.raises(DataError, match=r"p\.csv: user ids must be contiguous from 0, got \[0, 2"):
-            csvio.load_predictions(tmp_path / "p.csv", zone_count=2)
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=2, instant_count=2)
 
     def test_duplicate_row_names_file_and_row(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n0,0,1,0\n")
         with pytest.raises(DataError, match=r"p\.csv, row 4: duplicate entry for user 0, instant 0"):
-            csvio.load_predictions(tmp_path / "p.csv", zone_count=2)
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=2, instant_count=2)
 
     def test_missing_instant_names_user_and_instant(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,0\n1,1,0,0\n")
         with pytest.raises(DataError, match=r"p\.csv: user 1 is missing instant 0"):
-            csvio.load_predictions(tmp_path / "p.csv", zone_count=2)
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=2, instant_count=2)
 
     def test_predicted_zone_out_of_range_names_its_row(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "0,0,1,1\n0,1,1,4\n")
         with pytest.raises(DataError, match=r"p\.csv, row 3: zone id 4 outside \[0, 4\)"):
-            csvio.load_predictions(tmp_path / "p.csv", zone_count=4)
+            csvio.load_predictions(tmp_path / "p.csv", zone_count=4, instant_count=2)
 
     def test_rows_in_any_order_fill_the_table(self, tmp_path):
         (tmp_path / "p.csv").write_text(self.HEADER + "1,1,3,4\n0,1,1,2\n1,0,2,2\n0,0,0,0\n")
-        real, pred = csvio.load_predictions(tmp_path / "p.csv", zone_count=5)
+        real, pred = csvio.load_predictions(tmp_path / "p.csv", zone_count=5, instant_count=2)
         assert real.tolist() == [[0, 1], [2, 3]]
         assert pred.tolist() == [[0, 2], [2, 4]]

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from tce.config import default_festival_config
 from tce.core import Rect, TimeGrid, Venue, inside_mask
 from tce.scenario import (
     Attractor,
@@ -89,6 +92,37 @@ class TestGenerateScenario:
         inside = inside_mask(pts, festival_venue)
         in_strip = festival_venue.outside_regions[0].contains_many(pts)
         assert np.all(inside | in_strip)
+
+    def test_two_outside_regions_contain_every_step(self):
+        # east and west strips on either side of the precinct, one attractor in
+        # each, plus a background share: users route outside -> outside
+        east, west = Rect((50, 15), (60, 65)), Rect((-10, 20), (0, 60))
+        venue = Venue((0, 0), (50, 80), (east, west), 1.0)
+        grid = TimeGrid(300.0, 40)
+        mobility = simple_mobility(
+            speed_max=0.1,
+            attractors=(
+                Attractor(Rect((2, 28), (14, 52)), 0.4, "stage"),
+                Attractor(Rect((51, 30), (59, 50)), 0.3, "east"),
+                Attractor(Rect((-9, 25), (-1, 55)), 0.3, "west"),
+            ),
+            background_weight=0.2,
+        )
+        traces = generate_scenario(venue, grid, 30, mobility, THIRDS, seed=8)
+        pts = traces.all_points()
+        in_east, in_west = east.contains_many(pts), west.contains_many(pts)
+        assert np.all(inside_mask(pts, venue) | in_east | in_west)
+        assert in_east.any() and in_west.any()
+        steps = np.linalg.norm(np.diff(traces.positions, axis=1), axis=2)
+        assert steps.max() <= mobility.speed_max * grid.step_seconds + 1e-9
+
+    def test_seed_pins_festival_bytes(self):
+        # the bytes of a seeded festival scenario, fixed across versions
+        cfg = default_festival_config()
+        traces = generate_scenario(cfg.venue, cfg.grid, 20, cfg.mobility, cfg.traffic, seed=7)
+        assert hashlib.sha256(traces.positions.tobytes()).hexdigest() == (
+            "d9101e29b3e3a3099f729cb1de9a62cf12c1539f7b2a52c837088b7f892e2818"
+        )
 
     def test_stage_attracts_occupancy(self, festival_venue):
         grid = TimeGrid(300.0, 60)
