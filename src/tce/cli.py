@@ -128,6 +128,7 @@ def _cmd_report(args) -> int:
     with pipeline.atomic_dir(out) as tmp:
         traces = pipeline.load_traces(cfg, args.trace, args.traffic)
         zoning = pipeline.load_zoning(cfg, args.zones, args.labels)
+        pipeline.check_same_users(args.trace, traces, args.labels, zoning)
         runs = pipeline.load_runs(cfg, zoning, args.predictions)
         errors = pipeline.report_stage(cfg, traces, zoning, runs, tmp)
     pooled = np.concatenate([es.e.ravel() for es in errors])

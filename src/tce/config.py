@@ -1,7 +1,9 @@
 """Run configuration: flat INI files with one section per pipeline concern.
 
-Every key is documented in the CLI ``--help`` epilog; see configs/festival.ini
-for a complete example.
+Every key is documented in the CLI ``--help`` epilog. configs/festival.ini is
+the demo scenario and a complete example; build it with
+``load_config("configs/festival.ini")`` and vary a field with
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import Rect, TimeGrid, Venue
@@ -241,41 +243,3 @@ def config_digest(cfg: RunConfig) -> str:
 
     blob = json.dumps(canon(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def default_festival_config(user_count: int = 200, run_count: int = 5, base_seed: int = 2024) -> RunConfig:
-    """Built-in demo scenario: a 50x80 m precinct with a stage on the middle
-    left, amenity areas along the top and bottom, and an entrance/exit strip
-    outside the right boundary. Mirrors configs/festival.ini."""
-    venue = Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)),), 1.0)
-    grid = TimeGrid(300.0, 60)
-    mobility = MobilityParams(
-        speed_min=0.0,
-        speed_max=0.08,
-        attractors=(
-            Attractor(Rect((2, 28), (14, 52)), 0.5, "stage"),
-            Attractor(Rect((8, 70), (30, 78)), 0.1, "food"),
-            Attractor(Rect((32, 70), (48, 78)), 0.1, "drinks"),
-            Attractor(Rect((8, 2), (24, 10)), 0.1, "toilets"),
-            Attractor(Rect((30, 2), (46, 12)), 0.1, "ferris_wheel"),
-            Attractor(Rect((51, 30), (59, 50)), 0.1, "entrance_exit"),
-        ),
-        pause_instants=8,
-        background_weight=0.0,
-    )
-    traffic = TrafficTiers(((1 / 3, 0.0), (1 / 3, 10.0), (1 / 3, 10.0)))
-    return RunConfig(
-        venue=venue,
-        grid=grid,
-        mode=MODE_GENERATE,
-        k_inside=5,
-        k_outside=1,
-        window=WindowConfig(10, PER_USER),
-        run_count=run_count,
-        base_seed=base_seed,
-        user_count=user_count,
-        mobility=mobility,
-        traffic=traffic,
-        plot_users=(0, 1, 2),
-        bin_count=10,
-    )

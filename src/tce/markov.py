@@ -44,9 +44,6 @@ class TransitionMatrix:
         probs = counts / safe[:, None]
         return cls(_frozen(counts), _frozen(probs), counts.shape[0])
 
-    def row(self, zone: int) -> np.ndarray:
-        return self.probs[zone]
-
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -135,7 +132,7 @@ def predict_next(current_zone: int, matrix: TransitionMatrix, u: float) -> int:
 
 @dataclass(frozen=True)
 class PredictionRun:
-    """Predicted zone table for one seeded run.
+    """Predicted zone table for one run.
 
     ``labels_pred`` covers every instant; instants before the first predicted
     one carry the true labels, so real and predicted series coincide up to the
@@ -144,8 +141,6 @@ class PredictionRun:
 
     labels_pred: np.ndarray
     window_size: int
-    scope: str
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "labels_pred", _frozen(np.array(self.labels_pred, np.int64)))
@@ -178,7 +173,7 @@ def predict_labels(labels, zone_count: int, cfg: WindowConfig, seed: int) -> Pre
     rng = np.random.default_rng(seed)
     uniforms = rng.random((users, instants - w))
     pred = kern.predict_series(labels, zone_count, w, cfg.scope == PER_USER, uniforms)
-    return PredictionRun(pred, w, cfg.scope, seed)
+    return PredictionRun(pred, w)
 
 
 def run_prediction(traces: TraceSet, zoning: Zoning, cfg: WindowConfig, seed: int) -> PredictionRun:

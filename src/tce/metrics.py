@@ -18,17 +18,13 @@ from .zoning import Zoning
 
 @dataclass(frozen=True)
 class ErrorSeries:
-    """Per-user error at each predicted instant, plus the extent that scaled it."""
+    """Per-user error at each predicted instant from ``first_instant`` on."""
 
     e: np.ndarray
-    extent_min: np.ndarray
-    extent_max: np.ndarray
     first_instant: int
 
     def __post_init__(self):
         object.__setattr__(self, "e", _frozen(np.asarray(self.e, np.float64)))
-        object.__setattr__(self, "extent_min", _frozen(np.asarray(self.extent_min, np.float64)))
-        object.__setattr__(self, "extent_max", _frozen(np.asarray(self.extent_max, np.float64)))
         if self.e.size and (self.e.min() < 0.0 or self.e.max() > 1.0 + 1e-12):
             raise ValueError("error values must lie in [0, 1]")
 
@@ -74,7 +70,7 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
     centroids = zoning.all_centroids()
     diff = centroids[real] - centroids[pred]
     e = np.linalg.norm(diff, axis=2) / np.linalg.norm(extent_max - extent_min)
-    return ErrorSeries(e, extent_min, extent_max, first)
+    return ErrorSeries(e, first)
 
 
 def error_histogram(errors, bin_count: int) -> np.ndarray:

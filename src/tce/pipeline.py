@@ -179,6 +179,16 @@ def load_zoning(cfg: RunConfig, zones_file, labels_file) -> Zoning:
         return csvio.load_zoning(zones_file, labels_file, cfg.grid.instant_count)
 
 
+def check_same_users(trace_file, traces: TraceSet, labels_file, zoning: Zoning) -> None:
+    """Require the labels of a stage subcommand to cover the trace's users."""
+    with _stage("input"):
+        if zoning.labels.shape[0] != traces.user_count:
+            raise DataError(
+                f"{labels_file} has {zoning.labels.shape[0]} users, "
+                f"{trace_file} has {traces.user_count}"
+            )
+
+
 def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
     """Read predictions CSVs whose real zones must equal ``zoning``'s labels."""
     runs = []
@@ -195,7 +205,7 @@ def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
                 raise DataError(
                     f"{path}: real zone of user {u} at instant {t} differs from the labels file"
                 )
-            runs.append(PredictionRun(pred, cfg.window.window_size, cfg.window.scope, seed=0))
+            runs.append(PredictionRun(pred, cfg.window.window_size))
     return runs
 
 
@@ -272,7 +282,7 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
     boundary = cfg.window.window_size
     for uid in cfg.plot_users:
         for r, pred in enumerate(runs):
-            svgplot.step_chart(
+            svgplot.line_chart(
                 plots / f"user{uid}_run{r}_zones.svg",
                 instants,
                 [
@@ -283,6 +293,7 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
                 "instant",
                 "zone id",
                 vline_at=boundary,
+                step=True,
             )
 
     for r, zs in enumerate(series):

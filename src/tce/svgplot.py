@@ -106,29 +106,17 @@ class _Canvas:
             fh.write("\n".join(self.parts) + "\n")
 
 
-def step_chart(path, xs, series, title, x_label, y_label, vline_at=None):
-    """Step lines, e.g. zone-over-time; series is [(label, ys, dash), ...]."""
+def line_chart(path, xs, series, title, x_label, y_label, vline_at=None, step=False):
+    """Polylines, or with ``step`` step lines (e.g. zone over time) padded
+    half a unit; series is [(label, ys, dash), ...]."""
     ys_all = np.concatenate([np.asarray(ys, float) for _, ys, _ in series])
     lo, hi = float(ys_all.min()), float(ys_all.max())
-    canvas = _Canvas(title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - 0.5, hi + 0.5))
-    if vline_at is not None:
-        canvas.vline(vline_at)
-    for i, (label, ys, dash) in enumerate(series):
-        canvas.polyline(xs, ys, PALETTE[i % len(PALETTE)], dash=dash, step=True)
-    canvas.legend([(label, PALETTE[i % len(PALETTE)]) for i, (label, _, _) in enumerate(series)])
-    canvas.write(path)
-
-
-def line_chart(path, xs, series, title, x_label, y_label, vline_at=None):
-    """Plain polylines; series is [(label, ys, dash), ...]."""
-    ys_all = np.concatenate([np.asarray(ys, float) for _, ys, _ in series])
-    lo, hi = float(ys_all.min()), float(ys_all.max())
-    pad = (hi - lo) * 0.05 or 1.0
+    pad = 0.5 if step else (hi - lo) * 0.05 or 1.0
     canvas = _Canvas(title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad))
     if vline_at is not None:
         canvas.vline(vline_at)
     for i, (label, ys, dash) in enumerate(series):
-        canvas.polyline(xs, ys, PALETTE[i % len(PALETTE)], dash=dash)
+        canvas.polyline(xs, ys, PALETTE[i % len(PALETTE)], dash=dash, step=step)
     canvas.legend([(label, PALETTE[i % len(PALETTE)]) for i, (label, _, _) in enumerate(series)])
     canvas.write(path)
 

@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tce.core import Rect, TimeGrid, TraceSet, Venue
+
+ROOT = Path(__file__).resolve().parents[1]
+FESTIVAL_INI = ROOT / "configs" / "festival.ini"  # the demo scenario
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tce
-from tce.config import default_festival_config
+from tce.config import load_config
 from tce.core import TimeGrid, TraceSet, Venue
 from tce.markov import (
     GENERAL,
@@ -27,6 +27,8 @@ from tce.pipeline import run as pipeline_run
 from tce.scenario import Attractor, MobilityParams, TrafficTiers, generate_scenario
 from tce.zoning import Zoning, assign, cluster
 
+from conftest import FESTIVAL_INI
+
 ERROR_BAND = (0.05, 0.20)
 RUN_TIME_LIMIT_S = 30.0
 CASES = 1000
@@ -39,7 +41,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def _reproduction_run(tmp_path, user_count):
-    cfg = default_festival_config(user_count=user_count)
+    cfg = dataclasses.replace(load_config(FESTIVAL_INI), user_count=user_count)
     durations = []
     t0 = time.perf_counter()
     manifest = pipeline_run(cfg, tmp_path / "out")

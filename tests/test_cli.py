@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -11,6 +12,8 @@ import pytest
 import tce
 from tce import csvio
 from tce.cli import main
+
+from conftest import FESTIVAL_INI
 
 CONFIG = """\
 [venue]
@@ -128,8 +131,6 @@ class TestRun:
             if p.is_file() and p.name != "manifest.json"
         }
         assert set(manifest["files"]) == disk
-        import hashlib
-
         for rel, digest in manifest["files"].items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         assert manifest["run_seeds"] == [5, 6]
@@ -158,6 +159,15 @@ class TestRun:
                 assert m1 == m2
             else:
                 assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_festival_run_pins_output_bytes(self, tmp_path):
+        # every output file of the demo run at seed 7, fixed across versions
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(FESTIVAL_INI), "--seed", "7", "--out", str(out)]) == 0
+        files = json.dumps(read_manifest(out)["files"], sort_keys=True)
+        assert hashlib.sha256(files.encode()).hexdigest() == (
+            "5a5210b79887d433e13c4badd4a58a071e56f6e73a5e71c6f94120b0bf34952e"
+        )
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -524,8 +534,8 @@ class TestOutputDirectory:
 
 
 class TestInputsAgainstLabels:
-    """Labels are read on the config's time grid and predictions must repeat
-    them; either fault is a data error (exit 3)."""
+    """Labels are read on the config's time grid, must cover the trace's users,
+    and predictions must repeat them; each fault is a data error (exit 3)."""
 
     @pytest.mark.parametrize("command", ["predict", "report"])
     def test_short_labels_exit_code(self, tmp_path, full, command, capsys):
@@ -537,6 +547,19 @@ class TestInputsAgainstLabels:
         argv = command_argv(command, write_cfg(tmp_path), full, out, labels=tmp_path / "labels.csv")
         assert main(argv) == 3
         assert "labels.csv: user 0 is missing instant 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_labels_short_of_trace_users_exit_code(self, tmp_path, full, capsys):
+        # drop the last of CONFIG's 6 users from labels.csv and both predictions files
+        cut = {}
+        for name in ("labels", "predictions_run0", "predictions_run1"):
+            lines = (full / f"{name}.csv").read_text().splitlines()
+            cut[name] = tmp_path / f"{name}.csv"
+            cut[name].write_text("\n".join(line for line in lines if not line.startswith("5,")) + "\n")
+        out = tmp_path / "out"
+        assert main(command_argv("report", write_cfg(tmp_path), full, out, **cut)) == 3
+        err = capsys.readouterr().err
+        assert f"[input] {cut['labels']} has 5 users, {full / 'trace.csv'} has 6" in err
         assert not out.exists()
 
     def test_truncated_predictions_exit_code(self, tmp_path, full, capsys):

@@ -1,11 +1,7 @@
-from pathlib import Path
-
 import pytest
 
-from tce.config import config_digest, default_festival_config, load_config
+from tce.config import config_digest, load_config
 from tce.errors import ConfigError
-
-FESTIVAL_INI = Path(__file__).resolve().parents[1] / "configs" / "festival.ini"
 
 MINIMAL = """\
 [venue]
@@ -42,10 +38,6 @@ def write_cfg(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text)
     return path
-
-
-def test_festival_ini_matches_builtin_defaults():
-    assert config_digest(load_config(FESTIVAL_INI)) == config_digest(default_festival_config())
 
 
 def test_minimal_config_defaults(tmp_path):

@@ -124,7 +124,7 @@ class TestPredictionsRoundTrip:
 
 class TestErrorExports:
     def test_errors_csv_carries_instants(self, tmp_path):
-        es = ErrorSeries(np.array([[0.1, 0.2]]), (0, 0), (1, 1), first_instant=4)
+        es = ErrorSeries(np.array([[0.1, 0.2]]), first_instant=4)
         csvio.write_errors(tmp_path / "e.csv", es)
         lines = (tmp_path / "e.csv").read_text().splitlines()
         assert lines[0] == "user_id,t,error"
@@ -171,7 +171,7 @@ class TestByteContract:
 
     def test_errors_text(self, tmp_path):
         e = np.array([[0.1, 1 / 3], [1e-7, 0.0]])
-        csvio.write_errors(tmp_path / "e.csv", ErrorSeries(e, (0, 0), (1, 1), first_instant=3))
+        csvio.write_errors(tmp_path / "e.csv", ErrorSeries(e, first_instant=3))
         text = (tmp_path / "e.csv").read_bytes()
         assert text == (
             b"user_id,t,error\r\n"

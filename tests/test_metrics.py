@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tce.core import TraceSet
-from tce.markov import PER_USER, PredictionRun
+from tce.markov import PredictionRun
 from tce.metrics import (
     ErrorSeries,
     error_histogram,
@@ -78,7 +78,7 @@ class TestErrorSeries:
         zoning = Zoning(cents, np.empty((0, 2)), labels)
         pred_labels = labels.copy()
         pred_labels[:, 6:] = rng.integers(0, 3, size=(4, 4))
-        run = PredictionRun(pred_labels, 6, PER_USER, seed=0)
+        run = PredictionRun(pred_labels, 6)
         lo, hi = cents.min(axis=0) - 1, cents.max(axis=0) + 1
         es = error_series(zoning, run, lo, hi)
         assert es.e.shape == (4, 4)
@@ -92,7 +92,7 @@ class TestErrorSeries:
 
     def test_rejects_out_of_bound_errors(self):
         with pytest.raises(ValueError):
-            ErrorSeries(np.array([[0.5, 1.5]]), (0, 0), (1, 1), 1)
+            ErrorSeries(np.array([[0.5, 1.5]]), 1)
 
 
 class TestErrorHistogram:
@@ -119,7 +119,7 @@ class TestErrorHistogram:
             assert error_histogram(values, bins).sum() == len(values)
 
     def test_accepts_error_series(self):
-        es = ErrorSeries(np.array([[0.1, 0.2], [0.3, 0.4]]), (0, 0), (1, 1), 2)
+        es = ErrorSeries(np.array([[0.1, 0.2], [0.3, 0.4]]), 2)
         assert error_histogram(es, 10).sum() == 4
 
     def test_rejects_bad_bin_count(self):

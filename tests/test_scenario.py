@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tce.config import default_festival_config
+from tce.config import load_config
 from tce.core import Rect, TimeGrid, Venue, inside_mask
 from tce.scenario import (
     Attractor,
@@ -13,6 +13,8 @@ from tce.scenario import (
     assign_tiers,
     generate_scenario,
 )
+
+from conftest import FESTIVAL_INI
 
 
 def simple_mobility(**overrides):
@@ -118,7 +120,7 @@ class TestGenerateScenario:
 
     def test_seed_pins_festival_bytes(self):
         # the bytes of a seeded festival scenario, fixed across versions
-        cfg = default_festival_config()
+        cfg = load_config(FESTIVAL_INI)
         traces = generate_scenario(cfg.venue, cfg.grid, 20, cfg.mobility, cfg.traffic, seed=7)
         assert hashlib.sha256(traces.positions.tobytes()).hexdigest() == (
             "d9101e29b3e3a3099f729cb1de9a62cf12c1539f7b2a52c837088b7f892e2818"
