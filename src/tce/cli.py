@@ -34,6 +34,10 @@ config file sections (INI format):
                 base_seed
   [report]      plot_users (ids, space separated), bin_count
   [output]      directory (overridden by --out)
+
+A missing or malformed config value exits 2 naming its [section] key (and
+the line, for outside_regions, attractors and tiers); an unreadable config
+file exits 2 and an unreadable input file exits 3, each naming the file.
 """
 
 
@@ -82,6 +86,8 @@ def _command_args(args):
         raise ConfigError("generate subcommand needs [input] mode = generate")
     if not (args.out or cfg.out_dir):
         raise ConfigError("no output directory: pass --out or set [output] directory")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     return cfg, Path(args.out or cfg.out_dir), cfg.base_seed if args.seed is None else args.seed
 
 

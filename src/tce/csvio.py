@@ -9,12 +9,11 @@ offending file row in error messages.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
 from .core import TimeGrid, TraceSet, Venue
-from .errors import DataError
+from .errors import DataError, open_input
 from .zoning import Zoning
 
 TRACE_HEADER = ["user_id", "t", "x", "y"]
@@ -47,10 +46,7 @@ def _write_rows(path, header, rows) -> None:
 def _read_rows(path, header) -> tuple[range | list[int], list[list[str]]]:
     """The 1-based file line numbers of the non-blank data rows and the rows,
     header validated."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: file not found")
-    with open(path, newline="") as fh:
+    with open_input(path, DataError, newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -199,12 +195,9 @@ def load_traffic(path, user_count: int) -> np.ndarray:
 def load_waypoint_lines(path, grid: TimeGrid) -> np.ndarray:
     """Waypoint-line import: one user per line, repeating ``t x y`` triples
     with t in seconds, linearly resampled onto the grid instants."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{path}: file not found")
     sample_t = grid.instants_seconds()
     users = []
-    with open(path) as fh:
+    with open_input(path, DataError) as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:

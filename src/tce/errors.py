@@ -1,4 +1,6 @@
-"""Exception types shared by the library and the command-line driver."""
+"""Exception types shared by the library and the command-line driver, and their file opener."""
+
+from contextlib import contextmanager
 
 
 class ToolError(Exception):
@@ -23,3 +25,17 @@ class InfeasibleError(ToolError):
     """A computation cannot proceed: bad geometry, too little history, ..."""
 
     exit_code = 4
+
+
+@contextmanager
+def open_input(path, error: type[ToolError], **kwargs):
+    """``open(path, **kwargs)`` for reading; failing to open or decode the
+    file raises ``error`` naming it."""
+    try:
+        with open(path, **kwargs) as fh:
+            yield fh
+    except FileNotFoundError:
+        raise error(f"{path}: file not found") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"{path}: cannot read ({reason})") from None

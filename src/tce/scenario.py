@@ -48,14 +48,16 @@ class MobilityParams:
         object.__setattr__(self, "attractors", tuple(self.attractors))
         object.__setattr__(self, "pause_instants", int(self.pause_instants))
         object.__setattr__(self, "background_weight", float(self.background_weight))
-        if not 0 <= self.speed_min <= self.speed_max:
+        if not (0 <= self.speed_min <= self.speed_max and np.isfinite(self.speed_max)):
             raise ValueError(
-                f"need 0 <= speed_min <= speed_max, got {self.speed_min}/{self.speed_max}"
+                f"need finite 0 <= speed_min <= speed_max, got {self.speed_min}/{self.speed_max}"
             )
+        if not self.attractors:
+            raise ValueError("at least one attractor is required")
         if self.pause_instants < 0:
             raise ValueError("pause_instants must be >= 0")
-        if self.background_weight < 0:
-            raise ValueError("background_weight must be >= 0")
+        if not (np.isfinite(self.background_weight) and self.background_weight >= 0):
+            raise ValueError(f"need finite background_weight >= 0, got {self.background_weight}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class TrafficTiers:
         for frac, rate in tiers:
             if not 0 < frac <= 1:
                 raise ValueError(f"tier fraction must lie in (0, 1], got {frac}")
-            if rate < 0:
-                raise ValueError(f"tier rate must be >= 0, got {rate}")
+            if not (np.isfinite(rate) and rate >= 0):
+                raise ValueError(f"tier rate must be finite and >= 0, got {rate}")
         total = sum(f for f, _ in tiers)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"tier fractions must sum to 1, got {total}")
@@ -185,8 +187,6 @@ def generate_scenario(
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
-    if not mobility.attractors:
-        raise ValueError("at least one attractor is required")
     draw = _WaypointDraw(venue, mobility)
     rng = np.random.default_rng(seed)
 

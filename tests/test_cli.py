@@ -228,6 +228,22 @@ class TestRun:
         cfg = write_cfg(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "old, new, extra, message",
+        [
+            ("user_count = 6", "user_count = 0", [], "[scenario] user_count"),
+            ("base_seed = 5", "base_seed = -1", [], "[prediction] base_seed"),
+            ("", "", ["--seed", "-1"], "--seed"),
+        ],
+        ids=["user_count_zero", "base_seed_negative", "seed_flag_negative"],
+    )
+    def test_seed_and_user_count_are_config_errors(self, tmp_path, capsys, old, new, extra, message):
+        cfg = write_cfg(tmp_path, CONFIG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage_tag_in_error_message(self, tmp_path, capsys):
         text = CONFIG.replace("plot_users = 0 1", "plot_users = 0 99")
         cfg = write_cfg(tmp_path, text)
@@ -286,6 +302,17 @@ class TestLoadMode:
         rows = (out / "trace.csv").read_text().splitlines()
         assert len(rows) - 1 == 2 * 12
         assert rows[1] == "0,0,5.0,40.0"
+
+
+    @pytest.mark.parametrize("trace_format", ["csv", "waypoint"])
+    def test_directory_as_trace_file_exit_code(self, tmp_path, capsys, trace_format):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        text = self._load_config_text(folder, folder, extra=f"trace_format = {trace_format}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
+        assert f"{folder}: cannot read" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStageSubcommands:
@@ -363,6 +390,20 @@ class TestStageSubcommands:
             "--trace", str(tmp_path / "missing.csv"), "--traffic", str(tmp_path / "missing2.csv"),
         ])
         assert code == 3
+
+    def test_unreadable_trace_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"user_id,t,x,y\n0,0,1\xff,2\n")
+        for trace in (folder, binary):
+            code = main([
+                "cluster", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                "--trace", str(trace), "--traffic", str(trace),
+            ])
+            assert code == 3
+            assert f"{trace}: cannot read" in capsys.readouterr().err
 
     def test_general_matrix_export_row(self, tmp_path):
         cfg = write_cfg(tmp_path)

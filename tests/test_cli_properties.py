@@ -1,6 +1,7 @@
-"""Property test: mutated report inputs end in a documented exit code and
-leave no partial --out."""
+"""Property tests: mutated report inputs and mutated config files end in a
+documented exit code and leave no partial --out."""
 
+import contextlib
 import csv
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 from test_cli import command_argv, full, hidden_siblings, write_cfg  # noqa: E402,F401
 
 from tce.cli import main  # noqa: E402
+from tce.config import load_config  # noqa: E402
+from tce.errors import ConfigError  # noqa: E402
 
 
 # the report inputs: every file of two prediction runs
@@ -68,6 +71,109 @@ class TestReportInputProperties:
         cfg = write_cfg(case)
         out = case / "out"
         code = main(command_argv("report", cfg, full, out, **{n: case / f"{n}.csv" for n in REPORT_FILES}))
+        assert code in (0, 2, 3, 4)
+        assert out.exists() == (code == 0)
+        assert hidden_siblings(out) == []
+
+
+# a tiny generate-mode run; every token the edits write is small, so no
+# mutation can blow up the runtime or memory
+TINY_INI = """\
+[venue]
+precinct_min = 0 0
+precinct_max = 10 10
+outside_regions =
+    10 2 12 8
+index_scale = 1.0
+
+[time]
+step_seconds = 60
+instant_count = {instants}
+
+[input]
+mode = generate
+
+[scenario]
+user_count = {users}
+speed_min = 0
+speed_max = 0.05
+pause_instants = 1
+background_weight = 0.1
+attractors =
+    a 0.4 1 1 5 5
+    b 0.4 6 6 9 9
+    c 0.2 10.5 3 11.5 7
+
+[traffic]
+tiers =
+    1/2 0
+    1/2 5
+
+[clustering]
+k_inside = 2
+k_outside = 1
+
+[prediction]
+window_size = 2
+scope = per_user
+run_count = 2
+base_seed = 4
+
+[report]
+plot_users = 0 1
+bin_count = 4
+"""
+TOKENS = ["x", "-1", "0", "nan", "inf", "-inf", "1/0", "2.5", ""]
+INI_EDITS = st.tuples(
+    st.sampled_from(["value", "value", "drop", "dup", "rename"]),
+    st.sampled_from(range(TINY_INI.count("\n"))),
+    st.integers(0, 5),
+    st.sampled_from(TOKENS),
+    st.sampled_from(["venue", "time", "scenario", "traffic", "prediction", "report", "extra"]),
+)
+
+
+def mutate_ini(lines, op, i, j, token, section):
+    """Apply one edit to the lines of an INI file: replace a value token,
+    drop or duplicate a line, or rename a section header."""
+    if op == "drop":
+        del lines[i % len(lines)]
+    elif op == "dup":
+        i %= len(lines)
+        lines.insert(i, lines[i])
+    elif op == "rename":
+        headers = [n for n, line in enumerate(lines) if line.startswith("[")]
+        if headers:
+            lines[headers[i % len(headers)]] = f"[{section}]"
+    else:
+        values = [n for n, line in enumerate(lines) if line.strip() and line[0] not in "[#"]
+        if values:
+            n = values[i % len(values)]
+            head, eq, tail = lines[n].partition("=") if lines[n][0] != " " else ("    ", "", lines[n])
+            fields = tail.split() or [""]
+            fields[j % len(fields)] = token
+            lines[n] = head + eq + " " + " ".join(fields)
+    return lines
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        users=st.integers(2, 4),
+        instants=st.integers(4, 6),
+        edits=st.lists(INI_EDITS, min_size=1, max_size=2),
+    )
+    def test_mutated_config_exits_cleanly(self, tmp_path_factory, users, instants, edits):
+        lines = TINY_INI.format(users=users, instants=instants).splitlines()
+        for edit in edits:
+            lines = mutate_ini(lines, *edit)
+        case = tmp_path_factory.mktemp("ini")
+        cfg = case / "run.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        with contextlib.suppress(ConfigError):
+            load_config(cfg)
+        out = case / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3, 4)
         assert out.exists() == (code == 0)
         assert hidden_siblings(out) == []

@@ -3,6 +3,8 @@ import pytest
 from tce.config import config_digest, load_config
 from tce.errors import ConfigError
 
+from conftest import FESTIVAL_INI
+
 MINIMAL = """\
 [venue]
 precinct_min = 0 0
@@ -91,3 +93,60 @@ def test_digest_stable_and_sensitive(tmp_path):
     assert config_digest(a) == config_digest(b)
     c = load_config(write_cfg(tmp_path, MINIMAL.replace("user_count = 2", "user_count = 3")))
     assert config_digest(a) != config_digest(c)
+
+
+def test_festival_digest_pinned():
+    # the manifest's config_digest of the demo; a parser change must keep it
+    digest = "79db1dd11db0581dab0363f8d36eeed512ff018324dd52d22320cf18d0f78a6e"
+    assert config_digest(load_config(FESTIVAL_INI)) == digest
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("1.0 5", "1/0 5", r"\[traffic\] tiers: line must read 'fraction rate_mbps', got '1/0 5'"),
+        ("1.0 5", "1.0", r"\[traffic\] tiers: line must read"),
+        ("a 1.0 1 1", "a x 1 1", r"\[scenario\] attractors: line must read 'name weight x0 y0 x1 y1'"),
+        ("precinct_max = 10 10", "precinct_max = 10 10\noutside_regions =\n    10 2 x 8",
+         r"\[venue\] outside_regions: line must read 'x0 y0 x1 y1', got '10 2 x 8'"),
+        ("precinct_max = 10 10", "precinct_max = 10 1/0", r"\[venue\] precinct_max: bad value"),
+        ("window_size = 1", "window_size = 1\n[report]\nplot_users = 0 5%", r"\[report\] plot_users: bad value"),
+        ("user_count = 2", "user_count = 0", r"\[scenario\] user_count: bad value '0'"),
+        ("window_size = 1", "window_size = 1\nbase_seed = -1", r"\[prediction\] base_seed: bad value '-1'"),
+        ("    a 1.0 1 1 9 9", "", "at least one attractor"),
+    ],
+    ids=[
+        "tier_div_zero", "tier_field_count", "attractor_weight", "region_number",
+        "precinct_div_zero", "plot_users_percent", "user_count_zero", "base_seed_negative",
+        "no_attractors",
+    ],
+)
+def test_malformed_value_names_key(tmp_path, old, new, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_cfg(tmp_path, MINIMAL.replace(old, new)))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("speed_min = 0\nspeed_max = 0.5", "speed_min = inf\nspeed_max = inf"),
+        ("speed_max = 0.5", "speed_max = inf"),
+        ("speed_max = 0.5", "speed_max = 0.5\nbackground_weight = inf"),
+        ("1.0 5", "1.0 nan"),
+    ],
+    ids=["speeds_inf", "speed_max_inf", "background_inf", "rate_nan"],
+)
+def test_non_finite_mobility_and_traffic_rejected(tmp_path, old, new):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(write_cfg(tmp_path, MINIMAL.replace(old, new)))
+
+
+def test_unreadable_config_names_file(tmp_path):
+    folder = tmp_path / "folder.ini"
+    folder.mkdir()
+    with pytest.raises(ConfigError, match="folder.ini: cannot read"):
+        load_config(folder)
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(MINIMAL.encode().replace(b"0 0", b"0 \xff"))
+    with pytest.raises(ConfigError, match="binary.ini: cannot read"):
+        load_config(binary)
