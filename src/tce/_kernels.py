@@ -2,9 +2,14 @@
 
 One implementation per kernel: nearest-centroid assignment, the K-Means
 update sums, transition counting and the sliding-window prediction chain.
-Float accumulations run in a fixed scalar order (``np.add.at`` and
-``np.cumsum`` add sequentially), so a seed fixes every output bit;
-``tests/test_kernels.py`` checks each kernel against a plain-Python loop.
+Float results are fixed bit for bit, so a seed fixes every output byte:
+``nearest_labels`` makes one pass per centroid, in index order, over the x
+and y columns, computing ``dx*dx + dy*dy`` and replacing the running best
+only on a strictly smaller distance (ties go to the lowest index);
+``accumulate_points`` sums with ``np.bincount(labels, weights=...)``, which
+adds the points in ascending index order, and ``predict_series`` uses
+``np.cumsum``, which adds sequentially. ``tests/test_kernels.py`` checks
+each kernel against a plain-Python loop.
 """
 
 from __future__ import annotations
@@ -19,17 +24,33 @@ def backend() -> str:
 
 def nearest_labels(points, centroids):
     """For each point, index of the nearest centroid (ties to the lowest index)
-    and the squared distance to it."""
-    d = points[:, None, :] - centroids[None, :, :]
-    d2 = (d * d).sum(axis=2)
-    labels = np.argmin(d2, axis=1).astype(np.int64)
-    return labels, d2[np.arange(points.shape[0]), labels]
+    and the squared distance to it. Memory is O(points), whatever the number
+    of centroids."""
+    x = np.ascontiguousarray(points[:, 0], np.float64)
+    y = np.ascontiguousarray(points[:, 1], np.float64)
+    labels = np.zeros(x.shape, np.int64)
+    best, d2, dy = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    closer = np.empty(x.shape, bool)
+    for j, (cx, cy) in enumerate(np.asarray(centroids, np.float64).tolist()):
+        np.subtract(x, cx, out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(y, cy, out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(d2, dy, out=d2)
+        if j == 0:
+            np.copyto(best, d2)
+            continue
+        np.less(d2, best, out=closer)
+        np.putmask(best, closer, d2)
+        np.putmask(labels, closer, j)
+    return labels, best
 
 
 def accumulate_points(points, labels, k):
     """Per-cluster coordinate sums and point counts (K-Means update step)."""
-    sums = np.zeros((k, 2), np.float64)
-    np.add.at(sums, labels, points)  # unbuffered, ascending-index adds
+    sums = np.empty((k, 2), np.float64)
+    sums[:, 0] = np.bincount(labels, weights=points[:, 0], minlength=k)
+    sums[:, 1] = np.bincount(labels, weights=points[:, 1], minlength=k)
     counts = np.bincount(labels, minlength=k).astype(np.int64)
     return sums, counts
 

@@ -133,6 +133,7 @@ def _cmd_report(args) -> int:
     cfg, out, _ = _command_args(args)
     with pipeline.atomic_dir(out) as tmp:
         traces = pipeline.load_traces(cfg, args.trace, args.traffic)
+        pipeline.check_plot_users(cfg, traces)
         zoning = pipeline.load_zoning(cfg, args.zones, args.labels)
         pipeline.check_same_users(args.trace, traces, args.labels, zoning)
         runs = pipeline.load_runs(cfg, zoning, args.predictions)

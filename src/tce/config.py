@@ -93,10 +93,11 @@ def _get(section, key, cast=str, default=None):
         raise ConfigError(f"[{section.name}] {key}: bad value {raw!r} ({exc})") from None
 
 
-def _table(section, key, form, kinds, default=None) -> list[tuple]:
-    """One tuple per non-blank line of a multi-line value, field i cast with
-    ``kinds[i]``; a line that does not read as ``form`` is a ConfigError
-    naming ``[section] key`` and the line."""
+def _table(section, key, form, kinds, build=tuple, default=None) -> list:
+    """``build`` of one tuple per non-blank line of a multi-line value, field
+    i cast with ``kinds[i]``; a line that does not read as ``form``, or whose
+    object ``build`` rejects, is a ConfigError naming ``[section] key``, the
+    line and the reason."""
     rows = []
     for line in _get(section, key, default=default).splitlines():
         fields = line.split()
@@ -104,11 +105,11 @@ def _table(section, key, form, kinds, default=None) -> list[tuple]:
             continue
         try:
             if len(fields) != len(kinds):
-                raise ValueError
-            rows.append(tuple(kind(field) for kind, field in zip(kinds, fields)))
-        except (ValueError, ZeroDivisionError):
+                raise ValueError(f"expected {len(kinds)} fields, got {len(fields)}")
+            rows.append(build(tuple(kind(field) for kind, field in zip(kinds, fields))))
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(
-                f"[{section.name}] {key}: line must read '{form}', got '{line.strip()}'"
+                f"[{section.name}] {key}: line must read '{form}', got '{line.strip()}' ({exc})"
             ) from None
     return rows
 
@@ -130,18 +131,23 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     venue, time, input_sec, scen, prediction, report = (
         parser[name] for name in ("venue", "time", "input", "scenario", "prediction", "report")
     )
-    regions = _table(venue, "outside_regions", "x0 y0 x1 y1", (_number,) * 4, default="")
+    regions = _table(
+        venue, "outside_regions", "x0 y0 x1 y1", (_number,) * 4, lambda r: Rect(r[:2], r[2:]), ""
+    )
     grid = TimeGrid(_get(time, "step_seconds", float), _get(time, "instant_count", int))
     mode = _get(input_sec, "mode", _MODE)
     if mode == MODE_GENERATE:
-        attractors = _table(scen, "attractors", "name weight x0 y0 x1 y1", (str,) + (_number,) * 5)
+        attractors = _table(
+            scen, "attractors", "name weight x0 y0 x1 y1", (str,) + (_number,) * 5,
+            lambda a: Attractor(Rect(a[2:4], a[4:]), a[1], a[0]),
+        )
         tiers = _table(parser["traffic"], "tiers", "fraction rate_mbps", (_number, _number))
         source = dict(
             user_count=_get(scen, "user_count", _COUNT),
             mobility=MobilityParams(
                 speed_min=_get(scen, "speed_min", float),
                 speed_max=_get(scen, "speed_max", float),
-                attractors=tuple(Attractor(Rect(a[2:4], a[4:]), a[1], a[0]) for a in attractors),
+                attractors=tuple(attractors),
                 pause_instants=_get(scen, "pause_instants", int, 0),
                 background_weight=_get(scen, "background_weight", float, 0.0),
             ),
@@ -164,7 +170,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         venue=Venue(
             _get(venue, "precinct_min", _numbers),
             _get(venue, "precinct_max", _numbers),
-            tuple(Rect(r[:2], r[2:]) for r in regions),
+            tuple(regions),
             _get(venue, "index_scale", float, 1.0),
         ),
         grid=grid,

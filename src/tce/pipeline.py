@@ -50,7 +50,7 @@ def _stage(name: str):
         yield
     except StageError:
         raise
-    except (ToolError, ValueError) as exc:
+    except (ToolError, ValueError, MemoryError) as exc:
         raise StageError(name, exc) from exc
 
 
@@ -142,12 +142,8 @@ def report_stage(
     cfg: RunConfig, traces: TraceSet, zoning: Zoning, runs, out_dir: Path
 ) -> list[ErrorSeries]:
     """Aggregate users and traffic per zone and score every run; write the
-    zone series, errors, histogram and plots. Returns each run's errors."""
-    with _stage("report"):
-        for uid in cfg.plot_users:
-            if not 0 <= uid < traces.user_count:
-                raise ConfigError(f"plot user id {uid} out of range [0, {traces.user_count})")
-
+    zone series, errors, histogram and plots. Returns each run's errors;
+    ``check_plot_users`` must have accepted ``traces``."""
     with _stage("aggregation"):
         series = [aggregate(traces, zoning.labels, p.labels_pred, zoning.zone_count) for p in runs]
         for r, zs in enumerate(series):
@@ -164,6 +160,15 @@ def report_stage(
     with _stage("report"):
         emit_plots(out_dir, cfg, traces, zoning, runs, series, hist)
     return errors
+
+
+def check_plot_users(cfg: RunConfig, traces: TraceSet) -> None:
+    """Require every ``[report] plot_users`` id to be a user of ``traces``,
+    before any stage spends time on them."""
+    with _stage("report"):
+        for uid in cfg.plot_users:
+            if not 0 <= uid < traces.user_count:
+                raise ConfigError(f"plot user id {uid} out of range [0, {traces.user_count})")
 
 
 def load_traces(cfg: RunConfig, trace_file, traffic_file) -> TraceSet:
@@ -220,6 +225,7 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
     started = time.perf_counter()
     with atomic_dir(out_dir) as tmp:
         traces = input_stage(cfg, base_seed, tmp)
+        check_plot_users(cfg, traces)
         zoning = clustering_stage(cfg, traces, base_seed, tmp)
         general_matrix_stage(zoning, tmp)
         runs = prediction_stage(cfg, zoning, base_seed, tmp)

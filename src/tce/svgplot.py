@@ -15,6 +15,13 @@ def _esc(text: str) -> str:
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _format_2f(values: np.ndarray) -> list[str]:
+    """``f"{v:.2f}"`` of each value, formatting each distinct value once."""
+    distinct, index = np.unique(values, return_inverse=True)
+    text = [f"{v:.2f}" for v in distinct.tolist()]
+    return [text[i] for i in index.tolist()]
+
+
 class _Canvas:
     def __init__(self, title, x_label, y_label, x_range, y_range):
         self.parts = [
@@ -60,13 +67,12 @@ class _Canvas:
         )
 
     def polyline(self, xs, ys, color, dash="", step=False):
-        pts = []
-        prev_y = None
-        for x, y in zip(xs, ys):
-            if step and prev_y is not None:
-                pts.append(f"{self.px(x):.2f},{self.py(prev_y):.2f}")
-            pts.append(f"{self.px(x):.2f},{self.py(y):.2f}")
-            prev_y = y
+        sx = _format_2f(self.px(np.asarray(xs, np.float64)))
+        sy = _format_2f(self.py(np.asarray(ys, np.float64)))
+        pts = [f"{x},{y}" for x, y in zip(sx, sy)]
+        if step:  # before each point, a riser at its x from the previous y
+            risers = [f"{x},{y}" for x, y in zip(sx[1:], sy)]
+            pts[1:] = [p for pair in zip(risers, pts[1:]) for p in pair]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}"{dash_attr} stroke-width="1.5"/>'

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tce
-from tce import csvio
+from tce import csvio, pipeline
 from tce.cli import main
 
 from conftest import FESTIVAL_INI
@@ -244,6 +244,28 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_plot_user_fails_before_clustering(self, tmp_path, monkeypatch, capsys):
+        def no_clustering(*args):
+            raise AssertionError("clustering ran before plot_users was checked")
+
+        monkeypatch.setattr(pipeline, "cluster", no_clustering)
+        cfg = write_cfg(tmp_path, CONFIG.replace("plot_users = 0 1", "plot_users = 0 999"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "[report] plot user id 999 out of range [0, 6)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_grid_exit_code(self, tmp_path, capsys):
+        # numpy refuses the (1, 10**15, 2) position array outright
+        text = FESTIVAL_INI.read_text().replace("user_count = 200", "user_count = 1")
+        text = text.replace("instant_count = 60", "instant_count = 1000000000000000")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "[input]" in capsys.readouterr().err
+        assert not out.exists()
+        assert hidden_siblings(out) == []
+
     def test_stage_tag_in_error_message(self, tmp_path, capsys):
         text = CONFIG.replace("plot_users = 0 1", "plot_users = 0 99")
         cfg = write_cfg(tmp_path, text)
@@ -254,6 +276,7 @@ class TestRun:
         # a single frozen user gives one distinct point, too few for k=3
         text = CONFIG.replace("user_count = 6", "user_count = 1")
         text = text.replace("speed_max = 0.08", "speed_max = 0")
+        text = text.replace("plot_users = 0 1", "plot_users = 0")  # user 1 is checked first
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         assert "[clustering]" in capsys.readouterr().err

@@ -114,11 +114,16 @@ def test_festival_digest_pinned():
         ("user_count = 2", "user_count = 0", r"\[scenario\] user_count: bad value '0'"),
         ("window_size = 1", "window_size = 1\nbase_seed = -1", r"\[prediction\] base_seed: bad value '-1'"),
         ("    a 1.0 1 1 9 9", "", "at least one attractor"),
+        ("a 1.0 1 1 9 9", "a 1.0 9 1 1 9",
+         r"\[scenario\] attractors: line must read 'name weight x0 y0 x1 y1', "
+         r"got 'a 1.0 9 1 1 9' \(Rect.lo must be < Rect.hi"),
+        ("precinct_max = 10 10", "precinct_max = 10 10\noutside_regions =\n    10 8 12 2",
+         r"\[venue\] outside_regions: line must read 'x0 y0 x1 y1', got '10 8 12 2' \(Rect.lo"),
     ],
     ids=[
         "tier_div_zero", "tier_field_count", "attractor_weight", "region_number",
         "precinct_div_zero", "plot_users_percent", "user_count_zero", "base_seed_negative",
-        "no_attractors",
+        "no_attractors", "attractor_reversed", "region_reversed",
     ],
 )
 def test_malformed_value_names_key(tmp_path, old, new, message):

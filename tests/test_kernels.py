@@ -105,6 +105,25 @@ def test_nearest_labels_matches_reference_loop():
         lr, dr = nearest_labels_loop(points, centroids)
         assert np.array_equal(ln, lr)
         assert dn.tobytes() == dr.tobytes()
+    # up to 30 centroids over thousands of points; each duplicated centroid
+    # ties with its lower-index twin, and on grid values points tie exactly
+    for case in range(12):
+        n = int(rng.integers(500, 3000))
+        k = int(rng.integers(8, 31))
+        if case % 2:
+            points = rng.integers(-4, 5, size=(n, 2)).astype(np.float64)
+            centroids = rng.integers(-4, 5, size=(k, 2)).astype(np.float64)
+        else:
+            points = rng.uniform(-5, 5, size=(n, 2))
+            centroids = rng.uniform(-5, 5, size=(k, 2))
+        twins = np.sort(rng.choice(np.arange(2, k), size=k // 4, replace=False))
+        for t in twins:
+            centroids[t] = centroids[t - 1]
+        ln, dn = kern.nearest_labels(points, centroids)
+        lr, dr = nearest_labels_loop(points, centroids)
+        assert np.array_equal(ln, lr)
+        assert dn.tobytes() == dr.tobytes()
+        assert not np.isin(ln, twins).any()  # the lower index won every tie
 
 
 def test_nearest_labels_tie_goes_to_lowest_index():
