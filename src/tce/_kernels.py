@@ -65,31 +65,27 @@ def count_transitions(labels, t0, t1, k):
 # ---------------------------------------------------------------------------
 # sliding-window prediction chain
 #
-# For each instant t in [w, T): build the transition matrix over the true
-# labels of instants {t-w..t-1} (all users, or the one user when per_user),
-# then sample the next zone from the row of the current state by cumulative
-# interval lookup. The state is the previous prediction except at t=w, where
-# it is the true label at w-1. Rows with no observed transition predict
-# "stay". uniforms[u, t-w] is the draw for user u at instant t.
+# For each instant t in [w, T): count the window pairs of the true labels at
+# instants {t-w..t-1}, then sample the next zone from the row of the current
+# state by cumulative interval lookup. Both scopes are one grouped count: a
+# user's group is its own index when per_user, else 0; a pair is keyed
+# (group*k + from)*k + to, so one bincount stacks every group's k x k matrix
+# as (groups*k, k) rows and a user in state s reads row group*k + s. The state
+# is the previous prediction except at t=w, where it is the true label at w-1.
+# Rows with no observed transition predict "stay". uniforms[u, t-w] is the
+# draw for user u at instant t.
 
 
 def predict_series(labels, k, w, per_user, uniforms):
     U, T = labels.shape
     out = labels.copy()
     state = labels[:, w - 1].copy()
-    users = np.arange(U)
+    first_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
+    size = (U if per_user else 1) * k * k
     for t in range(w, T):
-        if per_user:
-            frm = labels[:, t - w : t - 1]
-            to = labels[:, t - w + 1 : t]
-            flat = (users[:, None] * k * k + frm * k + to).ravel()
-            counts = np.bincount(flat, minlength=U * k * k).reshape(U, k, k)
-            rows = counts[users, state]
-        else:
-            frm = labels[:, t - w : t - 1].ravel()
-            to = labels[:, t - w + 1 : t].ravel()
-            counts = np.bincount(frm * k + to, minlength=k * k).reshape(k, k)
-            rows = counts[state]
+        keys = (first_row[:, None] + labels[:, t - w : t - 1]) * k + labels[:, t - w + 1 : t]
+        counts = np.bincount(keys.ravel(), minlength=size).reshape(-1, k)
+        rows = counts[first_row + state]
         rowsum = rows.sum(axis=1)
         safe = np.where(rowsum == 0, 1, rowsum)
         cum = np.cumsum(rows / safe[:, None], axis=1)

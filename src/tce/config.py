@@ -4,7 +4,8 @@ Every key is documented in the CLI ``--help`` epilog. configs/festival.ini is
 the demo scenario and a complete example; build it with
 ``load_config("configs/festival.ini")`` and vary a field with
 ``dataclasses.replace``. A missing or malformed value raises ConfigError
-(CLI exit 2) naming its ``[section] key``, and the line of a table key. An
+(CLI exit 2) naming its ``[section] key``, and the line of a table key; a
+value that a constructor's own check rejects names its ``[section]``. An
 unreadable config file exits 2 and an unreadable input file (``trace_file``,
 ``traffic_file``) exits 3, each naming the file.
 """
@@ -114,6 +115,15 @@ def _table(section, key, form, kinds, build=tuple, default=None) -> list:
     return rows
 
 
+def _make(prefix: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ValueError from the constructor's own
+    checks is a ConfigError led by ``prefix``, the ``[section]`` it reads."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix} {exc}") from None
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
@@ -123,8 +133,6 @@ def load_config(path) -> RunConfig:
         return _build(parser)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    except ValueError as exc:  # a constructor's own check
-        raise ConfigError(str(exc)) from None
 
 
 def _build(parser: configparser.ConfigParser) -> RunConfig:
@@ -134,7 +142,9 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     regions = _table(
         venue, "outside_regions", "x0 y0 x1 y1", (_number,) * 4, lambda r: Rect(r[:2], r[2:]), ""
     )
-    grid = TimeGrid(_get(time, "step_seconds", float), _get(time, "instant_count", int))
+    grid = _make(
+        "[time]", TimeGrid, _get(time, "step_seconds", float), _get(time, "instant_count", int)
+    )
     mode = _get(input_sec, "mode", _MODE)
     if mode == MODE_GENERATE:
         attractors = _table(
@@ -144,14 +154,15 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         tiers = _table(parser["traffic"], "tiers", "fraction rate_mbps", (_number, _number))
         source = dict(
             user_count=_get(scen, "user_count", _COUNT),
-            mobility=MobilityParams(
+            mobility=_make(
+                "[scenario]", MobilityParams,
                 speed_min=_get(scen, "speed_min", float),
                 speed_max=_get(scen, "speed_max", float),
                 attractors=tuple(attractors),
                 pause_instants=_get(scen, "pause_instants", int, 0),
                 background_weight=_get(scen, "background_weight", float, 0.0),
             ),
-            traffic=TrafficTiers(tuple(tiers)),
+            traffic=_make("[traffic] tiers:", TrafficTiers, tuple(tiers)),
         )
     else:
         source = dict(
@@ -160,14 +171,19 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
             trace_format=_get(input_sec, "trace_format", _FORMAT, "csv"),
         )
 
-    window = WindowConfig(_get(prediction, "window_size", int), _get(prediction, "scope", str, PER_USER))
+    window = _make(
+        "[prediction]", WindowConfig,
+        _get(prediction, "window_size", int),
+        _get(prediction, "scope", str, PER_USER),
+    )
     if window.window_size >= grid.instant_count:
         raise ConfigError(
             f"[prediction] window_size {window.window_size} must be smaller than "
             f"[time] instant_count {grid.instant_count}"
         )
     return RunConfig(
-        venue=Venue(
+        venue=_make(
+            "[venue]", Venue,
             _get(venue, "precinct_min", _numbers),
             _get(venue, "precinct_max", _numbers),
             tuple(regions),

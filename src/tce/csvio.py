@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .core import TimeGrid, TraceSet, Venue
+from .core import TimeGrid, TraceSet
 from .errors import DataError, open_input
 from .zoning import Zoning
 
@@ -26,21 +26,20 @@ ERRORS_HEADER = ["user_id", "t", "error"]
 HISTOGRAM_HEADER = ["run_id", "bin_lo", "bin_hi", "count"]
 
 
-def _values(a, dtype=np.float64) -> list:
-    """Flattened values as Python ints or floats, converted as int()/float() would."""
-    return np.asarray(a).astype(dtype, copy=False).ravel().tolist()
-
-
-def _index(outer: int, inner: int) -> tuple[list, list]:
-    """The two id columns of an (outer, inner) table written row-major."""
-    return np.repeat(np.arange(outer), inner).tolist(), np.tile(np.arange(inner), outer).tolist()
-
-
 def _write_rows(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_table(path, header, *tables, first=0) -> None:
+    """Rows ``i, first + j, t0[i, j], t1[i, j], ...`` of equally shaped
+    (outer, inner) arrays, row-major."""
+    outer, inner = tables[0].shape
+    ids = np.repeat(np.arange(outer), inner).tolist()
+    instants = np.tile(np.arange(first, first + inner), outer).tolist()
+    _write_rows(path, header, zip(ids, instants, *(table.ravel().tolist() for table in tables)))
 
 
 def _read_rows(path, header) -> tuple[range | list[int], list[list[str]]]:
@@ -145,16 +144,14 @@ def _grid(path, lines, u, t, instants: int, entry="entry") -> np.ndarray:
 
 
 def write_trace(path, traces: TraceSet) -> None:
-    users, instants = _index(traces.user_count, traces.instant_count)
-    x, y = traces.positions.reshape(-1, 2).T.tolist()
-    _write_rows(path, TRACE_HEADER, zip(users, instants, x, y))
+    _write_table(path, TRACE_HEADER, traces.positions[..., 0], traces.positions[..., 1])
 
 
 def write_traffic(path, traces: TraceSet) -> None:
-    _write_rows(path, TRAFFIC_HEADER, zip(range(traces.user_count), _values(traces.mean_traffic)))
+    _write_rows(path, TRAFFIC_HEADER, zip(range(traces.user_count), traces.mean_traffic.tolist()))
 
 
-def load_trace(trace_path, traffic_path, venue: Venue, grid: TimeGrid) -> TraceSet:
+def load_trace(trace_path, traffic_path, grid: TimeGrid) -> TraceSet:
     """Load and validate a trace/traffic CSV pair against the time grid.
 
     Every user must cover every instant exactly once and appear in both
@@ -228,8 +225,7 @@ def write_zoning(zones_path, labels_path, zoning: Zoning) -> None:
     cx, cy = zoning.all_centroids().T.tolist()
     regions = ["inside"] * zoning.inside_count + ["outside"] * zoning.outside_centroids.shape[0]
     _write_rows(zones_path, ZONES_HEADER, zip(range(zoning.zone_count), regions, cx, cy))
-    users, instants = _index(*zoning.labels.shape)
-    _write_rows(labels_path, LABELS_HEADER, zip(users, instants, _values(zoning.labels, np.int64)))
+    _write_table(labels_path, LABELS_HEADER, zoning.labels)
 
 
 def load_zoning(zones_path, labels_path, instant_count: int) -> Zoning:
@@ -263,9 +259,7 @@ def write_matrix(path, table: np.ndarray) -> None:
 
 
 def write_predictions(path, labels_real: np.ndarray, labels_pred: np.ndarray) -> None:
-    users, instants = _index(*np.shape(labels_real))
-    rows = zip(users, instants, _values(labels_real, np.int64), _values(labels_pred, np.int64))
-    _write_rows(path, PREDICTIONS_HEADER, rows)
+    _write_table(path, PREDICTIONS_HEADER, labels_real, labels_pred)
 
 
 def load_predictions(path, zone_count: int, instant_count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,29 +272,19 @@ def load_predictions(path, zone_count: int, instant_count: int) -> tuple[np.ndar
 
 
 def write_zone_series(path, series) -> None:
-    zones, instants = _index(series.zone_count, series.instant_count)
-    rows = zip(
-        zones,
-        instants,
-        _values(series.users_real, np.int64),
-        _values(series.users_pred, np.int64),
-        _values(series.traffic_real),
-        _values(series.traffic_pred),
-    )
-    _write_rows(path, ZONE_SERIES_HEADER, rows)
+    tables = series.users_real, series.users_pred, series.traffic_real, series.traffic_pred
+    _write_table(path, ZONE_SERIES_HEADER, *tables)
 
 
 def write_errors(path, errors) -> None:
-    users, steps = _index(*errors.e.shape)
-    instants = [errors.first_instant + i for i in steps]
-    _write_rows(path, ERRORS_HEADER, zip(users, instants, _values(errors.e)))
+    _write_table(path, ERRORS_HEADER, errors.e, first=errors.first_instant)
 
 
 def write_histogram(path, per_run_counts, edges) -> None:
     """per_run_counts: list of (run_id, counts) pairs over shared bin edges."""
-    edges = _values(edges)
+    edges = np.asarray(edges, np.float64).tolist()
     rows = []
     for run_id, counts in per_run_counts:
-        counts = _values(counts, np.int64)
+        counts = np.asarray(counts, np.int64).tolist()
         rows += zip([run_id] * len(counts), edges, edges[1:], counts)
     _write_rows(path, HISTOGRAM_HEADER, rows)

@@ -101,7 +101,7 @@ def input_stage(cfg: RunConfig, seed: int, out_dir: Path) -> TraceSet:
             traffic = csvio.load_traffic(cfg.traffic_file, positions.shape[0])
             traces = TraceSet(positions, traffic)
         else:
-            traces = csvio.load_trace(cfg.trace_file, cfg.traffic_file, cfg.venue, cfg.grid)
+            traces = csvio.load_trace(cfg.trace_file, cfg.traffic_file, cfg.grid)
         csvio.write_trace(out_dir / "trace.csv", traces)
         csvio.write_traffic(out_dir / "traffic.csv", traces)
     return traces
@@ -174,7 +174,7 @@ def check_plot_users(cfg: RunConfig, traces: TraceSet) -> None:
 def load_traces(cfg: RunConfig, trace_file, traffic_file) -> TraceSet:
     """Read a trace/traffic CSV pair as the input of a stage subcommand."""
     with _stage("input"):
-        return csvio.load_trace(trace_file, traffic_file, cfg.venue, cfg.grid)
+        return csvio.load_trace(trace_file, traffic_file, cfg.grid)
 
 
 def load_zoning(cfg: RunConfig, zones_file, labels_file) -> Zoning:

@@ -160,14 +160,22 @@ class TestRun:
             else:
                 assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
-    def test_festival_run_pins_output_bytes(self, tmp_path):
-        # every output file of the demo run at seed 7, fixed across versions
+    @pytest.mark.parametrize(
+        "scope, digest",
+        [
+            ("per_user", "5a5210b79887d433e13c4badd4a58a071e56f6e73a5e71c6f94120b0bf34952e"),
+            ("general", "5689034b79c61d7c84f3bca2ed93f891147e9c1f4fa0729915f14c3de2afc1b8"),
+        ],
+        ids=["per_user", "general"],
+    )
+    def test_festival_run_pins_output_bytes(self, tmp_path, scope, digest):
+        # every output file of the demo run at seed 7, in each scope, fixed across versions
+        text = FESTIVAL_INI.read_text().replace("scope = per_user", f"scope = {scope}")
+        cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
-        assert main(["run", "--config", str(FESTIVAL_INI), "--seed", "7", "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
         files = json.dumps(read_manifest(out)["files"], sort_keys=True)
-        assert hashlib.sha256(files.encode()).hexdigest() == (
-            "5a5210b79887d433e13c4badd4a58a071e56f6e73a5e71c6f94120b0bf34952e"
-        )
+        assert hashlib.sha256(files.encode()).hexdigest() == digest
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -119,11 +119,22 @@ def test_festival_digest_pinned():
          r"got 'a 1.0 9 1 1 9' \(Rect.lo must be < Rect.hi"),
         ("precinct_max = 10 10", "precinct_max = 10 10\noutside_regions =\n    10 8 12 2",
          r"\[venue\] outside_regions: line must read 'x0 y0 x1 y1', got '10 8 12 2' \(Rect.lo"),
+        ("speed_min = 0", "speed_min = 1.0", r"\[scenario\] need finite 0 <= speed_min <= speed_max"),
+        ("1.0 5", "1.0 -1", r"\[traffic\] tiers: tier rate must be finite and >= 0, got -1.0"),
+        ("1.0 5", "1/2 5\n    2/3 5", r"\[traffic\] tiers: tier fractions must sum to 1"),
+        ("step_seconds = 60", "step_seconds = 0", r"\[time\] step_seconds must be positive"),
+        ("window_size = 1", "window_size = 1\nscope = both", r"\[prediction\] scope must be"),
+        ("precinct_max = 10 10", "precinct_max = 0 10",
+         r"\[venue\] precinct_min must be < precinct_max"),
+        ("precinct_max = 10 10", "precinct_max = 10 10\noutside_regions =\n    5 2 12 8",
+         r"\[venue\] outside_regions\[0\] overlaps the precinct"),
     ],
     ids=[
         "tier_div_zero", "tier_field_count", "attractor_weight", "region_number",
         "precinct_div_zero", "plot_users_percent", "user_count_zero", "base_seed_negative",
-        "no_attractors", "attractor_reversed", "region_reversed",
+        "no_attractors", "attractor_reversed", "region_reversed", "speed_min_above_max",
+        "tier_rate_negative", "tier_fractions_sum", "step_seconds_zero", "scope_unknown",
+        "precinct_empty", "region_overlaps_precinct",
     ],
 )
 def test_malformed_value_names_key(tmp_path, old, new, message):

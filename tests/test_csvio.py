@@ -18,49 +18,47 @@ def traces(festival_venue, grid_small):
 
 
 class TestTraceRoundTrip:
-    def test_generate_write_load_identity(self, tmp_path, traces, festival_venue, grid_small):
+    def test_generate_write_load_identity(self, tmp_path, traces, grid_small):
         csvio.write_trace(tmp_path / "trace.csv", traces)
         csvio.write_traffic(tmp_path / "traffic.csv", traces)
-        loaded = csvio.load_trace(
-            tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, grid_small
-        )
+        loaded = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
         assert loaded.positions.tobytes() == traces.positions.tobytes()
         assert loaded.mean_traffic.tobytes() == traces.mean_traffic.tobytes()
 
-    def test_missing_instant_names_user_and_instant(self, tmp_path, traces, festival_venue, grid_small):
+    def test_missing_instant_names_user_and_instant(self, tmp_path, traces, grid_small):
         csvio.write_trace(tmp_path / "trace.csv", traces)
         csvio.write_traffic(tmp_path / "traffic.csv", traces)
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         del lines[1 + 3]  # header is line 0, so this is user 0, instant 3
         (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"user 0.*instant 3"):
-            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, grid_small)
+            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
-    def test_negative_traffic_rejected(self, tmp_path, traces, festival_venue, grid_small):
+    def test_negative_traffic_rejected(self, tmp_path, traces, grid_small):
         csvio.write_trace(tmp_path / "trace.csv", traces)
         (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n0,1.0\n1,-1\n2,0\n3,0\n")
         with pytest.raises(DataError, match="mean_traffic"):
-            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, grid_small)
+            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
-    def test_duplicate_row_rejected(self, tmp_path, traces, festival_venue, grid_small):
+    def test_duplicate_row_rejected(self, tmp_path, traces, grid_small):
         csvio.write_trace(tmp_path / "trace.csv", traces)
         csvio.write_traffic(tmp_path / "traffic.csv", traces)
         with open(tmp_path / "trace.csv", "a") as fh:
             fh.write("0,0,1.0,1.0\n")
         with pytest.raises(DataError, match="duplicate"):
-            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, grid_small)
+            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
-    def test_bad_header_rejected(self, tmp_path, festival_venue, grid_small):
+    def test_bad_header_rejected(self, tmp_path, grid_small):
         (tmp_path / "trace.csv").write_text("uid,t,x,y\n0,0,1,1\n")
         (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n0,1\n")
         with pytest.raises(DataError, match="header"):
-            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, grid_small)
+            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
-    def test_error_cites_offending_row(self, tmp_path, festival_venue, grid_small):
+    def test_error_cites_offending_row(self, tmp_path, grid_small):
         (tmp_path / "trace.csv").write_text("user_id,t,x,y\n0,0,1,1\n0,zero,2,2\n")
         (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n0,1\n")
         with pytest.raises(DataError, match="row 3"):
-            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, grid_small)
+            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
 
 class TestWaypointImport:
@@ -148,7 +146,7 @@ class TestByteContract:
     """Floats are written as their repr, rows end in CRLF, and loading the
     text back gives the same arrays bit for bit."""
 
-    def test_trace_and_traffic_text(self, tmp_path, festival_venue):
+    def test_trace_and_traffic_text(self, tmp_path):
         positions = np.array(AWKWARD[:4] + AWKWARD[::-1][:4]).reshape(2, 2, 2)
         traces = TraceSet(positions, [12345678.9, 1e-7])
         csvio.write_trace(tmp_path / "trace.csv", traces)
@@ -163,9 +161,7 @@ class TestByteContract:
         assert (tmp_path / "traffic.csv").read_bytes() == (
             b"user_id,mean_traffic_mbps\r\n0,12345678.9\r\n1,1e-07\r\n"
         )
-        loaded = csvio.load_trace(
-            tmp_path / "trace.csv", tmp_path / "traffic.csv", festival_venue, TimeGrid(300.0, 2)
-        )
+        loaded = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", TimeGrid(300.0, 2))
         assert loaded.positions.tobytes() == traces.positions.tobytes()
         assert loaded.mean_traffic.tobytes() == traces.mean_traffic.tobytes()
 
@@ -207,7 +203,7 @@ class TestRowNumbers:
     def load(self, tmp_path, trace_text, grid):
         (tmp_path / "trace.csv").write_text("user_id,t,x,y\n" + trace_text)
         (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n0,1\n")
-        return csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", None, grid)
+        return csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid)
 
     def test_bad_float_names_its_row(self, tmp_path):
         with pytest.raises(DataError, match=r"trace\.csv, row 4: bad y '1\.2\.3'"):

@@ -149,14 +149,21 @@ def test_accumulate_points_matches_reference_loop():
 
 def test_predict_series_matches_reference_loop():
     rng = np.random.default_rng(14)
-    for _ in range(200):
-        labels, zones = random_case(rng, instants=int(rng.integers(3, 12)))
+    cases = [random_case(rng, instants=int(rng.integers(3, 12))) for _ in range(200)]
+    # more users and zones than the small cases, so many groups share a count
+    cases += [
+        random_case(
+            rng, int(rng.integers(10, 41)), int(rng.integers(3, 14)), int(rng.integers(5, 9))
+        )
+        for _ in range(20)
+    ]
+    for labels, zones in cases:
         w = int(rng.integers(1, labels.shape[1]))
         uniforms = rng.random((labels.shape[0], labels.shape[1] - w))
-        per_user = bool(rng.integers(0, 2))
-        a = kern.predict_series(labels, zones, w, per_user, uniforms)
-        b = predict_series_loop(labels, zones, w, per_user, uniforms)
-        assert np.array_equal(a, b)
+        for per_user in (False, True):
+            a = kern.predict_series(labels, zones, w, per_user, uniforms)
+            b = predict_series_loop(labels, zones, w, per_user, uniforms)
+            assert np.array_equal(a, b), (per_user, labels.shape, zones, w)
 
 
 def test_count_transitions_matches_double_loop():
