@@ -27,23 +27,15 @@ class ZoneSeries:
         for name in ("users_real", "users_pred", "traffic_real", "traffic_pred"):
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
-    @property
-    def zone_count(self) -> int:
-        return self.users_real.shape[0]
 
-    @property
-    def instant_count(self) -> int:
-        return self.users_real.shape[1]
-
-
-def _tally(labels: np.ndarray, weights: np.ndarray | None, zone_count: int, instants: int):
-    t_idx = np.broadcast_to(np.arange(instants), labels.shape).ravel()
-    flat = labels.ravel() * instants + t_idx
-    if weights is None:
-        out = np.bincount(flat, minlength=zone_count * instants)
-    else:
-        out = np.bincount(flat, weights=np.repeat(weights, instants), minlength=zone_count * instants)
-    return out.reshape(zone_count, instants)
+def _tally(labels: np.ndarray, traffic: np.ndarray, zone_count: int):
+    """User counts and traffic sums per (zone, instant), from one flat index."""
+    instants = labels.shape[1]
+    flat = (labels * instants + np.arange(instants)).ravel()
+    size = zone_count * instants
+    users = np.bincount(flat, minlength=size).reshape(zone_count, instants)
+    sums = np.bincount(flat, weights=np.repeat(traffic, instants), minlength=size)
+    return users, sums.reshape(zone_count, instants)
 
 
 def aggregate(traces: TraceSet, labels_real, labels_pred, zone_count: int) -> ZoneSeries:
@@ -60,9 +52,6 @@ def aggregate(traces: TraceSet, labels_real, labels_pred, zone_count: int) -> Zo
             raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
         if table.min() < 0 or table.max() >= zone_count:
             raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
-    instants = traces.instant_count
-    users_real = _tally(labels_real, None, zone_count, instants).astype(np.int64)
-    users_pred = _tally(labels_pred, None, zone_count, instants).astype(np.int64)
-    traffic_real = _tally(labels_real, traces.mean_traffic, zone_count, instants)
-    traffic_pred = _tally(labels_pred, traces.mean_traffic, zone_count, instants)
+    users_real, traffic_real = _tally(labels_real, traces.mean_traffic, zone_count)
+    users_pred, traffic_pred = _tally(labels_pred, traces.mean_traffic, zone_count)
     return ZoneSeries(users_real, users_pred, traffic_real, traffic_pred)

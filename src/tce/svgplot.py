@@ -85,11 +85,10 @@ class _Canvas:
         )
 
     def dots(self, xs, ys, color, r=1.3, opacity=0.5):
-        for x, y in zip(xs, ys):
-            self.parts.append(
-                f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" r="{r}" '
-                f'fill="{color}" fill-opacity="{opacity}"/>'
-            )
+        sx = _format_2f(self.px(np.asarray(xs, np.float64)))
+        sy = _format_2f(self.py(np.asarray(ys, np.float64)))
+        style = f'r="{r}" fill="{color}" fill-opacity="{opacity}"'
+        self.parts += [f'<circle cx="{x}" cy="{y}" {style}/>' for x, y in zip(sx, sy)]
 
     def rect(self, lo, hi, color, opacity=1.0, stroke="none"):
         x, y = self.px(lo[0]), self.py(hi[1])

@@ -51,18 +51,21 @@ class Zoning:
         return np.vstack([self.inside_centroids, self.outside_centroids])
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted draws after a uniform first pick."""
+def _kmeans_pp_init(points: np.ndarray, k: int, region: str, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: a uniform first pick, then D^2-weighted draws.
+
+    A draw never lands on a position an earlier pick holds, so the D^2 total
+    reaches 0 before pick j exactly when the points hold j < k distinct
+    positions (j = 0 for no points): that count is the infeasibility error.
+    """
     n = points.shape[0]
     centroids = np.empty((k, 2), np.float64)
-    centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    d2 = np.full(n, np.inf)
+    for j in range(k):
         total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
+        if total == 0:
+            raise InfeasibleError(f"cannot form {k} {region} zones from {j} distinct {region} positions")
+        idx = rng.integers(n) if j == 0 else rng.choice(n, p=d2 / total)
         centroids[j] = points[idx]
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
     return centroids
@@ -85,13 +88,13 @@ def _repair_empty(points, labels, dist2, centroids, counts):
     return centroids
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = MAX_ITER):
+def _lloyd(points: np.ndarray, k: int, region: str, rng: np.random.Generator):
     """Lloyd iterations until the assignment is stable. Returns centroids,
     labels, and the within-cluster sum of squares after each assignment."""
-    centroids = _kmeans_pp_init(points, k, rng)
+    centroids = _kmeans_pp_init(points, k, region, rng)
     labels, dist2 = kern.nearest_labels(points, centroids)
     objective = [dist2.sum()]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         sums, counts = kern.accumulate_points(points, labels, k)
         nonempty = counts > 0
         centroids = np.where(nonempty[:, None], sums / np.where(nonempty, counts, 1)[:, None], centroids)
@@ -103,14 +106,6 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iter: int =
             break
         labels = new_labels
     return centroids, labels, np.array(objective)
-
-
-def _require_distinct(points: np.ndarray, k: int, region: str) -> None:
-    distinct = np.unique(points, axis=0).shape[0]
-    if distinct < k:
-        raise InfeasibleError(
-            f"cannot form {k} {region} zones from {distinct} distinct {region} positions"
-        )
 
 
 def cluster(traces: TraceSet, venue: Venue, k_inside: int, k_outside: int, seed: int) -> Zoning:
@@ -126,16 +121,14 @@ def cluster(traces: TraceSet, venue: Venue, k_inside: int, k_outside: int, seed:
     mask = inside_mask(points, venue)
     in_pts = np.ascontiguousarray(points[mask])
     out_pts = np.ascontiguousarray(points[~mask])
-    _require_distinct(in_pts, k_inside, "in-precinct")
 
     rng = np.random.default_rng(seed)
-    in_centroids, in_labels, _ = _lloyd(in_pts, k_inside, rng)
+    in_centroids, in_labels, _ = _lloyd(in_pts, k_inside, "in-precinct", rng)
 
     flat = np.empty(points.shape[0], np.int64)
     flat[mask] = in_labels
     if out_pts.shape[0] > 0:
-        _require_distinct(out_pts, k_outside, "outside")
-        out_centroids, out_labels, _ = _lloyd(out_pts, k_outside, rng)
+        out_centroids, out_labels, _ = _lloyd(out_pts, k_outside, "outside", rng)
         flat[~mask] = k_inside + out_labels
     else:
         out_centroids = np.empty((0, 2), np.float64)

@@ -299,17 +299,19 @@ traffic_file = {traffic}
 """
 
 
-class TestLoadMode:
-    def _load_config_text(self, trace, traffic, extra=""):
-        head, _, tail = CONFIG.partition("[input]\nmode = generate\n")
-        return head + LOAD_SECTIONS.format(trace=trace, traffic=traffic, extra=extra) + tail
+def load_config_text(trace, traffic, extra=""):
+    """CONFIG in load mode over the given trace and traffic files."""
+    head, _, tail = CONFIG.partition("[input]\nmode = generate\n")
+    return head + LOAD_SECTIONS.format(trace=trace, traffic=traffic, extra=extra) + tail
 
+
+class TestLoadMode:
     def test_load_csv_reproduces_generate_run(self, tmp_path):
         gen_cfg = write_cfg(tmp_path)
         full = tmp_path / "full"
         main(["run", "--config", str(gen_cfg), "--out", str(full)])
 
-        text = self._load_config_text(full / "trace.csv", full / "traffic.csv")
+        text = load_config_text(full / "trace.csv", full / "traffic.csv")
         load_cfg = write_cfg(tmp_path, text, name="load.ini")
         out = tmp_path / "loaded"
         assert main(["run", "--config", str(load_cfg), "--out", str(out)]) == 0
@@ -325,7 +327,7 @@ class TestLoadMode:
         )
         traffic = tmp_path / "rates.csv"
         traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n1,2.0\n")
-        text = self._load_config_text(wp, traffic, extra="trace_format = waypoint")
+        text = load_config_text(wp, traffic, extra="trace_format = waypoint")
         text = text.replace("k_inside = 3", "k_inside = 2")
         cfg = write_cfg(tmp_path, text, name="wp.ini")
         out = tmp_path / "out"
@@ -339,7 +341,7 @@ class TestLoadMode:
     def test_directory_as_trace_file_exit_code(self, tmp_path, capsys, trace_format):
         folder = tmp_path / "folder"
         folder.mkdir()
-        text = self._load_config_text(folder, folder, extra=f"trace_format = {trace_format}")
+        text = load_config_text(folder, folder, extra=f"trace_format = {trace_format}")
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
         assert f"{folder}: cannot read" in capsys.readouterr().err

@@ -1,8 +1,10 @@
-"""Property tests: mutated report inputs and mutated config files end in a
-documented exit code and leave no partial --out."""
+"""Property tests: mutated report inputs, load-mode trace files (CSV and
+waypoint lines) and config files end in a documented exit code, print no
+traceback and leave no partial --out."""
 
 import contextlib
 import csv
+import io
 
 import pytest
 
@@ -10,7 +12,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from test_cli import command_argv, full, hidden_siblings, write_cfg  # noqa: E402,F401
+from test_cli import command_argv, full, hidden_siblings, load_config_text, write_cfg  # noqa: E402,F401
 
 from tce.cli import main  # noqa: E402
 from tce.config import load_config  # noqa: E402
@@ -23,17 +25,31 @@ CELLS = [
     "", " ", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "5", "11", "12", "999",
     "2.5", "-0.0", "1e309", "99999999999999999999", "inside", "outside", "1,2",
 ]
-EDITS = st.tuples(
-    st.sampled_from(REPORT_FILES),
-    st.sampled_from(["cell", "drop", "dup", "swap", "blank", "extra", "truncate"]),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
-    st.sampled_from(CELLS),
-)
+
+
+def edits_of(files, tokens=CELLS):
+    """One edit: (file, operation, row, field, token)."""
+    return st.tuples(
+        st.sampled_from(files),
+        st.sampled_from(["cell", "drop", "dup", "swap", "blank", "extra", "truncate"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from(tokens),
+    )
+
+
+def waypoint_lines(trace_csv, step_seconds):
+    """The rows of a trace.csv as waypoint lines: per user, the tokens of a
+    ``t x y`` triple at every instant, t in seconds."""
+    users = {}
+    with open(trace_csv, newline="") as fh:
+        for user, t, x, y in list(csv.reader(fh))[1:]:
+            users.setdefault(user, []).extend([str(int(t) * step_seconds), x, y])
+    return list(users.values())
 
 
 def mutate(rows, op, i, j, value):
-    """Apply one edit to the rows of a CSV file (header included)."""
+    """Apply one edit to the rows of fields of a file (a CSV header included)."""
     if not rows:
         return rows
     i %= len(rows)
@@ -54,9 +70,21 @@ def mutate(rows, op, i, j, value):
     return rows
 
 
+def run_cleanly(argv, out):
+    """Run ``tce`` and hold it to the contract: a documented exit code, no
+    traceback, and ``out`` (never a hidden sibling) left only on success."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert out.exists() == (code == 0)
+    assert hidden_siblings(out) == []
+
+
 class TestReportInputProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(edits=st.lists(EDITS, min_size=1, max_size=3))
+    @given(edits=st.lists(edits_of(REPORT_FILES), min_size=1, max_size=3))
     def test_mutated_inputs_exit_cleanly(self, tmp_path_factory, full, edits):
         case = tmp_path_factory.mktemp("case")
         tables = {}
@@ -70,10 +98,47 @@ class TestReportInputProperties:
                 csv.writer(fh).writerows(rows)
         cfg = write_cfg(case)
         out = case / "out"
-        code = main(command_argv("report", cfg, full, out, **{n: case / f"{n}.csv" for n in REPORT_FILES}))
-        assert code in (0, 2, 3, 4)
-        assert out.exists() == (code == 0)
-        assert hidden_siblings(out) == []
+        run_cleanly(command_argv("report", cfg, full, out, **{n: case / f"{n}.csv" for n in REPORT_FILES}), out)
+
+
+class TestLoadModeProperties:
+    """``tce run`` in load mode over a mutated trace.csv/traffic.csv pair, or
+    over waypoint lines (one user per line, ``t x y`` triples) made from the
+    same trace, with whole lines or single tokens edited."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(edits=st.lists(edits_of(["trace", "traffic"]), min_size=1, max_size=3))
+    def test_mutated_csv_trace_exits_cleanly(self, tmp_path_factory, full, edits):
+        case = tmp_path_factory.mktemp("load")
+        tables = {}
+        for name in ("trace", "traffic"):
+            with open(full / f"{name}.csv", newline="") as fh:
+                tables[name] = list(csv.reader(fh))
+        for name, *edit in edits:
+            tables[name] = mutate(tables[name], *edit)
+        for name, rows in tables.items():
+            with open(case / f"{name}.csv", "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        cfg = write_cfg(case, load_config_text(case / "trace.csv", case / "traffic.csv"))
+        run_cleanly(["run", "--config", cfg, "--out", case / "out"], case / "out")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(edits=st.lists(edits_of(["wp"], CELLS + ["1e200", "-1e200", "3300", "1 2 3"]), min_size=1, max_size=3))
+    def test_mutated_waypoint_lines_exit_cleanly(self, tmp_path_factory, full, edits):
+        case = tmp_path_factory.mktemp("waypoint")
+        lines = waypoint_lines(full / "trace.csv", step_seconds=300)
+        for _, *edit in edits:
+            lines = mutate(lines, *edit)
+        text = "".join(" ".join(tokens) + "\n" for tokens in lines)
+        (case / "wp.txt").write_text(text)
+        # one traffic row per user line, so that line edits reach clustering
+        users = sum(1 for line in text.splitlines() if line.split())
+        (case / "traffic.csv").write_text(
+            "user_id,mean_traffic_mbps\n" + "".join(f"{u},{10 * (u % 2)}\n" for u in range(users))
+        )
+        text = load_config_text(case / "wp.txt", case / "traffic.csv", extra="trace_format = waypoint")
+        cfg = write_cfg(case, text)
+        run_cleanly(["run", "--config", cfg, "--out", case / "out"], case / "out")
 
 
 # a tiny generate-mode run; every token the edits write is small, so no
@@ -172,8 +237,4 @@ class TestConfigProperties:
         cfg.write_text("\n".join(lines) + "\n")
         with contextlib.suppress(ConfigError):
             load_config(cfg)
-        out = case / "out"
-        code = main(["run", "--config", str(cfg), "--out", str(out)])
-        assert code in (0, 2, 3, 4)
-        assert out.exists() == (code == 0)
-        assert hidden_siblings(out) == []
+        run_cleanly(["run", "--config", cfg, "--out", case / "out"], case / "out")

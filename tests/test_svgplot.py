@@ -1,5 +1,6 @@
-"""The SVG charts are outputs too: small ``line_chart`` files are pinned by
-sha256, so a change to how coordinates are computed or formatted shows."""
+"""The SVG charts are outputs too: small ``line_chart`` and ``scatter_chart``
+files are pinned by sha256, so a change to how coordinates are computed or
+formatted shows."""
 
 import hashlib
 
@@ -33,3 +34,16 @@ def test_line_chart_bytes_pinned(tmp_path):
         "Users per zone, run 0", "instant", "users", vline_at=4,
     )
     assert digest == "92213a36cefc8d8076369910be631e8752be4da74400f23db6ffe2613597189a"
+
+
+def test_scatter_chart_bytes_pinned(tmp_path):
+    # repeated positions (a paused user) and positions on the venue edges
+    points = np.array([
+        [0.0, 0.0], [50.0, 80.0], [25.0, 40.0], [25.0, 40.0], [25.0, 40.0],
+        [60.0, 65.0], [50.0, 15.0], [1 / 3, 79.9], [12.345, 67.891], [55.0, 40.0],
+    ])
+    rects = [((0.0, 0.0), (50.0, 80.0), "precinct"), ((50.0, 15.0), (60.0, 65.0), "outside")]
+    path = tmp_path / "scatter.svg"
+    svgplot.scatter_chart(path, points, rects, "Positions (all users, all instants)")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "39f59c0d52ae1acc75f30a60eb8bb98f75c3adfa3e8b21098c7a6197047f5796"

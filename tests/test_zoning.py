@@ -111,6 +111,36 @@ class TestCluster:
         with pytest.raises(InfeasibleError):
             cluster(traces, festival_venue, k_inside=2, k_outside=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "positions, k_inside, k_outside, message",
+        [
+            (
+                np.tile([[10.0, 10.0]], (3, 4, 1)), 3, 1,
+                "cannot form 3 in-precinct zones from 1 distinct in-precinct positions",
+            ),
+            (
+                np.tile([[55.0, 40.0], [52.0, 20.0]], (2, 2, 1)), 2, 1,
+                "cannot form 2 in-precinct zones from 0 distinct in-precinct positions",
+            ),
+            (
+                np.array([[[5.0, 5.0], [40.0, 70.0], [55.0, 40.0]], [[25.0, 40.0], [52.0, 20.0], [55.0, 40.0]]]),
+                2, 3,
+                "cannot form 3 outside zones from 2 distinct outside positions",
+            ),
+            # (1e-200)^2 underflows to 0: seeding cannot tell the two apart
+            (
+                np.array([[[0.0, 0.0], [1e-200, 0.0]]]), 2, 1,
+                "cannot form 2 in-precinct zones from 1 distinct in-precinct positions",
+            ),
+        ],
+        ids=["one_inside", "none_inside", "two_outside", "underflow"],
+    )
+    def test_infeasible_message_names_distinct_count(self, festival_venue, positions, k_inside, k_outside, message):
+        traces = make_traces(positions)
+        with pytest.raises(InfeasibleError) as exc:
+            cluster(traces, festival_venue, k_inside=k_inside, k_outside=k_outside, seed=0)
+        assert str(exc.value) == message
+
     def test_centroid_within_member_bounding_box(self, festival_venue):
         rng = np.random.default_rng(9)
         positions = rng.uniform(0, 50, size=(10, 6, 2)) * [1, 1.6]
@@ -158,7 +188,7 @@ class TestLloyd:
             k = int(rng.integers(1, 5))
             if np.unique(points, axis=0).shape[0] < k:
                 continue
-            _, _, objective = _lloyd(points, k, np.random.default_rng(0))
+            _, _, objective = _lloyd(points, k, "in-precinct", np.random.default_rng(0))
             assert np.all(np.diff(objective) <= 1e-9)
 
 
