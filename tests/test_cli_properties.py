@@ -70,6 +70,19 @@ def mutate(rows, op, i, j, value):
     return rows
 
 
+def write_mutated(src, dst, names, edits):
+    """Copy the CSV files ``names`` from ``src`` to ``dst`` with ``edits`` applied."""
+    tables = {}
+    for name in names:
+        with open(src / f"{name}.csv", newline="") as fh:
+            tables[name] = list(csv.reader(fh))
+    for name, *edit in edits:
+        tables[name] = mutate(tables[name], *edit)
+    for name, rows in tables.items():
+        with open(dst / f"{name}.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+
 def run_cleanly(argv, out):
     """Run ``tce`` and hold it to the contract: a documented exit code, no
     traceback, and ``out`` (never a hidden sibling) left only on success."""
@@ -87,15 +100,7 @@ class TestReportInputProperties:
     @given(edits=st.lists(edits_of(REPORT_FILES), min_size=1, max_size=3))
     def test_mutated_inputs_exit_cleanly(self, tmp_path_factory, full, edits):
         case = tmp_path_factory.mktemp("case")
-        tables = {}
-        for name in REPORT_FILES:
-            with open(full / f"{name}.csv", newline="") as fh:
-                tables[name] = list(csv.reader(fh))
-        for name, *edit in edits:
-            tables[name] = mutate(tables[name], *edit)
-        for name, rows in tables.items():
-            with open(case / f"{name}.csv", "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+        write_mutated(full, case, REPORT_FILES, edits)
         cfg = write_cfg(case)
         out = case / "out"
         run_cleanly(command_argv("report", cfg, full, out, **{n: case / f"{n}.csv" for n in REPORT_FILES}), out)
@@ -110,15 +115,7 @@ class TestLoadModeProperties:
     @given(edits=st.lists(edits_of(["trace", "traffic"]), min_size=1, max_size=3))
     def test_mutated_csv_trace_exits_cleanly(self, tmp_path_factory, full, edits):
         case = tmp_path_factory.mktemp("load")
-        tables = {}
-        for name in ("trace", "traffic"):
-            with open(full / f"{name}.csv", newline="") as fh:
-                tables[name] = list(csv.reader(fh))
-        for name, *edit in edits:
-            tables[name] = mutate(tables[name], *edit)
-        for name, rows in tables.items():
-            with open(case / f"{name}.csv", "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+        write_mutated(full, case, ["trace", "traffic"], edits)
         cfg = write_cfg(case, load_config_text(case / "trace.csv", case / "traffic.csv"))
         run_cleanly(["run", "--config", cfg, "--out", case / "out"], case / "out")
 
