@@ -1,9 +1,11 @@
 """CSV interchange formats shared by the pipeline stages and the CLI.
 
 All writers emit a header row and sort rows (user_id, then t) so identical
-data gives identical bytes. Tables are built and parsed a column at a time;
-a float is written as its ``repr``. Loaders validate coverage and report the
-offending file row in error messages.
+data gives identical bytes, with csv-module text: comma-separated, CRLF line
+ends, a float written as its ``repr``. Every per-(id, t) table goes through
+``_write_table``, which formats each distinct value and each distinct row
+once and repeats the text. Tables are parsed a column at a time; loaders
+validate coverage and report the offending file row in error messages.
 """
 
 from __future__ import annotations
@@ -33,13 +35,45 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct key first occurs, and each key's rank among them."""
+    _, at, rank = np.unique(keys, return_index=True, return_inverse=True)
+    return at, rank
+
+
+def _formatted(column, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's rank among the column's distinct values, and the repr of
+    each distinct value followed by ``end``, as an object array. Floats are
+    keyed on their bits, so -0.0 stays apart from 0.0."""
+    at, rank = _distinct(column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column)
+    return rank, np.array([repr(value) + end for value in column[at].tolist()], object)
+
+
 def _write_table(path, header, *tables, first=0) -> None:
     """Rows ``i, first + j, t0[i, j], t1[i, j], ...`` of equally shaped
-    (outer, inner) arrays, row-major."""
+    (outer, inner) arrays, row-major.
+
+    The text after ``i,t,`` is built once per distinct row. The row key is
+    re-ranked after each column joins it, so it stays below the row count.
+    The file is written one id at a time.
+    """
     outer, inner = tables[0].shape
-    ids = np.repeat(np.arange(outer), inner).tolist()
-    instants = np.tile(np.arange(first, first + inner), outer).tolist()
-    _write_rows(path, header, zip(ids, instants, *(table.ravel().tolist() for table in tables)))
+    ends = [","] * (len(tables) - 1) + ["\r\n"]
+    rows, texts = _formatted(tables[0].ravel(), ends[0])
+    for table, end in zip(tables[1:], ends[1:]):
+        cell, cells = _formatted(table.ravel(), end)
+        at, rank = _distinct(rows * len(cells) + cell)
+        texts = texts[rows[at]] + cells[cell[at]]
+        rows = rank
+    rows = rows.reshape(outer, inner)
+    line = [None] * (3 * inner)  # i, t, row text: one file line per (i, t)
+    line[1::3] = [f"{t}," for t in range(first, first + inner)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i in range(outer):
+            line[0::3] = [f"{i},"] * inner
+            line[2::3] = texts[rows[i]]
+            fh.write("".join(line))
 
 
 def _read_rows(path, header) -> tuple[range | list[int], list[list[str]]]:

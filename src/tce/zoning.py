@@ -57,8 +57,15 @@ def _kmeans_pp_init(points: np.ndarray, k: int, region: str, rng: np.random.Gene
     A draw never lands on a position an earlier pick holds, so the D^2 total
     reaches 0 before pick j exactly when the points hold j < k distinct
     positions (j = 0 for no points): that count is the infeasibility error.
+    A squared distance is at most (2 max|coordinate|)^2, so positions too far
+    out for the D^2 total of n of them to stay finite are refused first.
     """
     n = points.shape[0]
+    big = float(np.abs(points).max(initial=0.0))
+    if big > np.sqrt(np.finfo(np.float64).max / (4 * max(n, 1))):
+        raise InfeasibleError(
+            f"cannot cluster {region} positions: |coordinate| up to {big:g} overflows their squared distances"
+        )
     centroids = np.empty((k, 2), np.float64)
     d2 = np.full(n, np.inf)
     for j in range(k):

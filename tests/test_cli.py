@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,44 @@ class TestLoadMode:
         assert len(rows) - 1 == 2 * 12
         assert rows[1] == "0,0,5.0,40.0"
 
+
+    def test_negative_zero_coordinates_written_back(self, tmp_path):
+        # -0.0 lies on the precinct edge; its sign survives load and write
+        rows = [(0, t, -0.0, 5.0 + t) for t in range(12)] + [(1, t, 10.0 + t, -0.0) for t in range(12)]
+        text = "user_id,t,x,y\r\n" + "".join(f"{u},{t},{x!r},{y!r}\r\n" for u, t, x, y in rows)
+        trace = tmp_path / "in_trace.csv"
+        trace.write_bytes(text.encode())
+        traffic = tmp_path / "rates.csv"
+        traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n1,2.0\n")
+        cfg = write_cfg(tmp_path, load_config_text(trace, traffic), name="load.ini")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trace.csv").read_bytes() == trace.read_bytes()
+        assert b"0,0,-0.0,5.0\r\n" in trace.read_bytes()
+
+    def test_positions_beyond_overflow_exit_code(self, tmp_path, capsys):
+        # two users walk at x = +-1e200: their squared distances overflow
+        wp = tmp_path / "wp.txt"
+        wp.write_text(
+            "0 1e200 40 3300 1e200 40\n"
+            "0 -1e200 40 3300 -1e200 40\n"
+            "0 5 40 3300 5 60\n"
+            "0 10 5 3300 20 5\n"
+        )
+        traffic = tmp_path / "rates.csv"
+        traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n1,2.0\n2,1.0\n3,1.0\n")
+        text = load_config_text(wp, traffic, extra="trace_format = waypoint")
+        text = text.replace("k_inside = 3", "k_inside = 2").replace("k_outside = 1", "k_outside = 2")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 4
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: [clustering] cannot cluster outside positions: "
+            "|coordinate| up to 1e+200 overflows their squared distances\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("trace_format", ["csv", "waypoint"])
     def test_directory_as_trace_file_exit_code(self, tmp_path, capsys, trace_format):

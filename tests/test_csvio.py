@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,106 @@ class TestByteContract:
         rows = np.array([line.split(",") for line in text.decode().splitlines()[1:]], float)
         assert rows[:, 4].tobytes() == traffic_real.ravel().tobytes()
         assert rows[:, 5].tobytes() == traffic_pred.ravel().tobytes()
+
+
+    def test_labels_text(self, tmp_path):
+        zoning = Zoning([[10.0, 20.0], [30.0, 40.0]], [[55.0, 40.0]], [[0, 2, 2], [1, 1, 0]])
+        csvio.write_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", zoning)
+        assert (tmp_path / "labels.csv").read_bytes() == (
+            b"user_id,t,zone_id\r\n"
+            b"0,0,0\r\n"
+            b"0,1,2\r\n"
+            b"0,2,2\r\n"
+            b"1,0,1\r\n"
+            b"1,1,1\r\n"
+            b"1,2,0\r\n"
+        )
+
+    def test_predictions_text(self, tmp_path):
+        real = np.array([[0, 2, 2], [1, 1, 0]])
+        pred = np.array([[0, 2, 1], [1, 1, 0]])
+        csvio.write_predictions(tmp_path / "p.csv", real, pred)
+        assert (tmp_path / "p.csv").read_bytes() == (
+            b"user_id,t,real_zone,predicted_zone\r\n"
+            b"0,0,0,0\r\n"
+            b"0,1,2,2\r\n"
+            b"0,2,2,1\r\n"
+            b"1,0,1,1\r\n"
+            b"1,1,1,1\r\n"
+            b"1,2,0,0\r\n"
+        )
+
+
+def write_table_reference(path, header, *tables, first=0):
+    """The plain csv.writer form of ``csvio._write_table``: one Python row
+    per (i, t), every cell formatted by the csv module."""
+    outer, inner = tables[0].shape
+    ids = np.repeat(np.arange(outer), inner).tolist()
+    instants = np.tile(np.arange(first, first + inner), outer).tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(ids, instants, *(table.ravel().tolist() for table in tables)))
+
+
+INT64 = np.iinfo(np.int64)
+FLOAT_POOL = np.array(
+    [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 1 / 3, 1e-7, 12345678.9, -2.5, 1e300]
+)
+INT_POOL = np.array([INT64.min, INT64.max, INT64.min + 1, -1, 0, 1, 7, 10**12])
+
+
+class TestWriteTableOracle:
+    """``_write_table`` formats each distinct row once; its bytes must equal
+    the csv.writer reference on every input."""
+
+    def assert_same_bytes(self, tmp_path, tables, first):
+        header = ["user_id", "t"] + [f"c{j}" for j in range(len(tables))]
+        csvio._write_table(tmp_path / "fast.csv", header, *tables, first=first)
+        write_table_reference(tmp_path / "reference.csv", header, *tables, first=first)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tables_match_reference(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(0, 6)), int(rng.integers(0, 8)))
+        tables = []
+        for _ in range(int(rng.integers(1, 5))):
+            pool = FLOAT_POOL if rng.random() < 0.5 else INT_POOL
+            # a few values, so rows repeat, or fresh floats, so they do not
+            values = pool[rng.integers(0, int(rng.integers(1, pool.size + 1)), shape)]
+            if pool is FLOAT_POOL and rng.random() < 0.3:
+                values = rng.normal(0, 10, shape)
+            tables.append(values)
+        self.assert_same_bytes(tmp_path, tables, first=int(rng.integers(0, 12)))
+
+    def test_negative_zero_and_nan_payloads_kept_apart(self, tmp_path):
+        x = np.array([[-0.0, 0.0, np.nan, -np.nan], [0.0, -0.0, -np.nan, np.nan]])
+        self.assert_same_bytes(tmp_path, [x, x[::-1].copy()], first=0)
+        assert b"0,0,-0.0,0.0\r\n" in (tmp_path / "fast.csv").read_bytes()
+
+    def test_all_distinct_rows_of_four_columns(self, tmp_path):
+        # 70,000 distinct values per column. A row key built as the product of
+        # the four column ranks, r0*N^3 + r1*N^2 + r2*N + r3, would pass 2**63,
+        # and rows 0 and 1 are given ranks whose keys differ by exactly 2**64,
+        # so a key that wraps would merge them. (Below 2**16 values per column
+        # the product stays under 2**64 and cannot merge two rows.)
+        n, shape = 70_000, (350, 200)
+        gap, digits = 2**64, []
+        for _ in range(4):
+            gap, digit = divmod(gap, n)
+            digits.insert(0, digit)
+        assert gap == 0 and all(digits)
+        rng = np.random.default_rng(3)
+        tables = []
+        for j, digit in enumerate(digits):
+            # row 0 holds the smallest value, row 1 the one of rank `digit`
+            rank = np.concatenate([[0, digit], rng.permutation(np.setdiff1d(np.arange(n), [0, digit]))])
+            # positive floats: their bits sort as their values do
+            ladder = np.arange(n) * 10**13 - 2**62 if j % 2 == 0 else np.sort(rng.uniform(1, 2, n))
+            tables.append(ladder[rank].reshape(shape))
+        assert all(np.unique(table).size == n for table in tables)
+        self.assert_same_bytes(tmp_path, tables, first=5)
 
 
 class TestRowNumbers:

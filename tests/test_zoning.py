@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,25 @@ class TestCluster:
         with pytest.raises(InfeasibleError) as exc:
             cluster(traces, festival_venue, k_inside=k_inside, k_outside=k_outside, seed=0)
         assert str(exc.value) == message
+
+    def test_positions_beyond_overflow_name_region_and_coordinate(self, festival_venue):
+        # (2e200)^2 overflows: refused before seeding, with no numpy warning
+        positions = np.array([[[1e200, 40.0], [-1e200, 40.0]], [[5.0, 40.0], [10.0, 5.0]]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InfeasibleError) as exc:
+                cluster(make_traces(positions), festival_venue, k_inside=2, k_outside=1, seed=0)
+        assert str(exc.value) == (
+            "cannot cluster outside positions: |coordinate| up to 1e+200 overflows their squared distances"
+        )
+        assert caught == []
+
+    def test_far_positions_within_range_still_cluster(self, festival_venue):
+        positions = np.array([[[1e150, 40.0], [-1e150, 40.0]], [[5.0, 40.0], [10.0, 5.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zoning = cluster(make_traces(positions), festival_venue, k_inside=2, k_outside=2, seed=0)
+        assert sorted(zoning.outside_centroids[:, 0]) == [-1e150, 1e150]
 
     def test_centroid_within_member_bounding_box(self, festival_venue):
         rng = np.random.default_rng(9)
