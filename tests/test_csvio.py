@@ -200,7 +200,6 @@ class TestByteContract:
         assert rows[:, 4].tobytes() == traffic_real.ravel().tobytes()
         assert rows[:, 5].tobytes() == traffic_pred.ravel().tobytes()
 
-
     def test_labels_text(self, tmp_path):
         zoning = Zoning([[10.0, 20.0], [30.0, 40.0]], [[55.0, 40.0]], [[0, 2, 2], [1, 1, 0]])
         csvio.write_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", zoning)

@@ -133,26 +133,19 @@ class TestCluster:
                 np.array([[[0.0, 0.0], [1e-200, 0.0]]]), 2, 1,
                 "cannot form 2 in-precinct zones from 1 distinct in-precinct positions",
             ),
+            # (2e200)^2 overflows: refused before seeding, even for one zone
+            (
+                np.array([[[1e200, 40.0], [-1e200, 40.0]], [[5.0, 40.0], [10.0, 5.0]]]), 2, 1,
+                "cannot cluster outside positions: |coordinate| up to 1e+200 overflows their squared distances",
+            ),
         ],
-        ids=["one_inside", "none_inside", "two_outside", "underflow"],
+        ids=["one_inside", "none_inside", "two_outside", "underflow", "overflow"],
     )
     def test_infeasible_message_names_distinct_count(self, festival_venue, positions, k_inside, k_outside, message):
         traces = make_traces(positions)
         with pytest.raises(InfeasibleError) as exc:
             cluster(traces, festival_venue, k_inside=k_inside, k_outside=k_outside, seed=0)
         assert str(exc.value) == message
-
-    def test_positions_beyond_overflow_name_region_and_coordinate(self, festival_venue):
-        # (2e200)^2 overflows: refused before seeding, with no numpy warning
-        positions = np.array([[[1e200, 40.0], [-1e200, 40.0]], [[5.0, 40.0], [10.0, 5.0]]])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(InfeasibleError) as exc:
-                cluster(make_traces(positions), festival_venue, k_inside=2, k_outside=1, seed=0)
-        assert str(exc.value) == (
-            "cannot cluster outside positions: |coordinate| up to 1e+200 overflows their squared distances"
-        )
-        assert caught == []
 
     def test_far_positions_within_range_still_cluster(self, festival_venue):
         positions = np.array([[[1e150, 40.0], [-1e150, 40.0]], [[5.0, 40.0], [10.0, 5.0]]])
