@@ -6,7 +6,10 @@ share over the precinct). Each attractor must lie within its host region: the
 precinct or one declared outside region. A leg between hosts passes through
 the midpoint of the boundary each outside host shares with the precinct, so
 every sampled position stays within the precinct or a declared outside region.
-Generation is single-threaded per scenario so a seed fixes the whole trace.
+Generation is single-threaded per scenario and draws only through
+``Generator.permutation`` and ``Generator.random``, so a seed fixes the trace:
+a pick looks ``random()`` up in the CDF ``Generator.choice`` builds, and points
+and speeds are ``lo + (hi - lo) * random()``, the bits of ``uniform``.
 """
 
 from __future__ import annotations
@@ -137,35 +140,41 @@ class _WaypointDraw:
     that move a user between hosts through their gates."""
 
     def __init__(self, venue: Venue, mobility: MobilityParams):
-        self.rects = [a.region for a in mobility.attractors]
+        rects = [a.region for a in mobility.attractors]
         self.hosts = [_host(venue, a) for a in mobility.attractors]
         weights = [a.weight for a in mobility.attractors]
         if mobility.background_weight > 0:
-            self.rects.append(venue.precinct)
+            rects.append(venue.precinct)
             self.hosts.append(_PRECINCT)
             weights.append(mobility.background_weight)
         w = np.asarray(weights, np.float64)
-        self.probs = w / w.sum()
-        self.regions = (*venue.outside_regions, venue.precinct)  # index _PRECINCT is the precinct
-        self.gates = {h: _gate(venue, h) for h in self.hosts if h != _PRECINCT}
+        with np.errstate(over="ignore"):  # refused just below, not warned
+            self.spans, total = [r.hi - r.lo for r in rects], w.sum()
+        if not (np.isfinite(total) and np.isfinite(self.spans).all()):
+            raise ValueError("the waypoint weight total and region extents must be finite in float64")
+        cdf = np.cumsum(w / total)
+        self.cdf = cdf / cdf[-1]  # the CDF Generator.choice builds from p
+        self.los = [r.lo for r in rects]
+        regions = (*venue.outside_regions, venue.precinct)  # index _PRECINCT is the precinct
+        self.regions = [(*r.lo.tolist(), *r.hi.tolist()) for r in regions]
+        self.gates = {h: tuple(_gate(venue, h).tolist()) for h in self.hosts if h != _PRECINCT}
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-        """A destination point and its host region."""
-        i = rng.choice(len(self.rects), p=self.probs)
-        rect = self.rects[i]
-        return rng.uniform(rect.lo, rect.hi), self.hosts[i]
+    def draw(self, rng: np.random.Generator) -> tuple[list, int]:
+        """A destination point [x, y] and its host region."""
+        i = int(self.cdf.searchsorted(rng.random(), side="right"))
+        return (self.los[i] + self.spans[i] * rng.random(2)).tolist(), self.hosts[i]
 
-    def route(self, src: int, target: np.ndarray, dst: int) -> list:
-        """Leg sequence (point, clip rect) from a point of host src to target
-        in host dst, staying in the venue."""
+    def route(self, src: int, target: list, dst: int) -> list:
+        """Legs (px, py, lox, loy, hix, hiy): a point and its clip box, from a
+        point of host src to target in host dst, staying in the venue."""
         if src == dst:
-            return [(target, self.regions[dst])]
+            return [(*target, *self.regions[dst])]
         legs = []
         if src != _PRECINCT:
-            legs.append((self.gates[src], self.regions[src]))
+            legs.append((*self.gates[src], *self.regions[src]))
         if dst != _PRECINCT:
-            legs.append((self.gates[dst], self.regions[_PRECINCT]))
-        legs.append((target, self.regions[dst]))
+            legs.append((*self.gates[dst], *self.regions[_PRECINCT]))
+        legs.append((*target, *self.regions[dst]))
         return legs
 
 
@@ -183,7 +192,8 @@ def generate_scenario(
     displacement never exceeds speed_max * step_seconds / index_scale in index
     units; leftover movement budget at a waypoint is dropped (the user dwells
     there until the next instant). Raises ValueError when an attractor has no
-    host region or an outside host does not touch the precinct.
+    host region, an outside host does not touch the precinct, or the weight
+    total or a drawn region's extent overflows float64.
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
@@ -192,38 +202,42 @@ def generate_scenario(
 
     rates = assign_tiers(user_count, traffic, rng)
     step_budget = grid.step_seconds / venue.index_scale  # index units per (m/s)
+    speed_span = mobility.speed_max - mobility.speed_min
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
 
     for u in range(user_count):
-        pos, region = draw.draw(rng)
-        positions[u, 0] = pos
+        (x, y), region = draw.draw(rng)
+        positions[u, 0] = x, y
         legs: list = []
-        speed = 0.0
         pause_left = 0
         for t in range(1, grid.instant_count):
             if pause_left > 0:
                 pause_left -= 1
             else:
                 if not legs:
-                    # routes start only at the previous target, so pos lies in region
+                    # routes start only at the previous target, so (x, y) lies in region
                     target, dst = draw.draw(rng)
                     legs = draw.route(region, target, dst)
                     region = dst
-                    speed = rng.uniform(mobility.speed_min, mobility.speed_max)
+                    speed = mobility.speed_min + speed_span * rng.random()
                 budget = speed * step_budget
                 while budget > 0 and legs:
-                    point, rect = legs[0]
-                    seg = point - pos
-                    dist = float(np.hypot(seg[0], seg[1]))
+                    px, py, lox, loy, hix, hiy = legs[0]
+                    dx, dy = px - x, py - y
+                    dist = float(np.hypot(dx, dy))  # not math.hypot: its bits differ
                     if dist <= budget:
-                        pos = point
+                        x, y = px, py
                         budget -= dist
                         legs.pop(0)
                         if not legs:  # waypoint reached: dwell out the instant
                             pause_left = mobility.pause_instants
                             budget = 0.0
                     else:
-                        pos = np.clip(pos + seg * (budget / dist), rect.lo, rect.hi)
+                        step = budget / dist
+                        # min(hi, max(lo, v)) breaks ties as np.clip does, signed zeros too
+                        x = min(hix, max(lox, x + dx * step))
+                        y = min(hiy, max(loy, y + dy * step))
                         budget = 0.0
-            positions[u, t] = pos
+            positions[u, t, 0] = x
+            positions[u, t, 1] = y
     return TraceSet(positions, rates)

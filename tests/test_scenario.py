@@ -9,6 +9,7 @@ from tce.scenario import (
     Attractor,
     MobilityParams,
     TrafficTiers,
+    _WaypointDraw,
     apportion,
     assign_tiers,
     generate_scenario,
@@ -33,6 +34,28 @@ def simple_mobility(**overrides):
 
 
 THIRDS = TrafficTiers(((1 / 3, 0.0), (1 / 3, 5.0), (1 / 3, 10.0)))
+
+EAST, WEST = Rect((50, 15), (60, 65)), Rect((-10, 20), (0, 60))
+
+
+def two_outside_scenario():
+    """East and west strips on either side of the precinct, one attractor in
+    each, plus a background share: users route outside -> outside."""
+    venue = Venue((0, 0), (50, 80), (EAST, WEST), 1.0)
+    mobility = simple_mobility(
+        speed_max=0.1,
+        attractors=(
+            Attractor(Rect((2, 28), (14, 52)), 0.4, "stage"),
+            Attractor(Rect((51, 30), (59, 50)), 0.3, "east"),
+            Attractor(Rect((-9, 25), (-1, 55)), 0.3, "west"),
+        ),
+        background_weight=0.2,
+    )
+    return venue, TimeGrid(300.0, 40), mobility
+
+
+def trace_digest(traces):
+    return hashlib.sha256(traces.positions.tobytes() + traces.mean_traffic.tobytes()).hexdigest()
 
 
 class TestApportionment:
@@ -96,23 +119,10 @@ class TestGenerateScenario:
         assert np.all(inside | in_strip)
 
     def test_two_outside_regions_contain_every_step(self):
-        # east and west strips on either side of the precinct, one attractor in
-        # each, plus a background share: users route outside -> outside
-        east, west = Rect((50, 15), (60, 65)), Rect((-10, 20), (0, 60))
-        venue = Venue((0, 0), (50, 80), (east, west), 1.0)
-        grid = TimeGrid(300.0, 40)
-        mobility = simple_mobility(
-            speed_max=0.1,
-            attractors=(
-                Attractor(Rect((2, 28), (14, 52)), 0.4, "stage"),
-                Attractor(Rect((51, 30), (59, 50)), 0.3, "east"),
-                Attractor(Rect((-9, 25), (-1, 55)), 0.3, "west"),
-            ),
-            background_weight=0.2,
-        )
+        venue, grid, mobility = two_outside_scenario()
         traces = generate_scenario(venue, grid, 30, mobility, THIRDS, seed=8)
         pts = traces.all_points()
-        in_east, in_west = east.contains_many(pts), west.contains_many(pts)
+        in_east, in_west = EAST.contains_many(pts), WEST.contains_many(pts)
         assert np.all(inside_mask(pts, venue) | in_east | in_west)
         assert in_east.any() and in_west.any()
         steps = np.linalg.norm(np.diff(traces.positions, axis=1), axis=2)
@@ -124,6 +134,24 @@ class TestGenerateScenario:
         traces = generate_scenario(cfg.venue, cfg.grid, 20, cfg.mobility, cfg.traffic, seed=7)
         assert hashlib.sha256(traces.positions.tobytes()).hexdigest() == (
             "d9101e29b3e3a3099f729cb1de9a62cf12c1539f7b2a52c837088b7f892e2818"
+        )
+
+    def test_seed_pins_two_outside_regions_bytes(self):
+        # gate-to-gate routing between two outside hosts, with a background share
+        venue, grid, mobility = two_outside_scenario()
+        traces = generate_scenario(venue, grid, 30, mobility, THIRDS, seed=8)
+        assert trace_digest(traces) == (
+            "a3075f9c2a313e6500aed4b43e65e42e91144026ac9b7d8623b1971edb808316"
+        )
+
+    def test_seed_pins_scaled_speed_floor_bytes(self, festival_venue):
+        # speed_min > 0, no dwell at waypoints and index units of 0.37 m
+        venue = Venue(festival_venue.precinct_min, festival_venue.precinct_max,
+                      festival_venue.outside_regions, 0.37)
+        mobility = simple_mobility(speed_min=0.02, speed_max=0.09, background_weight=0.1)
+        traces = generate_scenario(venue, TimeGrid(300.0, 30), 25, mobility, THIRDS, seed=11)
+        assert trace_digest(traces) == (
+            "7bbabe7ca172f75d402775cfc0b11d27b9c7344640d0cd26e0db6e5b8b60ea4a"
         )
 
     def test_stage_attracts_occupancy(self, festival_venue):
@@ -156,6 +184,22 @@ class TestGenerateScenario:
         with pytest.raises(ValueError):
             generate_scenario(festival_venue, grid, 3, stray, THIRDS, seed=0)
 
+    def test_rejects_weights_with_infinite_sum(self, festival_venue):
+        heavy = simple_mobility(attractors=(
+            Attractor(Rect((2, 28), (14, 52)), 1e308, "stage"),
+            Attractor(Rect((8, 70), (30, 78)), 1e308, "food"),
+        ))
+        with pytest.raises(ValueError, match="finite in float64"):
+            generate_scenario(festival_venue, TimeGrid(300.0, 4), 3, heavy, THIRDS, seed=0)
+
+    def test_rejects_region_wider_than_float64(self):
+        # hi - lo overflows, so a uniform point in it would be inf or nan
+        venue = Venue((-1e308, 0), (1e308, 80))
+        mobility = simple_mobility(attractors=(Attractor(Rect((2, 28), (14, 52)), 1.0),),
+                                   background_weight=0.5)
+        with pytest.raises(ValueError, match="finite in float64"):
+            generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
+
     def test_rejects_detached_outside_attractor(self):
         # outside region not touching the precinct cannot host waypoints
         venue = Venue((0, 0), (50, 80), (Rect((60, 15), (70, 65)),))
@@ -186,3 +230,95 @@ class TestValidation:
     def test_attractor_weight_positive(self):
         with pytest.raises(ValueError):
             Attractor(Rect((0, 0), (1, 1)), 0.0)
+
+
+# The numpy calls the generator drew through before it used Generator.random
+# alone, kept as the reference its draws must equal bit for bit.
+def reference_pick(rng, probs):
+    return int(rng.choice(len(probs), p=probs))
+
+
+def reference_cdf(probs):
+    # what Generator.choice builds from p before its searchsorted(side="right")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def reference_point(rng, rect):
+    return rng.uniform(rect.lo, rect.hi)
+
+
+def reference_speed(rng, speed_min, speed_max):
+    return rng.uniform(speed_min, speed_max)
+
+
+ORACLE_SEEDS, ORACLE_DRAWS = range(200), 50
+
+
+def festival_draw(weights, background_weight=0.0):
+    cfg = load_config(FESTIVAL_INI)
+    attractors = tuple(
+        Attractor(a.region, w, a.label) for a, w in zip(cfg.mobility.attractors, weights)
+    )
+    mobility = MobilityParams(0.0, 0.08, attractors, background_weight=background_weight)
+    draw = _WaypointDraw(cfg.venue, mobility)
+    rects = [a.region for a in attractors] + [cfg.venue.precinct] * (background_weight > 0)
+    w = np.array(list(weights) + [background_weight] * (background_weight > 0))
+    return draw, rects, w / w.sum()  # probs exactly as choice(p=...) was given them
+
+
+WEIGHT_SETS = {
+    "festival": ((0.5, 0.1, 0.1, 0.1, 0.1, 0.1), 0.0),
+    "festival_background": ((0.5, 0.1, 0.1, 0.1, 0.1, 0.1), 0.3),
+    "uneven": ((1 / 3, 1 / 7, 2 / 9, 5.5, 1e-9, 0.07), 0.0),
+    "background_heavy": ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), 40.0),
+}
+
+
+class TestDrawOracle:
+    """``_WaypointDraw`` and the speed draw against the numpy calls they
+    replace, on twin generators: same seed, same draws, same bits."""
+
+    @pytest.mark.parametrize("name", list(WEIGHT_SETS))
+    def test_pick_equals_choice(self, name):
+        draw, _, probs = festival_draw(*WEIGHT_SETS[name])
+        # two of the sets have cumsum(p)[-1] != 1, where the division shows
+        assert draw.cdf.tobytes() == reference_cdf(probs).tobytes()
+        for seed in ORACLE_SEEDS:
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(ORACLE_DRAWS):
+                assert int(draw.cdf.searchsorted(new.random(), side="right")) == reference_pick(old, probs)
+
+    @pytest.mark.parametrize("name", list(WEIGHT_SETS))
+    def test_point_equals_uniform(self, name):
+        draw, rects, probs = festival_draw(*WEIGHT_SETS[name])
+        for seed in ORACLE_SEEDS:
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(ORACLE_DRAWS):
+                point, host = draw.draw(new)
+                i = reference_pick(old, probs)
+                assert host == draw.hosts[i]
+                assert np.array(point).tobytes() == reference_point(old, rects[i]).tobytes()
+
+    def test_draw_on_a_cdf_step_picks_the_next_rect(self):
+        # a random() equal to cdf[k] is past rect k, as choice's side="right" has it
+        draw, rects, _ = festival_draw(*WEIGHT_SETS["festival"])
+
+        class StepRng:
+            def random(self, size=None):
+                return draw.cdf[1] if size is None else np.zeros(size)
+
+        point, _ = draw.draw(StepRng())
+        assert point == rects[2].lo.tolist()
+
+    @pytest.mark.parametrize("speed_min, speed_max", [(0.0, 0.08), (0.02, 0.09), (0.3, 0.3), (0.1, 7.0)])
+    def test_speed_equals_uniform(self, speed_min, speed_max):
+        span = speed_max - speed_min
+        for seed in ORACLE_SEEDS:
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(ORACLE_DRAWS):
+                speed = speed_min + span * new.random()  # the form generate_scenario uses
+                assert np.float64(speed).tobytes() == np.float64(
+                    reference_speed(old, speed_min, speed_max)
+                ).tobytes()
