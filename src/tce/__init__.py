@@ -7,13 +7,10 @@ aggregates -> normalized prediction error.
 
 from .aggregation import ZoneSeries, aggregate
 from .core import (
-    INSIDE,
-    OUTSIDE,
     Rect,
     TimeGrid,
     TraceSet,
     Venue,
-    classify_position,
     inside_mask,
     real_distance,
 )
@@ -25,8 +22,6 @@ from .markov import (
     TransitionMatrix,
     WindowConfig,
     build_general_matrix,
-    build_window_matrix,
-    predict_next,
     run_prediction,
 )
 from .metrics import (
@@ -35,7 +30,6 @@ from .metrics import (
     error_series,
     histogram_edges,
     position_extent,
-    prediction_error,
 )
 from .scenario import (
     Attractor,
@@ -55,10 +49,8 @@ __all__ = [
     "DataError",
     "ErrorSeries",
     "GENERAL",
-    "INSIDE",
     "InfeasibleError",
     "MobilityParams",
-    "OUTSIDE",
     "PER_USER",
     "PredictionRun",
     "Rect",
@@ -75,8 +67,6 @@ __all__ = [
     "apportion",
     "assign",
     "build_general_matrix",
-    "build_window_matrix",
-    "classify_position",
     "cluster",
     "error_histogram",
     "error_series",
@@ -86,8 +76,6 @@ __all__ = [
     "load_trace",
     "load_waypoint_lines",
     "position_extent",
-    "predict_next",
-    "prediction_error",
     "real_distance",
     "run_prediction",
 ]

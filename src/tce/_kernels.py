@@ -55,10 +55,10 @@ def accumulate_points(points, labels, k):
     return sums, counts
 
 
-def count_transitions(labels, t0, t1, k):
-    """Tally zone transitions (t -> t+1) for pair starts t in [t0, t1)."""
-    frm = labels[:, t0:t1].ravel()
-    to = labels[:, t0 + 1 : t1 + 1].ravel()
+def count_transitions(labels, k):
+    """Tally every zone transition (t -> t+1) of every user."""
+    frm = labels[:, :-1].ravel()
+    to = labels[:, 1:].ravel()
     return np.bincount(frm * k + to, minlength=k * k).reshape(k, k)
 
 

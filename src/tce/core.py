@@ -12,9 +12,6 @@ from functools import cached_property
 
 import numpy as np
 
-INSIDE = "inside"
-OUTSIDE = "outside"
-
 
 def _vec2(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=np.float64).reshape(-1)
@@ -43,10 +40,6 @@ class Rect:
         object.__setattr__(self, "hi", _vec2(self.hi, "Rect.hi"))
         if not np.all(self.lo < self.hi):
             raise ValueError(f"Rect.lo must be < Rect.hi component-wise, got {self.lo} / {self.hi}")
-
-    def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, 2) array, boundary counted as inside."""
@@ -156,16 +149,9 @@ def real_distance(system_distance: float, venue: Venue) -> float:
     return venue.index_scale * float(system_distance)
 
 
-def classify_position(p, venue: Venue) -> str:
-    """Tag a point as ``inside`` the precinct (boundary included) or ``outside``."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
-        raise ValueError(f"position must be a finite 2-vector, got {p}")
-    return INSIDE if venue.precinct.contains(p) else OUTSIDE
-
-
 def inside_mask(points: np.ndarray, venue: Venue) -> np.ndarray:
-    """Vectorized classify_position over an (n, 2) array: True where inside."""
+    """Boolean mask over an (n, 2) array: True where the point lies in the
+    precinct, boundary included."""
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
         raise ValueError("positions must be finite")

@@ -30,7 +30,6 @@ class TransitionMatrix:
 
     counts: np.ndarray
     probs: np.ndarray
-    zone_count: int
 
     @classmethod
     def from_counts(cls, counts) -> "TransitionMatrix":
@@ -42,7 +41,7 @@ class TransitionMatrix:
         row_sums = counts.sum(axis=1)
         safe = np.where(row_sums == 0, 1, row_sums)
         probs = counts / safe[:, None]
-        return cls(_frozen(counts), _frozen(probs), counts.shape[0])
+        return cls(_frozen(counts), _frozen(probs))
 
 
 @dataclass(frozen=True)
@@ -72,62 +71,8 @@ def _check_labels(labels, zone_count: int) -> np.ndarray:
 def build_general_matrix(labels, zone_count: int) -> TransitionMatrix:
     """Tally every (user, t -> t+1) transition over all users and instants."""
     labels = _check_labels(labels, zone_count)
-    counts = kern.count_transitions(labels, 0, labels.shape[1] - 1, zone_count)
+    counts = kern.count_transitions(labels, zone_count)
     return TransitionMatrix.from_counts(counts)
-
-
-def build_window_matrix(
-    labels,
-    zone_count: int,
-    cfg: WindowConfig,
-    end_instant: int,
-    user: int | None = None,
-) -> TransitionMatrix:
-    """Transition matrix over the window of true labels ending at ``end_instant``.
-
-    The window holds the last ``window_size`` instants, {end-W+1 .. end}, i.e.
-    W-1 transitions per covered user. Scope ``general`` pools all users; scope
-    ``per_user`` requires ``user`` and uses only that user's labels.
-    """
-    labels = _check_labels(labels, zone_count)
-    w = cfg.window_size
-    if cfg.scope == PER_USER:
-        if user is None:
-            raise ValueError("per_user scope requires a user id")
-        if not 0 <= user < labels.shape[0]:
-            raise ValueError(f"user id {user} out of range")
-        labels = labels[user : user + 1]
-    elif user is not None:
-        raise ValueError("general scope does not take a user id")
-    if end_instant >= labels.shape[1]:
-        raise ValueError(f"end_instant {end_instant} beyond last instant {labels.shape[1] - 1}")
-    if end_instant < w - 1:
-        raise InfeasibleError(
-            f"not enough history: window of {w} instants is not full at instant {end_instant}"
-        )
-    counts = kern.count_transitions(labels, end_instant - w + 1, end_instant, zone_count)
-    return TransitionMatrix.from_counts(counts)
-
-
-def predict_next(current_zone: int, matrix: TransitionMatrix, u: float) -> int:
-    """Next zone by cumulative-interval lookup of ``u`` in the current row.
-
-    Intervals are left-closed right-open in column order; the last interval
-    with positive probability absorbs any residual float mass up to 1.0. A row
-    with no observed transitions predicts "stay in the current zone".
-    """
-    k = matrix.zone_count
-    if not 0 <= current_zone < k:
-        raise ValueError(f"zone id {current_zone} out of range [0, {k})")
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must lie in [0, 1), got {u}")
-    if matrix.counts[current_zone].sum() == 0:
-        return int(current_zone)
-    row = matrix.probs[current_zone]
-    cum = np.cumsum(row)
-    j = int(np.searchsorted(cum, u, side="right"))
-    last_pos = int(np.flatnonzero(row > 0)[-1])
-    return min(j, last_pos)
 
 
 @dataclass(frozen=True)

@@ -36,34 +36,14 @@ def position_extent(traces: TraceSet) -> tuple[np.ndarray, np.ndarray]:
     return pts.min(axis=0), pts.max(axis=0)
 
 
-def _check_extent(extent_min, extent_max):
+def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> ErrorSeries:
+    """Errors for every user at every predicted instant of one run."""
     extent_min = np.asarray(extent_min, np.float64)
     extent_max = np.asarray(extent_max, np.float64)
     if not np.all(extent_max > extent_min):
         raise ValueError(
             f"degenerate extent: max {extent_max} must exceed min {extent_min} component-wise"
         )
-    return extent_min, extent_max
-
-
-def prediction_error(
-    real_zone: int,
-    pred_zone: int,
-    zoning: Zoning,
-    extent_min,
-    extent_max,
-) -> float:
-    """Euclidean distance between the real and predicted zone centroids,
-    divided by the diagonal of the extent."""
-    extent_min, extent_max = _check_extent(extent_min, extent_max)
-    centroids = zoning.all_centroids()
-    diff = centroids[real_zone] - centroids[pred_zone]
-    return float(np.linalg.norm(diff) / np.linalg.norm(extent_max - extent_min))
-
-
-def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> ErrorSeries:
-    """Errors for every user at every predicted instant of one run."""
-    extent_min, extent_max = _check_extent(extent_min, extent_max)
     first = run.first_predicted_instant
     real = zoning.labels[:, first:]
     pred = run.labels_pred[:, first:]

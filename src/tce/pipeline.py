@@ -195,8 +195,10 @@ def check_same_users(trace_file, traces: TraceSet, labels_file, zoning: Zoning) 
 
 
 def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
-    """Read predictions CSVs whose real zones must equal ``zoning``'s labels."""
+    """Read predictions CSVs whose real zones must equal ``zoning``'s labels,
+    and whose predicted zones must equal them before the window boundary."""
     runs = []
+    w = cfg.window.window_size
     with _stage("input"):
         for path in paths:
             real, pred = csvio.load_predictions(path, zoning.zone_count, cfg.grid.instant_count)
@@ -210,7 +212,14 @@ def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
                 raise DataError(
                     f"{path}: real zone of user {u} at instant {t} differs from the labels file"
                 )
-            runs.append(PredictionRun(pred, cfg.window.window_size))
+            differ = np.argwhere(pred[:, :w] != zoning.labels[:, :w])
+            if differ.size:
+                u, t = differ[0]
+                raise DataError(
+                    f"{path}: predicted zone of user {u} at instant {t} differs from the labels "
+                    f"file before the learning/prediction boundary at instant {w}"
+                )
+            runs.append(PredictionRun(pred, w))
     return runs
 
 

@@ -126,7 +126,7 @@ def _host(venue: Venue, attractor: Attractor) -> int:
     """Region holding both corners of the attractor: the precinct, else the
     first outside region that does."""
     for i, region in enumerate((venue.precinct, *venue.outside_regions)):
-        if region.contains(attractor.region.lo) and region.contains(attractor.region.hi):
+        if region.contains_many(np.stack((attractor.region.lo, attractor.region.hi))).all():
             return i - 1  # the precinct is _PRECINCT
     raise ValueError(
         f"attractor {attractor.label or attractor.region} must lie within the precinct "

@@ -15,19 +15,17 @@ from tce.core import TimeGrid, TraceSet, Venue
 from tce.markov import (
     GENERAL,
     PER_USER,
-    TransitionMatrix,
+    PredictionRun,
     WindowConfig,
     build_general_matrix,
-    build_window_matrix,
-    predict_next,
+    predict_labels,
     run_prediction,
 )
-from tce.metrics import prediction_error
 from tce.pipeline import run as pipeline_run
 from tce.scenario import Attractor, MobilityParams, TrafficTiers, generate_scenario
 from tce.zoning import Zoning, assign, cluster
 
-from conftest import FESTIVAL_INI
+from conftest import FESTIVAL_INI, WORKED_ROW, WORKED_WINDOW, first_forecasts, interval_lookup
 
 ERROR_BAND = (0.05, 0.20)
 RUN_TIME_LIMIT_S = 30.0
@@ -88,9 +86,11 @@ def test_criterion_1_full_scale(tmp_path):
 
 
 def test_criterion_2_worked_examples():
-    m = TransitionMatrix.from_counts([[1, 1, 2], [1, 1, 1], [1, 1, 1]])
-    normalization = list(m.probs[0]) == [0.25, 0.25, 0.5]
-    sampling = predict_next(0, m, 0.49) == 1
+    # WORKED_ROW's first window counts [1, 1, 2] out of zone 0, where it ends
+    m = build_general_matrix([WORKED_ROW[:WORKED_WINDOW]], 3)
+    normalization = list(m.counts[0]) == [1, 1, 2] and list(m.probs[0]) == [0.25, 0.25, 0.5]
+    drawn = int(first_forecasts(WORKED_ROW, 3, WORKED_WINDOW, [0.49])[0])
+    sampling = drawn == 1
 
     traces = TraceSet(np.zeros((2, 2, 2)), np.array([1.0, 2.0]))
     series = tce.aggregate(traces, np.zeros((2, 2), np.int64), np.zeros((2, 2), np.int64), 1)
@@ -101,7 +101,7 @@ def test_criterion_2_worked_examples():
 
     ok = normalization and sampling and traffic_sum and coordinates
     detail = (
-        f"[1,1,2] -> {list(m.probs[0])}; u=0.49 -> zone {predict_next(0, m, 0.49)}; "
+        f"[1,1,2] -> {list(m.probs[0])}; u=0.49 -> zone {drawn}; "
         f"1+2 Mbit/s -> {series.traffic_real[0, 0]} Mbit/s; scale 2 x distance 1 -> "
         f"{tce.real_distance(1.0, venue)} m"
     )
@@ -124,15 +124,20 @@ def test_criterion_3a_row_stochasticity():
 
 
 def test_criterion_3b_window_equals_restricted_general():
+    # each general-scope forecast at t draws from the general matrix of the
+    # true labels at t-w..t-1, looked up at the previous forecast
     rng = np.random.default_rng(101)
-    for _ in range(CASES):
+    for case in range(CASES):
         users, instants, zones = rng.integers(1, 6), rng.integers(3, 10), rng.integers(2, 5)
         labels = rng.integers(0, zones, size=(users, instants)).astype(np.int64)
         w = int(rng.integers(2, instants))
-        end = int(rng.integers(w - 1, instants))
-        window = build_window_matrix(labels, int(zones), WindowConfig(w, GENERAL), end)
-        restricted = build_general_matrix(labels[:, end - w + 1 : end + 1], int(zones))
-        assert np.array_equal(window.counts, restricted.counts)
+        pred = predict_labels(labels, int(zones), WindowConfig(w, GENERAL), case).labels_pred
+        uniforms = np.random.default_rng(case).random((users, instants - w))
+        for t in range(w, instants):
+            restricted = build_general_matrix(labels[:, t - w : t], int(zones))
+            for u in range(users):
+                state = int(pred[u, t - 1])
+                assert pred[u, t] == interval_lookup(restricted.counts[state], state, uniforms[u, t - w])
     report("criterion 3b: window matrix = general matrix on the window", True, f"{CASES} cases")
 
 
@@ -159,10 +164,11 @@ def test_criterion_3d_error_bounded_and_symmetric():
         cents = rng.uniform(0, 50, size=(zones, 2))
         pad = rng.uniform(0.1, 5, size=2)
         lo, hi = cents.min(axis=0) - pad, cents.max(axis=0) + pad
-        zoning = Zoning(cents, np.empty((0, 2)), np.zeros((1, 1), np.int64))
         a, b = int(rng.integers(0, zones)), int(rng.integers(0, zones))
-        e_ab = prediction_error(a, b, zoning, lo, hi)
-        e_ba = prediction_error(b, a, zoning, lo, hi)
+        # user 0 is in zone a, forecast in b at instant 1; user 1 the reverse
+        zoning = Zoning(cents, np.empty((0, 2)), np.array([[a, a], [b, b]]))
+        run = PredictionRun(np.array([[a, b], [b, a]]), 1)
+        e_ab, e_ba = tce.error_series(zoning, run, lo, hi).e[:, 0]
         assert 0.0 <= e_ab <= 1.0
         assert e_ab == e_ba
     report("criterion 3d: error in [0,1] and symmetric", True, f"{CASES} cases")
@@ -219,10 +225,9 @@ def test_criterion_3f_determinism():
 
 
 def test_criterion_4_monte_carlo_sampling():
-    m = TransitionMatrix.from_counts([[1, 1, 2], [1, 1, 1], [1, 1, 1]])
     n = 10**6
     us = np.random.default_rng(106).random(n)
-    counts = np.bincount([predict_next(0, m, float(u)) for u in us], minlength=3)
+    counts = np.bincount(first_forecasts(WORKED_ROW, 3, WORKED_WINDOW, us), minlength=3)
     row = np.array([0.25, 0.25, 0.5])
     deviations = []
     ok = True

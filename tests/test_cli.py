@@ -716,3 +716,19 @@ class TestInputsAgainstLabels:
         assert "p.csv: real zone of user 2 at instant 3 differs from the labels file" in (
             capsys.readouterr().err
         )
+
+    def test_edited_forecast_before_boundary_exit_code(self, tmp_path, full, capsys):
+        # CONFIG's window is 4, so instant 3 must still carry the true label
+        lines = (full / "predictions_run0.csv").read_text().splitlines()
+        row = 1 + 2 * 12 + 3  # user 2, instant 3
+        u, t, real, pred = lines[row].split(",")
+        lines[row] = ",".join([u, t, real, str((int(pred) + 1) % 4)])
+        (tmp_path / "p.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = command_argv("report", write_cfg(tmp_path), full, out, predictions_run0=tmp_path / "p.csv")
+        assert main(argv) == 3
+        assert (
+            "p.csv: predicted zone of user 2 at instant 3 differs from the labels file "
+            "before the learning/prediction boundary at instant 4"
+        ) in capsys.readouterr().err
+        assert not out.exists()

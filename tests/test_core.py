@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from tce.core import (
-    INSIDE,
-    OUTSIDE,
-    Rect,
-    TimeGrid,
-    TraceSet,
-    Venue,
-    classify_position,
-    inside_mask,
-    real_distance,
-)
+from tce.core import Rect, TimeGrid, TraceSet, Venue, inside_mask, real_distance
 
 
 class TestRealDistance:
@@ -37,31 +27,33 @@ class TestRealDistance:
 
 
 class TestClassifyPosition:
+    """Precinct membership, through ``inside_mask``."""
+
     def test_boundary_is_inside(self, festival_venue):
-        assert classify_position(festival_venue.precinct_min, festival_venue) == INSIDE
-        assert classify_position(festival_venue.precinct_max, festival_venue) == INSIDE
+        corners = np.array([festival_venue.precinct_min, festival_venue.precinct_max])
+        assert inside_mask(corners, festival_venue).tolist() == [True, True]
 
     def test_beyond_max_is_outside(self, festival_venue):
         p = festival_venue.precinct_max + np.array([1.0, 1.0])
-        assert classify_position(p, festival_venue) == OUTSIDE
+        assert inside_mask(p[None, :], festival_venue).tolist() == [False]
 
     def test_point_in_outside_strip(self, festival_venue):
-        assert classify_position((55.0, 40.0), festival_venue) == OUTSIDE
+        assert inside_mask(np.array([[55.0, 40.0]]), festival_venue).tolist() == [False]
 
     def test_non_finite_rejected(self, festival_venue):
         with pytest.raises(ValueError):
-            classify_position((np.nan, 1.0), festival_venue)
+            inside_mask(np.array([[np.nan, 1.0]]), festival_venue)
         with pytest.raises(ValueError):
-            classify_position((np.inf, 1.0), festival_venue)
+            inside_mask(np.array([[1.0, 2.0], [np.inf, 1.0]]), festival_venue)
 
     def test_deterministic_and_total(self, festival_venue):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-20, 100, size=(500, 2))
-        tags = [classify_position(p, festival_venue) for p in pts]
-        assert all(t in (INSIDE, OUTSIDE) for t in tags)
-        assert tags == [classify_position(p, festival_venue) for p in pts]
         mask = inside_mask(pts, festival_venue)
-        assert [INSIDE if m else OUTSIDE for m in mask] == tags
+        assert mask.dtype == bool and mask.shape == (500,)
+        assert np.array_equal(mask, inside_mask(pts, festival_venue))
+        expected = [0 <= x <= 50 and 0 <= y <= 80 for x, y in pts.tolist()]
+        assert mask.tolist() == expected
 
 
 class TestVenue:

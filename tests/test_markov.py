@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tce import _kernels as kern
 from tce.core import TraceSet
 from tce.errors import InfeasibleError
 from tce.markov import (
@@ -9,13 +10,12 @@ from tce.markov import (
     TransitionMatrix,
     WindowConfig,
     build_general_matrix,
-    build_window_matrix,
-    predict_next,
     run_prediction,
 )
 from tce.zoning import Zoning
 
-from conftest import random_labels
+from conftest import WORKED_ROW, WORKED_WINDOW, first_forecasts, interval_lookup, random_labels
+from test_kernels import predict_series_loop
 
 
 def zoning_for(labels, zone_count):
@@ -87,103 +87,89 @@ class TestBuildGeneralMatrix:
 
 
 class TestBuildWindowMatrix:
+    """The window matrix exists only inside ``predict_series``; each case reads
+    it back from the forecasts it drives."""
+
     def test_window_covers_w_instants(self):
-        # W=3 ending at instant 2 learns from instants 0,1,2; the matrix
-        # for the next step (end 3) uses 1,2,3 with instant 3's real label
+        # W=3: the forecast at instant 3 learns from instants 0,1,2, where zone
+        # 2 has no successor, so it stays in 2; the forecast at 4 learns from
+        # 1,2,3, and instant 3's real label adds the transition 2 -> 0
         labels = np.array([[0, 1, 2, 0, 1]], np.int64)
-        cfg = WindowConfig(3, GENERAL)
-        m2 = build_window_matrix(labels, 3, cfg, end_instant=2)
-        assert np.array_equal(m2.counts, naive_counts(labels, 3, 0, 2))
-        assert m2.counts.sum() == 2
-        m3 = build_window_matrix(labels, 3, cfg, end_instant=3)
-        assert np.array_equal(m3.counts, naive_counts(labels, 3, 1, 3))
-        assert m3.counts[2, 0] == 1  # transition into the real instant-3 label
+        for u in (0.0, 0.5, 0.999):
+            out = kern.predict_series(labels, 3, 3, False, np.full((1, 2), u))
+            assert out.tolist() == [[0, 1, 2, 2, 0]]
 
     def test_constant_window_is_absorbing(self):
+        # the window of the forecast at instant 4 is all zone 0; the real zone
+        # at 4 is 1, outside that window
         labels = np.zeros((2, 6), np.int64)
-        m = build_window_matrix(labels, 2, WindowConfig(4, GENERAL), end_instant=4)
-        assert m.probs[0, 0] == 1.0
+        labels[:, 4:] = 1
+        for u in (0.0, 0.5, 0.999):
+            out = kern.predict_series(labels, 2, 4, False, np.full((2, 2), u))
+            assert np.all(out[:, 4] == 0)
 
     def test_sliding_equals_rebuild_from_scratch(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             labels = random_labels(rng, 3, 10, 3)
             w = int(rng.integers(2, 6))
-            cfg = WindowConfig(w, GENERAL)
-            for end in range(w - 1, labels.shape[1]):
-                m = build_window_matrix(labels, 3, cfg, end_instant=end)
-                assert np.array_equal(m.counts, naive_counts(labels, 3, end - w + 1, end))
+            uniforms = rng.random((3, 10 - w))
+            out = kern.predict_series(labels, 3, w, False, uniforms)
+            for t in range(w, labels.shape[1]):
+                counts = naive_counts(labels, 3, t - w, t - 1)
+                for u in range(3):
+                    state = int(out[u, t - 1])
+                    assert out[u, t] == interval_lookup(counts[state], state, uniforms[u, t - w])
 
     def test_per_user_scope_uses_one_user(self):
-        labels = np.array([[0, 0, 0, 0], [1, 1, 1, 1]], np.int64)
-        cfg = WindowConfig(3, PER_USER)
-        m = build_window_matrix(labels, 2, cfg, end_instant=2, user=1)
-        assert m.counts[1, 1] == 2
-        assert m.counts[0, 0] == 0
-
-    def test_not_enough_history(self):
-        labels = np.zeros((1, 5), np.int64)
-        with pytest.raises(InfeasibleError):
-            build_window_matrix(labels, 1, WindowConfig(4, GENERAL), end_instant=2)
-
-    def test_scope_and_user_must_agree(self):
-        labels = np.zeros((2, 5), np.int64)
-        with pytest.raises(ValueError):
-            build_window_matrix(labels, 1, WindowConfig(2, PER_USER), end_instant=3)
-        with pytest.raises(ValueError):
-            build_window_matrix(labels, 1, WindowConfig(2, GENERAL), end_instant=3, user=0)
+        # at instant 4, user 1's own window has only 0 -> 0; pooled with user
+        # 0's 0 -> 1 transitions, zone 0's row becomes [3, 2] and u = 0.9 leaves
+        labels = np.array([[0, 1, 0, 1, 0], [0, 0, 0, 0, 0]], np.int64)
+        uniforms = np.full((2, 1), 0.9)
+        assert kern.predict_series(labels, 2, 4, True, uniforms)[1, 4] == 0
+        assert kern.predict_series(labels, 2, 4, False, uniforms)[1, 4] == 1
 
 
 class TestPredictNext:
+    """Next-zone sampling by cumulative-interval lookup, driven through
+    ``predict_series`` on one-user rows whose first forecast reads a known row."""
+
     def test_worked_example_0_49(self):
-        m = TransitionMatrix.from_counts([[1, 1, 2], [1, 1, 1], [1, 1, 1]])
-        assert predict_next(0, m, 0.49) == 1
+        # WORKED_ROW's window counts [1, 1, 2] out of zone 0, where it ends
+        assert first_forecasts(WORKED_ROW, 3, WORKED_WINDOW, [0.49]).tolist() == [1]
 
     def test_interval_edges(self):
-        m = TransitionMatrix.from_counts([[1, 1, 2], [1, 1, 1], [1, 1, 1]])
-        assert predict_next(0, m, 0.0) == 0
-        assert predict_next(0, m, 0.25) == 1  # left-closed intervals
-        assert predict_next(0, m, 0.5) == 2
-        assert predict_next(0, m, 0.999999) == 2
+        us = [0.0, 0.25, 0.5, 0.999999]  # left-closed intervals
+        assert first_forecasts(WORKED_ROW, 3, WORKED_WINDOW, us).tolist() == [0, 1, 2, 2]
 
     def test_deterministic_row(self):
-        m = TransitionMatrix.from_counts([[0, 5, 0], [0, 0, 0], [0, 0, 0]])
-        for u in (0.0, 0.3, 0.7, 0.9999):
-            assert predict_next(0, m, u) == 1
+        # zone 0's row counts [0, 2, 0]
+        row = [0, 1, 0, 1, 0, 0]
+        assert first_forecasts(row, 3, 5, [0.0, 0.3, 0.7, 0.9999]).tolist() == [1, 1, 1, 1]
 
     def test_all_zero_row_stays(self):
-        m = TransitionMatrix.from_counts([[0, 0], [1, 1]])
-        assert predict_next(0, m, 0.9) == 0
+        # the window ends in zone 0, which it never leaves; zone 1's row is [1, 2]
+        row = [1, 1, 1, 0, 1]
+        assert first_forecasts(row, 2, 4, [0.9]).tolist() == [0]
 
     def test_never_returns_zero_probability_zone(self):
-        m = TransitionMatrix.from_counts([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
-        rng = np.random.default_rng(24)
-        for u in rng.random(2000):
-            assert predict_next(0, m, float(u)) in (0, 1)
+        # zone 0's row counts [1, 1, 0]
+        row = [0, 0, 1, 0, 2]
+        us = np.append(np.random.default_rng(24).random(2000), np.nextafter(1.0, 0.0))
+        assert set(first_forecasts(row, 3, 4, us).tolist()) <= {0, 1}
 
     def test_monte_carlo_frequencies(self):
         # 10^6 draws on [0.25, 0.25, 0.5] stay within 3 binomial sigmas
-        m = TransitionMatrix.from_counts([[1, 1, 2], [1, 1, 1], [1, 1, 1]])
         n = 10**6
         us = np.random.default_rng(25).random(n)
         row = np.array([0.25, 0.25, 0.5])
-        cum = np.cumsum(row)
-        drawn = np.searchsorted(cum, us, side="right")
+        drawn = first_forecasts(WORKED_ROW, 3, WORKED_WINDOW, us)
         counts = np.bincount(drawn, minlength=3)
-        sample = [predict_next(0, m, float(u)) for u in us[:2000]]
-        assert np.array_equal(np.bincount(sample, minlength=3), np.bincount(drawn[:2000], minlength=3))
+        sample = [interval_lookup([1, 1, 2], 0, u) for u in us[:2000]]
+        assert drawn[:2000].tolist() == sample
         for j in range(3):
             sigma = np.sqrt(n * row[j] * (1 - row[j]))
             assert abs(counts[j] - n * row[j]) <= 3 * sigma
-
-    def test_rejects_bad_inputs(self):
-        m = TransitionMatrix.from_counts([[1, 1], [1, 1]])
-        with pytest.raises(ValueError):
-            predict_next(2, m, 0.5)
-        with pytest.raises(ValueError):
-            predict_next(0, m, 1.0)
-        with pytest.raises(ValueError):
-            predict_next(0, m, -0.1)
 
 
 class TestRunPrediction:
@@ -227,8 +213,7 @@ class TestRunPrediction:
         assert a.labels_pred.tobytes() == b.labels_pred.tobytes()
 
     def test_matches_stepwise_predict_next(self):
-        # the vectorized chain equals an explicit loop over build_window_matrix
-        # and predict_next fed with the same uniforms
+        # the seeded run equals the plain-loop chain fed with the same uniforms
         rng = np.random.default_rng(29)
         for trial in range(30):
             users = int(rng.integers(1, 5))
@@ -237,22 +222,12 @@ class TestRunPrediction:
             labels = random_labels(rng, users, instants, zones)
             w = int(rng.integers(1, instants - 1))
             scope = PER_USER if trial % 2 else GENERAL
-            cfg = WindowConfig(w, scope)
             seed = int(rng.integers(0, 1000))
             zoning = zoning_for(labels, zones)
-            run = run_prediction(traces_for(labels), zoning, cfg, seed=seed)
+            run = run_prediction(traces_for(labels), zoning, WindowConfig(w, scope), seed=seed)
 
             uniforms = np.random.default_rng(seed).random((users, instants - w))
-            expected = labels.copy()
-            state = labels[:, w - 1].copy()
-            for t in range(w, instants):
-                for u in range(users):
-                    m = build_window_matrix(
-                        labels, zones, cfg, end_instant=t - 1,
-                        user=u if scope == PER_USER else None,
-                    )
-                    state[u] = predict_next(int(state[u]), m, float(uniforms[u, t - w]))
-                    expected[u, t] = state[u]
+            expected = predict_series_loop(labels, zones, w, scope == PER_USER, uniforms)
             assert np.array_equal(run.labels_pred, expected)
 
     def test_state_chains_on_predictions_not_truth(self):
@@ -271,9 +246,10 @@ class TestRunPrediction:
             uniforms = np.random.default_rng(seed).random((3, 5))
             cheat = labels.copy()
             for t in range(3, 8):
-                m = build_window_matrix(labels, 3, cfg, end_instant=t - 1)
+                counts = naive_counts(labels, 3, t - 3, t - 1)
                 for u in range(3):
-                    cheat[u, t] = predict_next(int(labels[u, t - 1]), m, float(uniforms[u, t - 3]))
+                    real = int(labels[u, t - 1])
+                    cheat[u, t] = interval_lookup(counts[real], real, uniforms[u, t - 3])
             if not np.array_equal(run.labels_pred, cheat):
                 diverged += 1
         assert diverged > 0

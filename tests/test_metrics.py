@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,35 +10,38 @@ from tce.metrics import (
     error_histogram,
     error_series,
     position_extent,
-    prediction_error,
 )
 from tce.zoning import Zoning
 
 
-def zoning_with(centroids):
-    return Zoning(np.asarray(centroids, float), np.empty((0, 2)), np.zeros((1, 1), np.int64))
+def zoning_with(centroids, labels=((0,),)):
+    return Zoning(np.asarray(centroids, float), np.empty((0, 2)), np.array(labels, np.int64))
+
+
+def error_of(centroids, real, pred, lo, hi):
+    """``error_series`` of one user in zone ``real``, forecast in ``pred`` at instant 1."""
+    run = PredictionRun([[real, pred]], 1)
+    return float(error_series(zoning_with(centroids, [[real, real]]), run, lo, hi).e[0, 0])
 
 
 class TestPredictionError:
     def test_same_zone_is_zero(self):
-        z = zoning_with([[3.0, 4.0], [10.0, 10.0]])
-        assert prediction_error(1, 1, z, (0, 0), (50, 80)) == 0.0
+        assert error_of([[3.0, 4.0], [10.0, 10.0]], 1, 1, (0, 0), (50, 80)) == 0.0
 
     def test_three_four_five_over_extent_diagonal(self):
         # centroids (0,0) and (3,4): distance 5; extent (0,0)-(50,80)
-        z = zoning_with([[0.0, 0.0], [3.0, 4.0]])
         expected = 5.0 / np.hypot(50.0, 80.0)
-        got = prediction_error(0, 1, z, (0, 0), (50, 80))
+        got = error_of([[0.0, 0.0], [3.0, 4.0]], 0, 1, (0, 0), (50, 80))
         assert got == pytest.approx(expected, abs=1e-12)
         assert f"{got:.4f}" == "0.0530"
 
     def test_symmetry(self):
         rng = np.random.default_rng(33)
-        z = zoning_with(rng.uniform(0, 50, size=(5, 2)))
+        cents = rng.uniform(0, 50, size=(5, 2))
         for _ in range(200):
-            a, b = rng.integers(0, 5, size=2)
-            assert prediction_error(int(a), int(b), z, (0, 0), (50, 80)) == pytest.approx(
-                prediction_error(int(b), int(a), z, (0, 0), (50, 80))
+            a, b = (int(z) for z in rng.integers(0, 5, size=2))
+            assert error_of(cents, a, b, (0, 0), (50, 80)) == pytest.approx(
+                error_of(cents, b, a, (0, 0), (50, 80))
             )
 
     def test_bounded_when_extent_covers_centroids(self):
@@ -45,20 +50,17 @@ class TestPredictionError:
             cents = rng.uniform(0, 50, size=(4, 2))
             lo = cents.min(axis=0)
             hi = cents.max(axis=0) + rng.uniform(0.1, 5, size=2)
-            z = zoning_with(cents)
-            a, b = rng.integers(0, 4, size=2)
-            e = prediction_error(int(a), int(b), z, lo, hi)
-            assert 0.0 <= e <= 1.0
+            a, b = (int(z) for z in rng.integers(0, 4, size=2))
+            assert 0.0 <= error_of(cents, a, b, lo, hi) <= 1.0
 
     def test_zero_iff_shared_centroid(self):
-        z = zoning_with([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-        assert prediction_error(0, 1, z, (0, 0), (10, 10)) == 0.0
-        assert prediction_error(0, 2, z, (0, 0), (10, 10)) > 0.0
+        cents = [[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]]
+        assert error_of(cents, 0, 1, (0, 0), (10, 10)) == 0.0
+        assert error_of(cents, 0, 2, (0, 0), (10, 10)) > 0.0
 
     def test_degenerate_extent_rejected(self):
-        z = zoning_with([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
-            prediction_error(0, 1, z, (5, 0), (5, 80))
+            error_of([[0.0, 0.0], [1.0, 1.0]], 0, 1, (5, 0), (5, 80))
 
 
 class TestPositionExtent:
@@ -83,11 +85,11 @@ class TestErrorSeries:
         es = error_series(zoning, run, lo, hi)
         assert es.e.shape == (4, 4)
         assert es.first_instant == 6
+        diagonal = math.hypot(*(hi - lo))
         for u in range(4):
             for i in range(4):
-                expected = prediction_error(
-                    int(labels[u, 6 + i]), int(pred_labels[u, 6 + i]), zoning, lo, hi
-                )
+                (rx, ry), (px, py) = cents[labels[u, 6 + i]], cents[pred_labels[u, 6 + i]]
+                expected = math.hypot(rx - px, ry - py) / diagonal
                 assert es.e[u, i] == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_out_of_bound_errors(self):
