@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import pipeline
 from .config import MODE_GENERATE, load_config
 from .errors import ConfigError, ToolError
@@ -137,9 +135,8 @@ def _cmd_report(args) -> int:
         zoning = pipeline.load_zoning(cfg, args.zones, args.labels)
         pipeline.check_same_users(args.trace, traces, args.labels, zoning)
         runs = pipeline.load_runs(cfg, zoning, args.predictions)
-        errors = pipeline.report_stage(cfg, traces, zoning, runs, tmp)
-    pooled = np.concatenate([es.e.ravel() for es in errors])
-    print(f"report written to {out}; mean error {pooled.mean():.4f} over {len(runs)} run(s)")
+        summary = pipeline.report_stage(cfg, traces, zoning, runs, tmp)
+    print(f"report written to {out}; mean error {summary['mean_error']:.4f} over {len(runs)} run(s)")
     return 0
 
 

@@ -54,14 +54,14 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
 
 
 def error_histogram(errors, bin_count: int) -> np.ndarray:
-    """Counts over ``bin_count`` equal-width bins spanning [0, 1].
+    """Counts of an array of errors over ``bin_count`` equal-width bins
+    spanning [0, 1].
 
     The last bin is closed on the right, so an error of exactly 1 is counted.
     """
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
-    values = errors.e if isinstance(errors, ErrorSeries) else np.asarray(errors, np.float64)
-    values = values.ravel()
+    values = np.asarray(errors, np.float64).ravel()
     idx = np.minimum((values * bin_count).astype(np.int64), bin_count - 1)
     return np.bincount(idx, minlength=bin_count)
 

@@ -29,7 +29,7 @@ from .config import MODE_GENERATE, RunConfig, config_digest
 from .core import TraceSet
 from .errors import ConfigError, DataError, ToolError
 from .markov import PredictionRun, build_general_matrix, predict_labels
-from .metrics import ErrorSeries, error_histogram, error_series, histogram_edges, position_extent
+from .metrics import error_histogram, error_series, histogram_edges, position_extent
 from .scenario import generate_scenario
 from .zoning import Zoning, cluster
 
@@ -138,12 +138,10 @@ def prediction_stage(
     return runs
 
 
-def report_stage(
-    cfg: RunConfig, traces: TraceSet, zoning: Zoning, runs, out_dir: Path
-) -> list[ErrorSeries]:
+def report_stage(cfg: RunConfig, traces: TraceSet, zoning: Zoning, runs, out_dir: Path) -> dict:
     """Aggregate users and traffic per zone and score every run; write the
-    zone series, errors, histogram and plots. Returns each run's errors;
-    ``check_plot_users`` must have accepted ``traces``."""
+    zone series, errors, histogram and plots. Returns the error summary the
+    manifest records; ``check_plot_users`` must have accepted ``traces``."""
     with _stage("aggregation"):
         series = [aggregate(traces, zoning.labels, p.labels_pred, zoning.zone_count) for p in runs]
         for r, zs in enumerate(series):
@@ -154,12 +152,12 @@ def report_stage(
         errors = [error_series(zoning, p, extent_min, extent_max) for p in runs]
         for r, es in enumerate(errors):
             csvio.write_errors(out_dir / f"errors_run{r}.csv", es)
-        hist = [(r, error_histogram(es, cfg.bin_count)) for r, es in enumerate(errors)]
+        hist = [(r, error_histogram(es.e, cfg.bin_count)) for r, es in enumerate(errors)]
         csvio.write_histogram(out_dir / "histogram.csv", hist, histogram_edges(cfg.bin_count))
 
     with _stage("report"):
         emit_plots(out_dir, cfg, traces, zoning, runs, series, hist)
-    return errors
+    return _summary(errors, zoning, traces)
 
 
 def check_plot_users(cfg: RunConfig, traces: TraceSet) -> None:
@@ -238,14 +236,14 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
         zoning = clustering_stage(cfg, traces, base_seed, tmp)
         general_matrix_stage(zoning, tmp)
         runs = prediction_stage(cfg, zoning, base_seed, tmp)
-        errors = report_stage(cfg, traces, zoning, runs, tmp)
+        summary = report_stage(cfg, traces, zoning, runs, tmp)
 
         manifest = {
             "config_digest": config_digest(cfg),
             "base_seed": base_seed,
             "run_seeds": [base_seed + r for r in range(cfg.run_count)],
             "backend": backend(),
-            "summary": _summary(errors, zoning, traces),
+            "summary": summary,
             "elapsed_seconds": round(time.perf_counter() - started, 3),
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }

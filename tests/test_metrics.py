@@ -120,10 +120,6 @@ class TestErrorHistogram:
             bins = int(rng.integers(1, 20))
             assert error_histogram(values, bins).sum() == len(values)
 
-    def test_accepts_error_series(self):
-        es = ErrorSeries(np.array([[0.1, 0.2], [0.3, 0.4]]), 2)
-        assert error_histogram(es, 10).sum() == 4
-
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError):
             error_histogram(np.zeros(3), 0)

@@ -1,6 +1,6 @@
-"""The SVG charts are outputs too: small ``line_chart`` and ``scatter_chart``
-files are pinned by sha256, so a change to how coordinates are computed or
-formatted shows."""
+"""The SVG charts are outputs too: small ``line_chart``, ``scatter_chart`` and
+``histogram_chart`` files are pinned by sha256, so a change to how coordinates
+are computed or formatted shows."""
 
 import hashlib
 
@@ -47,3 +47,13 @@ def test_scatter_chart_bytes_pinned(tmp_path):
     svgplot.scatter_chart(path, points, rects, "Positions (all users, all instants)")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "39f59c0d52ae1acc75f30a60eb8bb98f75c3adfa3e8b21098c7a6197047f5796"
+
+
+def test_histogram_chart_bytes_pinned(tmp_path):
+    # bin 1 is empty in run 0 and bin 2 holds the same count in both runs
+    edges = np.linspace(0.0, 1.0, 6)
+    per_run_counts = [(0, np.array([3, 0, 2, 5, 1])), (1, np.array([1, 4, 2, 0, 0]))]
+    path = tmp_path / "histogram.svg"
+    svgplot.histogram_chart(path, per_run_counts, edges, "Prediction error by run")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "192493b798874a140e52c5074f0f76d77ea080b54e45462ca7ad68aad022101e"
