@@ -7,9 +7,10 @@ Float results are fixed bit for bit, so a seed fixes every output byte:
 and y columns, computing ``dx*dx + dy*dy`` and replacing the running best
 only on a strictly smaller distance (ties go to the lowest index);
 ``accumulate_points`` sums with ``np.bincount(labels, weights=...)``, which
-adds the points in ascending index order, and ``predict_series`` uses
-``np.cumsum``, which adds sequentially. ``tests/test_kernels.py`` checks
-each kernel against a plain-Python loop.
+adds the points in ascending index order, and ``predict_series`` adds each
+row's probabilities in zone order, one in-place row add at a time, which is
+the sequential order of ``np.cumsum``. ``tests/test_kernels.py`` checks each
+kernel against a plain-Python loop.
 """
 
 from __future__ import annotations
@@ -67,33 +68,49 @@ def count_transitions(labels, k):
 #
 # For each instant t in [w, T): count the window pairs of the true labels at
 # instants {t-w..t-1}, then sample the next zone from the row of the current
-# state by cumulative interval lookup. Both scopes are one grouped count: a
-# user's group is its own index when per_user, else 0; a pair is keyed
-# (group*k + from)*k + to, so one bincount stacks every group's k x k matrix
-# as (groups*k, k) rows and a user in state s reads row group*k + s. The state
-# is the previous prediction except at t=w, where it is the true label at w-1.
-# Rows with no observed transition predict "stay". uniforms[u, t-w] is the
-# draw for user u at instant t.
+# state by cumulative interval lookup. The state is the previous prediction
+# except at t=w, where it is the true label at w-1. Rows with no observed
+# transition predict "stay". uniforms[u, t-w] is the draw for user u at
+# instant t.
+#
+# Both scopes are one grouped count: a user's group is its own index when
+# per_user, else 0, and the counts of every group sit in one (k to,
+# groups*k from) table, so a user in state s reads column group*k + s. The
+# table is counted once over the pairs of the first window, then slides:
+# after instant t the pair (t-1 -> t) enters and the pair (t-w -> t-w+1)
+# leaves. np.add.at counts the general scope's repeated keys, and for w = 1
+# the two updates cancel. The work is column-major: the users' columns are
+# gathered as a (k, U) block whose probabilities are summed by k-1 in-place
+# row adds, the sequential order of np.cumsum.
 
 
 def predict_series(labels, k, w, per_user, uniforms):
     U, T = labels.shape
     out = labels.copy()
-    state = labels[:, w - 1].copy()
+    state = labels[:, w - 1]
     first_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
-    size = (U if per_user else 1) * k * k
+    width = (U if per_user else 1) * k
+
+    def keys(frm, to):  # table index of each user's pair (frm -> to)
+        return to * width + first_row + frm
+
+    window = keys(labels[:, : w - 1].T, labels[:, 1:w].T)
+    table = np.bincount(window.ravel(), minlength=k * width).reshape(k, width)
+    cum = np.empty((k, U))
     for t in range(w, T):
-        keys = (first_row[:, None] + labels[:, t - w : t - 1]) * k + labels[:, t - w + 1 : t]
-        counts = np.bincount(keys.ravel(), minlength=size).reshape(-1, k)
-        rows = counts[first_row + state]
-        rowsum = rows.sum(axis=1)
-        safe = np.where(rowsum == 0, 1, rowsum)
-        cum = np.cumsum(rows / safe[:, None], axis=1)
-        u = uniforms[:, t - w]
-        j = (cum <= u[:, None]).sum(axis=1)
-        # residual float mass lands in the last positive-probability interval
-        last_pos = (k - 1) - np.argmax(rows[:, ::-1] > 0, axis=1)
-        j = np.minimum(j, last_pos)
-        state = np.where(rowsum == 0, state, j)
+        # np.take keeps the (k, U) block row-major, so each row add is contiguous
+        rows = np.take(table, first_row + state, axis=1)
+        total = rows.sum(axis=0)
+        np.divide(rows, np.where(total == 0, 1, total), out=cum)
+        for i in range(1, k):
+            np.add(cum[i - 1], cum[i], out=cum[i])
+        j = (cum <= uniforms[:, t - w]).sum(axis=0)
+        # cum is nondecreasing, so j passes the last positive-probability zone
+        # only by reaching k; there the residual float mass lands in that zone
+        over = np.flatnonzero((j == k) & (total > 0))
+        j[over] = (k - 1) - np.argmax(rows[::-1, over] > 0, axis=0)
+        state = np.where(total == 0, state, j)
         out[:, t] = state
+        np.add.at(table.reshape(-1), keys(labels[:, t - 1], labels[:, t]), 1)
+        np.subtract.at(table.reshape(-1), keys(labels[:, t - w], labels[:, t - w + 1]), 1)
     return out

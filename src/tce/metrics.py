@@ -32,8 +32,8 @@ class ErrorSeries:
 def position_extent(traces: TraceSet) -> tuple[np.ndarray, np.ndarray]:
     """Component-wise min and max over every observed position, outside
     points included."""
-    pts = traces.all_points()
-    return pts.min(axis=0), pts.max(axis=0)
+    x, y = traces.positions[..., 0], traces.positions[..., 1]
+    return np.array([x.min(), y.min()]), np.array([x.max(), y.max()])
 
 
 def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> ErrorSeries:
@@ -47,10 +47,11 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
     first = run.first_predicted_instant
     real = zoning.labels[:, first:]
     pred = run.labels_pred[:, first:]
-    centroids = zoning.all_centroids()
-    diff = centroids[real] - centroids[pred]
-    e = np.linalg.norm(diff, axis=2) / np.linalg.norm(extent_max - extent_min)
-    return ErrorSeries(e, first)
+    c = zoning.all_centroids()
+    # one cell per (real, predicted) zone pair, from the same operands as a
+    # per-(user, instant) difference would use, so the bits are the same
+    table = np.linalg.norm(c[:, None] - c[None], axis=2) / np.linalg.norm(extent_max - extent_min)
+    return ErrorSeries(table[real, pred], first)
 
 
 def error_histogram(errors, bin_count: int) -> np.ndarray:

@@ -141,13 +141,24 @@ def test_predict_series_matches_reference_loop():
         )
         for _ in range(20)
     ]
-    for labels, zones in cases:
-        w = int(rng.integers(1, labels.shape[1]))
-        uniforms = rng.random((labels.shape[0], labels.shape[1] - w))
-        for per_user in (False, True):
-            a = kern.predict_series(labels, zones, w, per_user, uniforms)
-            b = predict_series_loop(labels, zones, w, per_user, uniforms)
-            assert np.array_equal(a, b), (per_user, labels.shape, zones, w)
+    runs = [(labels, zones, int(rng.integers(1, labels.shape[1]))) for labels, zones in cases]
+    # event-sized cases, 100-300 users over up to 30 zones, at the shortest
+    # windows and at the longest, which leaves one forecast
+    for _ in range(4):
+        labels, zones = random_case(
+            rng, int(rng.integers(100, 301)), int(rng.integers(6, 11)), int(rng.integers(10, 31))
+        )
+        runs += [(labels, zones, w) for w in (1, 2, labels.shape[1] - 1)]
+    # draws on interval ends: 0, fractions m/n whose cumulative sums land on
+    # them exactly for small row totals n, and the largest double below 1
+    edges = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
+    for labels, zones, w in runs:
+        shape = (labels.shape[0], labels.shape[1] - w)
+        for uniforms in (rng.random(shape), rng.choice(edges, shape)):
+            for per_user in (False, True):
+                a = kern.predict_series(labels, zones, w, per_user, uniforms)
+                b = predict_series_loop(labels, zones, w, per_user, uniforms)
+                assert np.array_equal(a, b), (per_user, labels.shape, zones, w)
 
 
 def test_count_transitions_matches_double_loop():

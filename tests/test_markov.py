@@ -158,6 +158,19 @@ class TestPredictNext:
         us = np.append(np.random.default_rng(24).random(2000), np.nextafter(1.0, 0.0))
         assert set(first_forecasts(row, 3, 4, us).tolist()) <= {0, 1}
 
+    @pytest.mark.parametrize("per_user", [False, True])
+    def test_residual_mass_lands_in_last_positive_zone(self, per_user):
+        # zone 0's row counts one transition to each of zones 0-9 out of 11;
+        # the ten tenths add up to 0.9999999999999999, which the draw just
+        # below 1 equals, so every interval end lies at or below it
+        row = [0, 0] + [z for zone in range(1, 10) for z in (zone, 0)] + [0]
+        w = len(row) - 1
+        u = np.nextafter(1.0, 0.0)
+        labels = np.array([row], np.int64)
+        out = kern.predict_series(labels, 11, w, per_user, np.full((1, 1), u))
+        assert out[0, w] == 9
+        assert interval_lookup([1] * 10 + [0], 0, u) == 9
+
     def test_monte_carlo_frequencies(self):
         # 10^6 draws on [0.25, 0.25, 0.5] stay within 3 binomial sigmas
         n = 10**6

@@ -18,6 +18,15 @@ def zoning_with(centroids, labels=((0,),)):
     return Zoning(np.asarray(centroids, float), np.empty((0, 2)), np.array(labels, np.int64))
 
 
+def error_series_norm(zoning, run, lo, hi):
+    """The per-(user, instant) form of ``error_series``: the norm of a
+    (U, T-w, 2) centroid difference over the extent diagonal."""
+    first = run.first_predicted_instant
+    c = zoning.all_centroids()
+    diff = c[zoning.labels[:, first:]] - c[run.labels_pred[:, first:]]
+    return np.linalg.norm(diff, axis=2) / np.linalg.norm(np.subtract(hi, lo, dtype=float))
+
+
 def error_of(centroids, real, pred, lo, hi):
     """``error_series`` of one user in zone ``real``, forecast in ``pred`` at instant 1."""
     run = PredictionRun([[real, pred]], 1)
@@ -91,6 +100,23 @@ class TestErrorSeries:
                 (rx, ry), (px, py) = cents[labels[u, 6 + i]], cents[pred_labels[u, 6 + i]]
                 expected = math.hypot(rx - px, ry - py) / diagonal
                 assert es.e[u, i] == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_norm_form_bit_for_bit(self):
+        # five inside zones, zone 3 a copy of zone 1, and one outside zone
+        rng = np.random.default_rng(36)
+        inside = rng.uniform(0, 50, size=(5, 2))
+        inside[3] = inside[1]
+        outside = np.array([[55.0, 40.0]])
+        for _ in range(20):
+            labels = rng.integers(0, 6, size=(int(rng.integers(1, 60)), 12)).astype(np.int64)
+            zoning = Zoning(inside, outside, labels)
+            w = int(rng.integers(1, 12))
+            pred = labels.copy()
+            pred[:, w:] = rng.integers(0, 6, size=(labels.shape[0], 12 - w))
+            run = PredictionRun(pred, w)
+            lo, hi = rng.uniform(-5, 0, size=2), rng.uniform(60, 90, size=2)
+            expected = error_series_norm(zoning, run, lo, hi)
+            assert error_series(zoning, run, lo, hi).e.tobytes() == expected.tobytes()
 
     def test_rejects_out_of_bound_errors(self):
         with pytest.raises(ValueError):
