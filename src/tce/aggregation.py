@@ -28,14 +28,38 @@ class ZoneSeries:
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
 
-def _tally(labels: np.ndarray, traffic: np.ndarray, zone_count: int):
-    """User counts and traffic sums per (zone, instant), from one flat index."""
+def _tally(labels: np.ndarray, weights: np.ndarray, zone_count: int):
+    """User counts and traffic sums per (zone, instant), from one flat index;
+    ``weights`` holds each user's traffic once per instant."""
     instants = labels.shape[1]
-    flat = (labels * instants + np.arange(instants)).ravel()
+    flat = labels * instants
+    flat += np.arange(instants)  # in place: ``weights`` is held meanwhile
+    flat = flat.ravel()
     size = zone_count * instants
     users = np.bincount(flat, minlength=size).reshape(zone_count, instants)
-    sums = np.bincount(flat, weights=np.repeat(traffic, instants), minlength=size)
+    sums = np.bincount(flat, weights=weights, minlength=size)
     return users, sums.reshape(zone_count, instants)
+
+
+def aggregate_runs(traces: TraceSet, labels_real, runs_pred, zone_count: int) -> list[ZoneSeries]:
+    """``aggregate`` for each predicted label table of ``runs_pred``; the
+    real series is counted once and shared by every run's ZoneSeries."""
+    shape = (traces.user_count, traces.instant_count)
+    weights = np.repeat(traces.mean_traffic, traces.instant_count)
+
+    def tally(name, table):
+        table = np.asarray(table, dtype=np.int64)
+        if table.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+        if table.min() < 0 or table.max() >= zone_count:
+            raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
+        return _tally(table, weights, zone_count)
+
+    users_real, traffic_real = tally("labels_real", labels_real)
+    return [
+        ZoneSeries(users_real, users_pred, traffic_real, traffic_pred)
+        for users_pred, traffic_pred in (tally("labels_pred", pred) for pred in runs_pred)
+    ]
 
 
 def aggregate(traces: TraceSet, labels_real, labels_pred, zone_count: int) -> ZoneSeries:
@@ -44,14 +68,4 @@ def aggregate(traces: TraceSet, labels_real, labels_pred, zone_count: int) -> Zo
     ``traffic[z, t]`` adds up the constant mean rate of every user whose label
     at t is z; predicted aggregates use the predicted labels.
     """
-    labels_real = np.asarray(labels_real, dtype=np.int64)
-    labels_pred = np.asarray(labels_pred, dtype=np.int64)
-    shape = (traces.user_count, traces.instant_count)
-    for name, table in (("labels_real", labels_real), ("labels_pred", labels_pred)):
-        if table.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
-        if table.min() < 0 or table.max() >= zone_count:
-            raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
-    users_real, traffic_real = _tally(labels_real, traces.mean_traffic, zone_count)
-    users_pred, traffic_pred = _tally(labels_pred, traces.mean_traffic, zone_count)
-    return ZoneSeries(users_real, users_pred, traffic_real, traffic_pred)
+    return aggregate_runs(traces, labels_real, [labels_pred], zone_count)[0]

@@ -4,13 +4,22 @@ All writers emit a header row and sort rows (user_id, then t) so identical
 data gives identical bytes, with csv-module text: comma-separated, CRLF line
 ends, a float written as its ``repr``. Every per-(id, t) table goes through
 ``_write_table``, which formats each distinct value of a column once and
-repeats its text. Tables are parsed a column at a time; loaders validate
-coverage and report the offending file row in error messages.
+repeats its text.
+
+Loaders parse a table with numpy's C reader (``np.loadtxt``) into one array
+per column. Where that reader refuses the text, or could read it otherwise
+than csv.reader and int()/float() would, a csv.reader scan parses it
+instead. The loaders validate coverage and name the offending file row in
+error messages; a row number counts CSV records, the header being row 1,
+and comes from a csv scan run only once a check fails.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import warnings
+from collections.abc import Callable
 
 import numpy as np
 
@@ -67,18 +76,28 @@ def _write_table(path, header, *tables, first=0) -> None:
             fh.write("".join(line))
 
 
+_DTYPES = {int: np.int64, float: np.float64, str: object}
+# Characters numpy's reader parses unlike int()/float(): it takes \x1c-\x1f
+# for whitespace, and reads some non-ASCII letters as digits.
+_UNLIKE_PYTHON = "\x1c\x1d\x1e\x1f"
+
+
+def _check_header(path, header, fh) -> None:
+    """Read the header record of ``fh`` and require it to be ``header``."""
+    try:
+        first = next(csv.reader(fh))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if [c.strip() for c in first] != header:
+        raise DataError(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
+
+
 def _read_rows(path, header) -> tuple[range | list[int], list[list[str]]]:
-    """The 1-based file line numbers of the non-blank data rows and the rows,
-    header validated."""
+    """The 1-based file row numbers of the non-blank data rows and the rows,
+    header validated. A row number counts CSV records, the header being 1."""
     with open_input(path, DataError, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [c.strip() for c in first] != header:
-            raise DataError(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
-        rows = list(reader)
+        _check_header(path, header, fh)
+        rows = list(csv.reader(fh))
     lines = range(2, len(rows) + 2)
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]
@@ -93,12 +112,9 @@ def _parse(path, line, value, kind, what):
         raise DataError(f"{path}, row {line}: bad {what} {value!r}") from None
 
 
-def _columns(path, header, kinds) -> tuple[range | list[int], list]:
-    """File line numbers of the data rows and one array per column.
-
-    ``kinds`` holds int, float or str per column; numbers are converted with
-    int()/float() semantics, and a value that does not convert names its row.
-    """
+def _scan(path, header, kinds) -> tuple[range | list[int], list]:
+    """``_columns`` by csv.reader and int()/float(), naming the row of a
+    value that does not convert."""
     lines, rows = _read_rows(path, header)
     if set(map(len, rows)) - {len(header)}:
         line, row = next((line, row) for line, row in zip(lines, rows) if len(row) != len(header))
@@ -110,7 +126,7 @@ def _columns(path, header, kinds) -> tuple[range | list[int], list]:
             out.append([value.strip() for value in col])
             continue
         try:
-            out.append(np.array(col, dtype=np.int64 if kind is int else np.float64))
+            out.append(np.array(col, dtype=_DTYPES[kind]))
         except (ValueError, OverflowError):
             for line, value in zip(lines, col):
                 number = _parse(path, line, value, kind, name)
@@ -120,19 +136,63 @@ def _columns(path, header, kinds) -> tuple[range | list[int], list]:
     return lines, out
 
 
-def _finite(path, lines, x, y, what) -> None:
+def _load(path, header, kinds) -> np.ndarray | None:
+    """The data rows as one structured array, parsed by numpy's reader; None
+    where that reader refuses the text or might read it unlike ``_scan``."""
+    with open_input(path, DataError, newline="") as fh:
+        _check_header(path, header, fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None  # _scan names it, at the offset its line reads give
+    if not text.isascii() or any(c in text for c in _UNLIKE_PYTHON):
+        return None
+    dtype = np.dtype([(name, _DTYPES[kind]) for name, kind in zip(header, kinds)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                io.StringIO(text, newline=""), dtype=dtype, delimiter=",", quotechar='"',
+                comments=None, ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+
+
+def _columns(path, header, kinds) -> tuple[Callable[[int], int], list]:
+    """A function from a data row's index to its file row number, and one
+    column per header name: an array, or a list of stripped strings.
+
+    ``kinds`` holds int, float or str per column; numbers are converted with
+    int()/float() semantics, and a value that does not convert names its row.
+    Where numpy's reader parses the table, no per-row Python list is built:
+    the row numbers, which only an error message needs, come from a csv scan
+    made when the function is called.
+    """
+    table = _load(path, header, kinds)
+    if table is None:
+        lines, columns = _scan(path, header, kinds)
+        return lines.__getitem__, columns
+    columns = [
+        [value.strip() for value in table[name].tolist()] if kind is str else table[name]
+        for name, kind in zip(header, kinds)
+    ]
+    return lambda i: _read_rows(path, header)[0][i], columns
+
+
+def _finite(path, row, x, y, what) -> None:
     bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
     if bad.size:
-        raise DataError(f"{path}, row {lines[bad[0]]}: non-finite {what}")
+        raise DataError(f"{path}, row {row(bad[0])}: non-finite {what}")
 
 
-def _zone_ids(path, lines, z, zone_count: int) -> None:
+def _zone_ids(path, row, z, zone_count: int) -> None:
     bad = np.flatnonzero((z < 0) | (z >= zone_count))
     if bad.size:
-        raise DataError(f"{path}, row {lines[bad[0]]}: zone id {z[bad[0]]} outside [0, {zone_count})")
+        raise DataError(f"{path}, row {row(bad[0])}: zone id {z[bad[0]]} outside [0, {zone_count})")
 
 
-def _grid(path, lines, u, t, instants: int, entry="entry") -> np.ndarray:
+def _grid(path, row, u, t, instants: int, entry="entry") -> np.ndarray:
     """Row indices that fill the (users, instants) table keyed by columns u, t.
 
     Users must be contiguous from 0 and every (user, instant in
@@ -143,7 +203,7 @@ def _grid(path, lines, u, t, instants: int, entry="entry") -> np.ndarray:
     bad = np.flatnonzero((t < 0) | (t >= instants))
     if bad.size:
         i = bad[0]
-        raise DataError(f"{path}, row {lines[i]}: instant {t[i]} outside [0, {instants})")
+        raise DataError(f"{path}, row {row(i)}: instant {t[i]} outside [0, {instants})")
     users = np.unique(u)
     if users[0] != 0 or users[-1] != users.size - 1:
         raise DataError(f"{path}: user ids must be contiguous from 0, got {users[:8].tolist()}...")
@@ -153,7 +213,7 @@ def _grid(path, lines, u, t, instants: int, entry="entry") -> np.ndarray:
     if repeated.any():
         i = order[1:][repeated].min()
         raise DataError(
-            f"{path}, row {lines[i]}: duplicate {entry} for user {u[i]}, instant {t[i]}"
+            f"{path}, row {row(i)}: duplicate {entry} for user {u[i]}, instant {t[i]}"
         )
     if u.size != users.size * instants:
         # sorted distinct keys: the first that differs from its position is missing
@@ -182,16 +242,16 @@ def load_trace(trace_path, traffic_path, grid: TimeGrid) -> TraceSet:
     Every user must cover every instant exactly once and appear in both
     files; violations name the user, instant, or file row.
     """
-    lines, (u, t, x, y) = _columns(trace_path, TRACE_HEADER, (int, int, float, float))
-    _finite(trace_path, lines, x, y, "position")
-    order = _grid(trace_path, lines, u, t, grid.instant_count)
+    row, (u, t, x, y) = _columns(trace_path, TRACE_HEADER, (int, int, float, float))
+    _finite(trace_path, row, x, y, "position")
+    order = _grid(trace_path, row, u, t, grid.instant_count)
     traffic = load_traffic(traffic_path, order.shape[0])
     return TraceSet(np.stack([x[order], y[order]], axis=-1), traffic)
 
 
 def load_traffic(path, user_count: int) -> np.ndarray:
     """Per-user mean rates; each user id in [0, user_count) exactly once."""
-    lines, (u, rate) = _columns(path, TRAFFIC_HEADER, (int, float))
+    row, (u, rate) = _columns(path, TRAFFIC_HEADER, (int, float))
     unknown = (u < 0) | (u >= user_count)
     negative = ~(np.isfinite(rate) & (rate >= 0))
     repeated = np.ones(u.size, dtype=bool)
@@ -205,7 +265,7 @@ def load_traffic(path, user_count: int) -> np.ndarray:
             fault = f"mean_traffic must be >= 0, got {rate[i]}"
         else:
             fault = f"duplicate user id {u[i]}"
-        raise DataError(f"{path}, row {lines[i]}: {fault}")
+        raise DataError(f"{path}, row {row(i)}: {fault}")
     traffic = np.full(user_count, np.nan)
     traffic[u] = rate
     missing = np.flatnonzero(np.isnan(traffic))
@@ -255,20 +315,20 @@ def write_zoning(zones_path, labels_path, zoning: Zoning) -> None:
 
 def load_zoning(zones_path, labels_path, instant_count: int) -> Zoning:
     """Zone centroids and the (users, instant_count) label table."""
-    lines, (zid, region, cx, cy) = _columns(zones_path, ZONES_HEADER, (int, str, float, float))
-    _finite(zones_path, lines, cx, cy, "centroid")
-    for line, name in zip(lines, region):
+    row, (zid, region, cx, cy) = _columns(zones_path, ZONES_HEADER, (int, str, float, float))
+    _finite(zones_path, row, cx, cy, "centroid")
+    for i, name in enumerate(region):
         if name not in ("inside", "outside"):
-            raise DataError(f"{zones_path}, row {line}: region must be inside or outside")
+            raise DataError(f"{zones_path}, row {row(i)}: region must be inside or outside")
     inside = np.array([name == "inside" for name in region], dtype=bool)
     ids = np.concatenate([zid[inside], zid[~inside]])
     if not np.array_equal(ids, np.arange(ids.size)):
         raise DataError(f"{zones_path}: zone ids must be 0..{ids.size - 1} with inside ids first")
     centroids = np.stack([cx, cy], axis=-1)
 
-    lines, (u, t, z) = _columns(labels_path, LABELS_HEADER, (int, int, int))
-    _zone_ids(labels_path, lines, z, ids.size)
-    labels = z[_grid(labels_path, lines, u, t, instant_count, entry="label")]
+    row, (u, t, z) = _columns(labels_path, LABELS_HEADER, (int, int, int))
+    _zone_ids(labels_path, row, z, ids.size)
+    labels = z[_grid(labels_path, row, u, t, instant_count, entry="label")]
     return Zoning(centroids[inside], centroids[~inside], labels)
 
 
@@ -290,9 +350,9 @@ def write_predictions(path, labels_real: np.ndarray, labels_pred: np.ndarray) ->
 def load_predictions(path, zone_count: int, instant_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and predicted zones as (users, instant_count) tables; a predicted
     zone id must lie in [0, zone_count)."""
-    lines, (u, t, real, pred) = _columns(path, PREDICTIONS_HEADER, (int, int, int, int))
-    _zone_ids(path, lines, pred, zone_count)
-    order = _grid(path, lines, u, t, instant_count)
+    row, (u, t, real, pred) = _columns(path, PREDICTIONS_HEADER, (int, int, int, int))
+    _zone_ids(path, row, pred, zone_count)
+    order = _grid(path, row, u, t, instant_count)
     return real[order], pred[order]
 
 

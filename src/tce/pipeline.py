@@ -24,7 +24,7 @@ import numpy as np
 
 from . import csvio, svgplot
 from ._kernels import backend
-from .aggregation import aggregate
+from .aggregation import aggregate_runs
 from .config import MODE_GENERATE, RunConfig, config_digest
 from .core import TraceSet
 from .errors import ConfigError, DataError, ToolError
@@ -143,7 +143,8 @@ def report_stage(cfg: RunConfig, traces: TraceSet, zoning: Zoning, runs, out_dir
     zone series, errors, histogram and plots. Returns the error summary the
     manifest records; ``check_plot_users`` must have accepted ``traces``."""
     with _stage("aggregation"):
-        series = [aggregate(traces, zoning.labels, p.labels_pred, zoning.zone_count) for p in runs]
+        preds = [p.labels_pred for p in runs]
+        series = aggregate_runs(traces, zoning.labels, preds, zoning.zone_count)
         for r, zs in enumerate(series):
             csvio.write_zone_series(out_dir / f"zone_series_run{r}.csv", zs)
 

@@ -15,6 +15,13 @@ FESTIVAL_INI = ROOT / "configs" / "festival.ini"  # the demo scenario
 WORKED_ROW = (0, 0, 1, 0, 2, 0, 2, 0, 0)
 WORKED_WINDOW = 8
 
+# cell values the input-file property tests and the loader oracle write into
+# every column: blanks, non-numbers, non-finite and out-of-range numbers
+CELLS = [
+    "", " ", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "5", "11", "12", "999",
+    "2.5", "-0.0", "1e309", "99999999999999999999", "inside", "outside", "1,2",
+]
+
 
 @pytest.fixture
 def festival_venue():

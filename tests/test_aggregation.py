@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tce.aggregation import aggregate
+from tce.aggregation import aggregate, aggregate_runs
 from tce.core import TraceSet
 
 from conftest import random_labels
@@ -86,3 +86,19 @@ def test_rejects_shape_mismatch():
     traces = traces_with_traffic([1.0, 2.0], instants=3)
     with pytest.raises(ValueError):
         aggregate(traces, np.zeros((2, 2), np.int64), np.zeros((2, 3), np.int64), 1)
+
+
+def test_runs_share_one_real_series():
+    rng = np.random.default_rng(16)
+    traces = traces_with_traffic(rng.uniform(0, 10, size=5), instants=6)
+    real = random_labels(rng, 5, 6, 3)
+    preds = [random_labels(rng, 5, 6, 3) for _ in range(3)]
+    series = aggregate_runs(traces, real, preds, 3)
+    for zs, pred in zip(series, preds):
+        one = aggregate(traces, real, pred, 3)
+        for name in ("users_real", "users_pred", "traffic_real", "traffic_pred"):
+            assert getattr(zs, name).tobytes() == getattr(one, name).tobytes()
+        assert zs.users_real is series[0].users_real
+        assert zs.traffic_real is series[0].traffic_real
+    with pytest.raises(ValueError, match="labels_pred contains zone ids"):
+        aggregate_runs(traces, real, preds[:1] + [np.full((5, 6), 3)], 3)

@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from conftest import CELLS  # noqa: E402
 from test_cli import command_argv, full, hidden_siblings, load_config_text, write_cfg  # noqa: E402,F401
 
 from tce.cli import main  # noqa: E402
@@ -21,10 +22,6 @@ from tce.errors import ConfigError  # noqa: E402
 
 # the report inputs: every file of two prediction runs
 REPORT_FILES = ["trace", "traffic", "zones", "labels", "predictions_run0", "predictions_run1"]
-CELLS = [
-    "", " ", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "5", "11", "12", "999",
-    "2.5", "-0.0", "1e309", "99999999999999999999", "inside", "outside", "1,2",
-]
 
 
 def edits_of(files, tokens=CELLS):

@@ -6,11 +6,12 @@ import pytest
 from tce import csvio
 from tce.aggregation import ZoneSeries
 from tce.core import TimeGrid, TraceSet
-from tce.errors import DataError
+from tce.errors import DataError, open_input
 from tce.metrics import ErrorSeries
 from tce.scenario import generate_scenario
 from tce.zoning import Zoning
 
+from conftest import CELLS
 from test_scenario import THIRDS, simple_mobility
 
 
@@ -349,6 +350,46 @@ class TestRowNumbers:
         with pytest.raises(DataError, match=r"zones\.csv, row 3: non-finite centroid"):
             csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", 2)
 
+    # A blank record before the fault still counts as a row. All but the bad
+    # zone_id and mean_traffic_mbps cells pass numpy's reader, so their row
+    # numbers come from the csv scan made once the check fails.
+    @pytest.mark.parametrize(
+        "name, rows, message",
+        [
+            ("trace", "0,0,1,1\n\n0,1,inf,2\n0,2,3,3\n", r"trace\.csv, row 4: non-finite position"),
+            ("trace", "0,0,1,1\n\n0,3,2,2\n", r"trace\.csv, row 4: instant 3 outside \[0, 3\)"),
+            ("trace", "0,0,1,1\r\n\r\n0,1,2,2\r\n0,0,3,3\n", r"trace\.csv, row 5: duplicate entry for user 0, instant 0"),
+            ("labels", "0,0,0\n\n0,1,1\n0,2,2\n", r"labels\.csv, row 5: zone id 2 outside \[0, 2\)"),
+            ("labels", "0,0,0\n\n\n0,0,1\n", r"labels\.csv, row 5: duplicate label for user 0, instant 0"),
+            ("zones", "0,inside,1,1\n\n1,middle,9,9\n", r"zones\.csv, row 4: region must be inside or outside"),
+            ("zones", "0,inside,1,1\r\rI,outside,nan,9\r", r"zones\.csv, row 4: bad zone_id 'I'"),
+            ("zones", "\n0,inside,1,1\n1,outside,nan,9\n", r"zones\.csv, row 4: non-finite centroid"),
+            ("predictions", "0,0,1,1\n\n0,1,1,7\n", r"predictions\.csv, row 4: zone id 7 outside \[0, 2\)"),
+            ("traffic", "0,1\n\n1,2\n0,3\n", r"traffic\.csv, row 5: duplicate user id 0"),
+            ("traffic", "0,1\n\n2,2\n1,3\n", r"traffic\.csv, row 4: unknown user id 2"),
+            ("traffic", "\n0,1\n1,-2\n", r"traffic\.csv, row 4: mean_traffic must be >= 0, got -2\.0"),
+            ("traffic", "0,1\n\n1,x\n", r"traffic\.csv, row 4: bad mean_traffic_mbps 'x'"),
+        ],
+    )
+    def test_blank_row_before_fault_counts(self, tmp_path, name, rows, message):
+        files = {
+            "trace": "".join(f"{u},{t},1,1\n" for u in (0, 1) for t in (0, 1, 2)),
+            "traffic": "0,1\n1,1\n",
+            "zones": "0,inside,1,1\n1,outside,9,9\n",
+            "labels": "0,0,0\n0,1,1\n0,2,0\n",
+            "predictions": "",
+            name: rows,
+        }
+        for file, body in files.items():
+            (tmp_path / f"{file}.csv").write_bytes((BASE[file].splitlines()[0] + "\n" + body).encode())
+        with pytest.raises(DataError, match=message):
+            if name in ("trace", "traffic"):
+                csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", TimeGrid(60.0, 3))
+            elif name in ("zones", "labels"):
+                csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", 3)
+            else:
+                csvio.load_predictions(tmp_path / "predictions.csv", 2, 2)
+
 
 class TestPredictionsValidation:
     HEADER = "user_id,t,real_zone,predicted_zone\n"
@@ -378,3 +419,200 @@ class TestPredictionsValidation:
         real, pred = csvio.load_predictions(tmp_path / "p.csv", zone_count=5, instant_count=2)
         assert real.tolist() == [[0, 1], [2, 3]]
         assert pred.tolist() == [[0, 2], [2, 4]]
+
+
+def reference_columns(path, header, kinds):
+    """``csvio._columns`` in plain Python: every CSV record read with
+    csv.reader, blank records skipped but counted in the row numbers (the
+    header is row 1), then each column converted cell by cell with
+    int()/float(), the first bad cell of the first bad column named."""
+    with open_input(path, DataError, newline="") as fh:
+        records = list(csv.reader(fh))
+    if not records:
+        raise DataError(f"{path}: empty file")
+    if [c.strip() for c in records[0]] != header:
+        raise DataError(f"{path}: expected header {','.join(header)}, got {','.join(records[0])}")
+    rows = [(line, record) for line, record in enumerate(records[1:], 2) if record]
+    for line, record in rows:
+        if len(record) != len(header):
+            raise DataError(f"{path}, row {line}: expected {len(header)} fields, got {len(record)}")
+    columns = []
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        values = []
+        for line, record in rows:
+            if kind is str:
+                values.append(record[j].strip())
+                continue
+            try:
+                value = kind(record[j])
+            except ValueError:
+                raise DataError(f"{path}, row {line}: bad {name} {record[j]!r}") from None
+            if kind is int and not -(2**63) <= value < 2**63:
+                raise DataError(f"{path}, row {line}: {name} {record[j]!r} out of range")
+            values.append(value)
+        if kind is not str:
+            values = np.array(values, np.int64 if kind is int else np.float64)
+        columns.append(values)
+    return (lambda i: rows[i][0]), columns
+
+
+# two users, two instants, one inside and one outside zone
+BASE = {
+    "trace": "user_id,t,x,y\n0,0,1.5,2.5\n0,1,3.0,4.0\n1,0,5.0,6.0\n1,1,7.0,8.0\n",
+    "traffic": "user_id,mean_traffic_mbps\n0,1.0\n1,2.0\n",
+    "zones": "zone_id,region,cx,cy\n0,inside,10.0,20.0\n1,outside,55.0,40.0\n",
+    "labels": "user_id,t,zone_id\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n",
+    "predictions": "user_id,t,real_zone,predicted_zone\n0,0,0,0\n0,1,1,0\n1,0,1,1\n1,1,0,1\n",
+}
+LOADERS = {
+    "load_trace": lambda d: csvio.load_trace(d / "trace.csv", d / "traffic.csv", TimeGrid(60.0, 2)),
+    "load_traffic": lambda d: csvio.load_traffic(d / "traffic.csv", 2),
+    "load_zoning": lambda d: csvio.load_zoning(d / "zones.csv", d / "labels.csv", 2),
+    "load_predictions": lambda d: csvio.load_predictions(d / "predictions.csv", 2, 2),
+}
+READERS = {
+    "trace": ["load_trace"],
+    "traffic": ["load_trace", "load_traffic"],
+    "zones": ["load_zoning"],
+    "labels": ["load_zoning"],
+    "predictions": ["load_predictions"],
+}
+# cells that numpy's reader parses unlike int()/float() or refuses, quoting
+# and whitespace that csv.reader strips or keeps
+ODD_CELLS = [
+    " 1.5", '"1,5"', '"1""5"', '"1"5', '1"5"', '"2"', '"inside"', " inside ", "1_0", "０",
+    "-nan", "1.0", "+1", "01", "Ǿ", "\x1c1", "1\x1f", "1\x00", "\ufeff1", " 1",
+]
+
+
+def arrays(result):
+    if isinstance(result, TraceSet):
+        return result.positions, result.mean_traffic
+    if isinstance(result, Zoning):
+        return result.inside_centroids, result.outside_centroids, result.labels
+    return result if isinstance(result, tuple) else (result,)
+
+
+def outcome(load, d):
+    """A loader's arrays (dtype, shape and bytes), or its DataError text."""
+    try:
+        return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays(load(d))]
+    except DataError as exc:
+        return str(exc)
+
+
+class TestLoaderOracle:
+    """Every loader returns the arrays, or the DataError text, that it gives
+    when the reference parses its files."""
+
+    def check(self, tmp_path, monkeypatch, **files):
+        """Write BASE with ``files`` in its place (text or bytes) and compare
+        every loader reading a changed file; return their outcomes."""
+        for name, content in {**BASE, **files}.items():
+            data = content if isinstance(content, bytes) else content.encode()
+            (tmp_path / f"{name}.csv").write_bytes(data)
+        outcomes = {}
+        for loader in sorted({loader for name in files for loader in READERS[name]}):
+            fast = outcome(LOADERS[loader], tmp_path)
+            with monkeypatch.context() as m:
+                m.setattr(csvio, "_columns", reference_columns)
+                assert outcome(LOADERS[loader], tmp_path) == fast, (loader, files)
+            outcomes[loader] = fast
+        return outcomes
+
+    @pytest.mark.parametrize("token", CELLS + ODD_CELLS)
+    def test_token_in_every_column(self, tmp_path, monkeypatch, token):
+        for name, text in BASE.items():
+            lines = text.splitlines()
+            for j in range(lines[0].count(",") + 1):
+                cells = lines[2].split(",")
+                cells[j] = token
+                text = "\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n"
+                self.check(tmp_path, monkeypatch, **{name: text})
+
+    @pytest.mark.parametrize("end", ["\r", "\n", "\r\n"])
+    def test_line_ends(self, tmp_path, monkeypatch, end):
+        files = {name: text.replace("\n", end) for name, text in BASE.items()}
+        outcomes = self.check(tmp_path, monkeypatch, **files)
+        assert not any(isinstance(o, str) for o in outcomes.values())
+
+    def test_blank_and_whitespace_rows(self, tmp_path, monkeypatch):
+        for filler in ["\n", "\r\n", " \n", ",\n", '""\n', "\n\n"]:
+            for name, text in BASE.items():
+                lines = text.splitlines(keepends=True)
+                self.check(tmp_path, monkeypatch, **{name: "".join(lines[:2] + [filler] + lines[2:])})
+
+    def test_byte_order_mark_and_nul(self, tmp_path, monkeypatch):
+        for name, text in BASE.items():
+            lines = text.splitlines(keepends=True)
+            self.check(tmp_path, monkeypatch, **{name: "\ufeff" + text})
+            lines[2] = "\ufeff" + lines[2]
+            self.check(tmp_path, monkeypatch, **{name: "".join(lines)})
+            self.check(tmp_path, monkeypatch, **{name: text.replace(",", ",\x00", 2)})
+
+    def test_invalid_utf8(self, tmp_path, monkeypatch):
+        for name, text in BASE.items():
+            outcomes = self.check(tmp_path, monkeypatch, **{name: text.encode() + b"\xff\n"})
+            assert all("cannot read" in o for o in outcomes.values())
+        # past the first 8 KiB the header read has decoded, so the error
+        # comes from reading the rows
+        text = "user_id,t,zone_id\n" + "".join(f"0,{t},0\n" for t in range(3000))
+        outcomes = self.check(tmp_path, monkeypatch, labels=text.encode() + b"\xff\n")
+        assert "cannot read" in outcomes["load_zoning"]
+
+    def test_header_only_file(self, tmp_path, monkeypatch):
+        for name in ("trace", "labels", "predictions"):
+            outcomes = self.check(tmp_path, monkeypatch, **{name: BASE[name].splitlines()[0] + "\n"})
+            assert all(o.endswith(f"{name}.csv: no data rows") for o in outcomes.values())
+        outcomes = self.check(tmp_path, monkeypatch, traffic="user_id,mean_traffic_mbps\n")
+        assert outcomes["load_traffic"].endswith("traffic.csv: missing traffic for user 0")
+
+    def test_random_doubles_bit_for_bit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(16)
+        bits = rng.integers(0, 2**64, (1500, 2, 2), dtype=np.uint64, endpoint=False)
+        positions = bits.view(np.float64)
+        positions[~np.isfinite(positions)] = 0.5
+        traces = TraceSet(positions, np.ones(1500))
+        csvio.write_trace(tmp_path / "trace.csv", traces)
+        csvio.write_traffic(tmp_path / "traffic.csv", traces)
+        grid = TimeGrid(60.0, 2)
+        loaded = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid)
+        assert loaded.positions.tobytes() == positions.tobytes()
+        monkeypatch.setattr(csvio, "_columns", reference_columns)
+        reference = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid)
+        assert reference.positions.tobytes() == positions.tobytes()
+
+
+class TestNumpyReader:
+    """A file numpy's reader accepts is loaded without any csv scan."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("csv scan on an accepted file")
+
+        monkeypatch.setattr(csvio, "_read_rows", refuse)
+        monkeypatch.setattr(csvio, "_scan", refuse)
+
+    def test_written_tables_load_without_scan(self, tmp_path, traces, grid_small):
+        csvio.write_trace(tmp_path / "trace.csv", traces)
+        csvio.write_traffic(tmp_path / "traffic.csv", traces)
+        loaded = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
+        assert loaded.positions.tobytes() == traces.positions.tobytes()
+
+    def test_quotes_blank_rows_and_whitespace_load_without_scan(self, tmp_path):
+        files = {
+            **BASE,
+            "trace": 'user_id,t,x,y\r\n0,0,"1.5", 2.5\r\n\r\n0,1,3.0 ,4.0\r\n1,0,5.0,6.0\r\n1,1,7.0,8.0',
+            "zones": 'zone_id,region,cx,cy\n0," inside",10.0,20.0\n\n1,outside ,55.0,40.0\n',
+            "labels": "user_id,t,zone_id\r0,0,0\r0,1,1\r1,0,1\r1,1,0\r",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_bytes(text.encode())
+        trace = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", TimeGrid(60.0, 2))
+        assert trace.positions.ravel().tolist() == [1.5, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        zoning = csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", 2)
+        assert zoning.inside_centroids.tolist() == [[10.0, 20.0]]
+        assert zoning.labels.tolist() == [[0, 1], [1, 0]]
+        real, pred = csvio.load_predictions(tmp_path / "predictions.csv", 2, 2)
+        assert pred.tolist() == [[0, 0], [1, 1]]
