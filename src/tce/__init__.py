@@ -39,7 +39,7 @@ from .scenario import (
     generate_scenario,
 )
 from .csvio import load_trace, load_waypoint_lines
-from .zoning import Zoning, assign, cluster
+from .zoning import Zoning, cluster
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "Zoning",
     "aggregate",
     "apportion",
-    "assign",
     "build_general_matrix",
     "cluster",
     "error_histogram",

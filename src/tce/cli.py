@@ -21,8 +21,8 @@ config file sections (INI format):
   [venue]       precinct_min, precinct_max ("x y"), outside_regions
                 (one "x0 y0 x1 y1" per line), index_scale
   [time]        step_seconds, instant_count
-  [input]       mode = generate | load; for load: trace_file, traffic_file,
-                trace_format = csv | waypoint
+  [input]       mode = generate | load, trace_file, traffic_file,
+                trace_format = csv | waypoint (these three for load only)
   [scenario]    user_count, speed_min, speed_max (m/s), pause_instants,
                 background_weight, attractors (one "name weight x0 y0 x1 y1"
                 per line)
@@ -33,9 +33,10 @@ config file sections (INI format):
   [report]      plot_users (ids, space separated), bin_count
   [output]      directory (overridden by --out)
 
-A missing or malformed config value exits 2 naming its [section] key (and
-the line, for outside_regions, attractors and tiers); an unreadable config
-file exits 2 and an unreadable input file exits 3, each naming the file.
+A missing or malformed config value, or an unknown key, exits 2 naming its
+[section] key (and the line, for outside_regions, attractors and tiers); an
+unknown section or an unreadable config file exits 2 and an unreadable input
+file exits 3, each naming the section or file.
 """
 
 

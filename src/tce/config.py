@@ -5,7 +5,8 @@ the demo scenario and a complete example; build it with
 ``load_config("configs/festival.ini")`` and vary a field with
 ``dataclasses.replace``. A missing or malformed value raises ConfigError
 (CLI exit 2) naming its ``[section] key``, and the line of a table key; a
-value that a constructor's own check rejects names its ``[section]``. An
+value that a constructor's own check rejects names its ``[section]``; a
+section or key outside ``SECTIONS`` is refused the same way. An
 unreadable config file exits 2 and an unreadable input file (``trace_file``,
 ``traffic_file``) exits 3, each naming the file.
 """
@@ -47,7 +48,18 @@ class RunConfig:
     out_dir: str | None = None
 
 
-SECTIONS = ("venue", "time", "input", "scenario", "traffic", "clustering", "prediction", "report", "output")
+# The keys of each section, those of both [input] modes; any other is refused.
+SECTIONS = {
+    "venue": ("precinct_min", "precinct_max", "outside_regions", "index_scale"),
+    "time": ("step_seconds", "instant_count"),
+    "input": ("mode", "trace_file", "traffic_file", "trace_format"),
+    "scenario": ("user_count", "speed_min", "speed_max", "pause_instants", "background_weight", "attractors"),
+    "traffic": ("tiers",),
+    "clustering": ("k_inside", "k_outside"),
+    "prediction": ("window_size", "scope", "run_count", "base_seed"),
+    "report": ("plot_users", "bin_count"),
+    "output": ("directory",),
+}
 
 
 def _number(token: str) -> float:
@@ -129,10 +141,23 @@ def load_config(path) -> RunConfig:
     try:
         with open_input(path, ConfigError, encoding="utf-8") as fh:
             parser.read_file(fh)
+        _check_names(parser)
         parser.read_dict({name: {} for name in SECTIONS})
         return _build(parser)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _check_names(parser: configparser.ConfigParser) -> None:
+    """Refuse a section or key that nothing reads, naming it."""
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in SECTIONS:
+            raise ConfigError(f"unknown section [{name}]; sections are {', '.join(f'[{s}]' for s in SECTIONS)}")
+        for key in parser[name]:
+            if key not in SECTIONS[name]:
+                raise ConfigError(f"[{name}] {key}: unknown key; [{name}] reads {', '.join(SECTIONS[name])}")
 
 
 def _build(parser: configparser.ConfigParser) -> RunConfig:

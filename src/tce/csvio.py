@@ -88,6 +88,8 @@ def _check_header(path, header, fh) -> None:
         first = next(csv.reader(fh))
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise DataError(f"{path}, row 1: {exc}") from None
     if [c.strip() for c in first] != header:
         raise DataError(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
 
@@ -95,9 +97,13 @@ def _check_header(path, header, fh) -> None:
 def _read_rows(path, header) -> tuple[range | list[int], list[list[str]]]:
     """The 1-based file row numbers of the non-blank data rows and the rows,
     header validated. A row number counts CSV records, the header being 1."""
+    rows = []
     with open_input(path, DataError, newline="") as fh:
         _check_header(path, header, fh)
-        rows = list(csv.reader(fh))
+        try:
+            rows.extend(csv.reader(fh))  # keeps the records read before an error
+        except csv.Error as exc:
+            raise DataError(f"{path}, row {len(rows) + 2}: {exc}") from None
     lines = range(2, len(rows) + 2)
     if not all(rows):
         lines = [line for line, row in zip(lines, rows) if row]

@@ -90,15 +90,6 @@ class PredictionRun:
     def __post_init__(self):
         object.__setattr__(self, "labels_pred", _frozen(np.array(self.labels_pred, np.int64)))
 
-    @property
-    def first_predicted_instant(self) -> int:
-        return self.window_size
-
-    @property
-    def predicted_count(self) -> int:
-        """Predictions per user: instants window_size .. n."""
-        return self.labels_pred.shape[1] - self.window_size
-
 
 def predict_labels(labels, zone_count: int, cfg: WindowConfig, seed: int) -> PredictionRun:
     """Forecast every user's zone at each instant from ``window_size`` on.

@@ -44,9 +44,12 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
         raise ValueError(
             f"degenerate extent: max {extent_max} must exceed min {extent_min} component-wise"
         )
-    first = run.first_predicted_instant
+    k, pred = zoning.zone_count, run.labels_pred
+    if pred.size and (pred.min() < 0 or pred.max() >= k):
+        raise ValueError(f"labels_pred contains zone ids outside [0, {k})")
+    first = run.window_size
     real = zoning.labels[:, first:]
-    pred = run.labels_pred[:, first:]
+    pred = pred[:, first:]
     c = zoning.all_centroids()
     # one cell per (real, predicted) zone pair, from the same operands as a
     # per-(user, instant) difference would use, so the bits are the same

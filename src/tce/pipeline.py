@@ -40,7 +40,6 @@ class StageError(ToolError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.cause = cause
         self.exit_code = cause.exit_code if isinstance(cause, ToolError) else 4
 
 
@@ -48,8 +47,6 @@ class StageError(ToolError):
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except (ToolError, ValueError, MemoryError) as exc:
         raise StageError(name, exc) from exc
 

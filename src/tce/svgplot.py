@@ -15,13 +15,6 @@ def _esc(text: str) -> str:
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _format_2f(values: np.ndarray) -> list[str]:
-    """``f"{v:.2f}"`` of each value, formatting each distinct value once."""
-    distinct, index = np.unique(values, return_inverse=True)
-    text = [f"{v:.2f}" for v in distinct.tolist()]
-    return [text[i] for i in index.tolist()]
-
-
 class _Canvas:
     """A chart's SVG file, used as ``with _Canvas(path, ...) as canvas``.
 
@@ -84,8 +77,8 @@ class _Canvas:
         return _H - _MB - (y - self.y0) * self.ys
 
     def polyline(self, xs, ys, color, dash="", step=False):
-        sx = _format_2f(self.px(np.asarray(xs, np.float64)))
-        sy = _format_2f(self.py(np.asarray(ys, np.float64)))
+        sx = [f"{x:.2f}" for x in self.px(np.asarray(xs, np.float64)).tolist()]
+        sy = [f"{y:.2f}" for y in self.py(np.asarray(ys, np.float64)).tolist()]
         pts = [f"{x},{y}" for x, y in zip(sx, sy)]
         if step:  # before each point, a riser at its x from the previous y
             risers = [f"{x},{y}" for x, y in zip(sx[1:], sy)]
@@ -95,19 +88,18 @@ class _Canvas:
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}"{dash_attr} stroke-width="1.5"/>'
         )
 
-    def vline(self, x, color="#999"):
+    def vline(self, x):
         self._put(
             f'<line x1="{self.px(x):.2f}" y1="{_MT}" x2="{self.px(x):.2f}" y2="{_H - _MB}" '
-            f'stroke="{color}" stroke-dasharray="4 3"/>'
+            'stroke="#999" stroke-dasharray="4 3"/>'
         )
 
-    def dots(self, xs, ys, color, r=1.3, opacity=0.5):
-        sx = _format_2f(self.px(np.asarray(xs, np.float64)))
-        sy = _format_2f(self.py(np.asarray(ys, np.float64)))
-        style = f'r="{r}" fill="{color}" fill-opacity="{opacity}"'
+    def dots(self, xs, ys, color):
+        cx = self.px(np.asarray(xs, np.float64)).tolist()
+        cy = self.py(np.asarray(ys, np.float64)).tolist()
         write = self._fh.write
-        for x, y in zip(sx, sy):
-            write(f'<circle cx="{x}" cy="{y}" {style}/>\n')
+        for x, y in zip(cx, cy):
+            write(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.3" fill="{color}" fill-opacity="0.5"/>\n')
 
     def rect(self, lo, hi, color, opacity=1.0, stroke="none"):
         x, y = self.px(lo[0]), self.py(hi[1])
@@ -125,15 +117,15 @@ class _Canvas:
             self._put(f'<text x="{_W - _MR - 112}" y="{y}" fill="#222">{_esc(label)}</text>')
 
 
-def line_chart(path, xs, series, title, x_label, y_label, vline_at=None, step=False):
+def line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
     """Polylines, or with ``step`` step lines (e.g. zone over time) padded
-    half a unit; series is [(label, ys, dash), ...]."""
+    half a unit, and a dashed line at x = ``vline_at``; series is
+    [(label, ys, dash), ...]."""
     ys_all = np.concatenate([np.asarray(ys, float) for _, ys, _ in series])
     lo, hi = float(ys_all.min()), float(ys_all.max())
     pad = 0.5 if step else (hi - lo) * 0.05 or 1.0
     with _Canvas(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad)) as canvas:
-        if vline_at is not None:
-            canvas.vline(vline_at)
+        canvas.vline(vline_at)
         for i, (label, ys, dash) in enumerate(series):
             canvas.polyline(xs, ys, PALETTE[i % len(PALETTE)], dash=dash, step=step)
         canvas.legend([(label, PALETTE[i % len(PALETTE)]) for i, (label, _, _) in enumerate(series)])

@@ -141,18 +141,3 @@ def cluster(traces: TraceSet, venue: Venue, k_inside: int, k_outside: int, seed:
         out_centroids = np.empty((0, 2), np.float64)
     labels = flat.reshape(traces.user_count, traces.instant_count)
     return Zoning(in_centroids, out_centroids, labels)
-
-
-def assign(p, zoning: Zoning, venue: Venue) -> int:
-    """Zone id of a position: nearest centroid within its region class,
-    ties broken by the lowest zone id."""
-    p = np.asarray(p, dtype=np.float64).reshape(1, 2)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"position must be finite, got {p}")
-    if inside_mask(p, venue)[0]:
-        labels, _ = kern.nearest_labels(p, zoning.inside_centroids)
-        return int(labels[0])
-    if zoning.outside_centroids.shape[0] == 0:
-        raise InfeasibleError(f"position {p[0]} is outside the precinct but no outside zones exist")
-    labels, _ = kern.nearest_labels(p, zoning.outside_centroids)
-    return zoning.inside_count + int(labels[0])

@@ -69,3 +69,20 @@ def first_forecasts(row, k, w, us):
     labels = np.tile(np.array(row[: w + 1], np.int64), (len(us), 1))
     uniforms = np.reshape(np.asarray(us, np.float64), (-1, 1))
     return kern.predict_series(labels, k, w, False, uniforms)[:, w]
+
+
+def nearest_zone_loop(zoning, venue, p):
+    """Zone of position ``p`` by a plain loop: the nearest centroid of its
+    region class (the precinct, boundary included, or outside it), ties
+    going to the lowest zone id."""
+    x, y = float(p[0]), float(p[1])
+    (x0, y0), (x1, y1) = venue.precinct_min.tolist(), venue.precinct_max.tolist()
+    inside = x0 <= x <= x1 and y0 <= y <= y1
+    ids = range(zoning.inside_count) if inside else range(zoning.inside_count, zoning.zone_count)
+    centroids = zoning.all_centroids().tolist()
+
+    def d2(z):
+        dx, dy = x - centroids[z][0], y - centroids[z][1]
+        return dx * dx + dy * dy
+
+    return min(ids, key=lambda z: (d2(z), z))

@@ -23,9 +23,16 @@ from tce.markov import (
 )
 from tce.pipeline import run as pipeline_run
 from tce.scenario import Attractor, MobilityParams, TrafficTiers, generate_scenario
-from tce.zoning import Zoning, assign, cluster
+from tce.zoning import Zoning, cluster
 
-from conftest import FESTIVAL_INI, WORKED_ROW, WORKED_WINDOW, first_forecasts, interval_lookup
+from conftest import (
+    FESTIVAL_INI,
+    WORKED_ROW,
+    WORKED_WINDOW,
+    first_forecasts,
+    interval_lookup,
+    nearest_zone_loop,
+)
 
 ERROR_BAND = (0.05, 0.20)
 RUN_TIME_LIMIT_S = 30.0
@@ -263,16 +270,18 @@ def test_criterion_5_brute_force_oracles(festival_venue):
                 assert series.users_real[z, t] == np.sum(labels[:, t] == z)
                 assert series.traffic_pred[z, t] == traffic[pred[:, t] == z].sum()
 
-    inside = rng.uniform(0, 50, size=(4, 2)) * [1, 1.6]
-    outside = rng.uniform((50, 15), (60, 65), size=(2, 2))
-    zoning = Zoning(inside, outside, np.zeros((1, 1), np.int64))
-    for _ in range(500):
-        if rng.random() < 0.7:
-            p, cents, offset = rng.uniform((0, 0), (50, 80)), inside, 0
-        else:
-            p, cents, offset = rng.uniform((50, 15), (60, 65)), outside, 4
-        d2 = ((cents - p) ** 2).sum(axis=1)
-        assert assign(p, zoning, festival_venue) == offset + int(np.flatnonzero(d2 == d2.min())[0])
+    for case in range(20):
+        users, instants = int(rng.integers(2, 5)), int(rng.integers(3, 6))
+        outside = rng.random((users, instants)) < 0.3
+        outside.flat[:3], outside.flat[3:5] = False, True
+        positions = np.where(
+            outside[..., None],
+            rng.uniform((51, 15), (60, 65), size=(users, instants, 2)),
+            rng.uniform((0, 0), (50, 80), size=(users, instants, 2)),
+        )
+        zoning = cluster(TraceSet(positions, np.zeros(users)), festival_venue, 3, 2, seed=case)
+        for u, t in np.ndindex(users, instants):
+            assert zoning.labels[u, t] == nearest_zone_loop(zoning, festival_venue, positions[u, t])
     report("criterion 5: brute-force oracles on tiny instances", True, "counts, aggregation, nearest centroid")
 
 
@@ -286,10 +295,11 @@ def test_criterion_6_learning_prediction_boundary():
     zoning = cluster(traces, venue, 3, 1, seed=6)
     run = run_prediction(traces, zoning, WindowConfig(20, PER_USER), seed=6)
     identical_before = np.array_equal(run.labels_pred[:, :20], zoning.labels[:, :20])
-    first = run.first_predicted_instant
-    ok = identical_before and first == 20 and run.predicted_count == 20
+    errors = tce.error_series(zoning, run, *tce.position_extent(traces))
+    first = errors.first_instant
+    ok = identical_before and run.window_size == first == 20 and errors.e.shape == (8, 20)
     report(
         "criterion 6: series identical before instant 20, first prediction at 20",
         ok,
-        f"first predicted instant {first}",
+        f"first predicted instant {first}, {errors.e.shape[1]} predictions per user",
     )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 
 import tce
 from tce import csvio, pipeline
-from tce.cli import main
+from tce.cli import _EPILOG, main
+from tce.config import SECTIONS
 
 from conftest import FESTIVAL_INI
 
@@ -268,6 +270,21 @@ class TestRun:
         cfg = write_cfg(tmp_path, CONFIG.replace(old, new))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("bin_count = 10", "bin_cont = 20", "[report] bin_cont: unknown key"),
+            ("[prediction]", "[predicton]", "unknown section [predicton]"),
+        ],
+        ids=["misspelled_key", "misspelled_section"],
+    )
+    def test_unknown_config_name_exit_code(self, tmp_path, capsys, old, new, message):
+        cfg = write_cfg(tmp_path, CONFIG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -732,3 +749,14 @@ class TestInputsAgainstLabels:
             "before the learning/prediction boundary at instant 4"
         ) in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_help_epilog_names_exactly_the_accepted_keys():
+    # each "[section]  key, key (remark), key = choices" entry of the epilog,
+    # remarks and choices dropped, lists the keys config.SECTIONS accepts
+    table = _EPILOG.split("\n\n")[0].split("\n", 1)[1]
+    named = {}
+    for section, text in re.findall(r"^  \[(\w+)\](.*?)(?=^  \[|\Z)", table, re.M | re.S):
+        text = re.sub(r"=[^,(]*", "", re.sub(r"\([^)]*\)", "", " ".join(text.split())))
+        named[section] = [key.strip() for key in text.split(",")]
+    assert named == {section: list(keys) for section, keys in SECTIONS.items()}

@@ -61,6 +61,30 @@ def test_missing_section_is_config_error(tmp_path):
         load_config(write_cfg(tmp_path, MINIMAL.replace("[time]", "[tim]")))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("k_inside = 1", "k_inside = 1\nk_insde = 2",
+         r"\[clustering\] k_insde: unknown key; \[clustering\] reads k_inside, k_outside$"),
+        ("window_size = 1", "window_size = 1\n[report]\nbin_cont = 20", r"\[report\] bin_cont: unknown key"),
+        ("[input]", "[inputs]", r"unknown section \[inputs\]; sections are \[venue\], \[time\], \[input\]"),
+        ("[venue]", "[DEFAULT]\nbase_seed = 3\n\n[venue]", r"unknown section \[DEFAULT\]$"),
+    ],
+    ids=["misspelled_key", "key_of_no_section", "misspelled_section", "default_section"],
+)
+def test_unknown_name_is_config_error(tmp_path, old, new, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_cfg(tmp_path, MINIMAL.replace(old, new)))
+
+
+def test_keys_of_either_mode_accepted(tmp_path):
+    # load mode keeps [scenario] and [traffic]; generate mode keeps the file keys
+    load = MINIMAL.replace("mode = generate", "mode = load\ntrace_file = t.csv\ntraffic_file = f.csv")
+    assert load_config(write_cfg(tmp_path, load)).trace_file == "t.csv"
+    generate = MINIMAL.replace("mode = generate", "mode = generate\ntrace_format = waypoint")
+    assert load_config(write_cfg(tmp_path, generate)).trace_file is None
+
+
 def test_missing_key_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="user_count"):
         load_config(write_cfg(tmp_path, MINIMAL.replace("user_count = 2", "")))

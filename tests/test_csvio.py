@@ -323,6 +323,21 @@ class TestRowNumbers:
         with pytest.raises(DataError, match=r"row 3: instant 2 outside \[0, 2\)"):
             self.load(tmp_path, "0,0,1,1\n0,2,2,2\n", TimeGrid(60.0, 2))
 
+    # A cell past csv's field size limit (131072) ends in a DataError naming
+    # its row: met by the csv scan where the text is not ASCII, or, where
+    # numpy's reader takes the file, by the scan that looks up the row of the
+    # non-finite position in row 4.
+    @pytest.mark.parametrize("last", ["0,2,3,3é", "0,2,nan,3"])
+    def test_oversized_field_names_its_row(self, tmp_path, last):
+        rows = f"0,0,1,1\n0,1,{' ' * 140_000}2,2\n{last}\n"
+        with pytest.raises(DataError, match=r"trace\.csv, row 3: field larger than field limit"):
+            self.load(tmp_path, rows, TimeGrid(60.0, 3))
+
+    def test_oversized_header_field_names_row_1(self, tmp_path):
+        (tmp_path / "traffic.csv").write_text(f"user_id,{'m' * 140_000}\n0,1\n")
+        with pytest.raises(DataError, match=r"traffic\.csv, row 1: field larger than field limit"):
+            csvio.load_traffic(tmp_path / "traffic.csv", 1)
+
     @pytest.mark.parametrize(
         "traffic, message",
         [

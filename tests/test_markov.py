@@ -12,6 +12,7 @@ from tce.markov import (
     build_general_matrix,
     run_prediction,
 )
+from tce.metrics import error_series
 from tce.zoning import Zoning
 
 from conftest import WORKED_ROW, WORKED_WINDOW, first_forecasts, interval_lookup, random_labels
@@ -191,9 +192,11 @@ class TestRunPrediction:
         labels = random_labels(rng, 5, 40, 3)
         zoning = zoning_for(labels, 3)
         run = run_prediction(traces_for(labels), zoning, WindowConfig(20, PER_USER), seed=0)
-        assert run.first_predicted_instant == 20
+        assert run.window_size == 20
         assert np.array_equal(run.labels_pred[:, :20], labels[:, :20])
-        assert run.predicted_count == 20
+        errors = error_series(zoning, run, (-1, -1), (30, 1))
+        assert errors.first_instant == 20
+        assert errors.e.shape == (5, 20)
 
     def test_frozen_user_predicts_exactly(self):
         labels = np.full((3, 12), 1, np.int64)
@@ -207,8 +210,11 @@ class TestRunPrediction:
         labels = random_labels(rng, 4, 8, 3)
         zoning = zoning_for(labels, 3)
         run = run_prediction(traces_for(labels), zoning, WindowConfig(7, GENERAL), seed=2)
-        assert run.predicted_count == 1
+        assert run.window_size == 7
         assert np.array_equal(run.labels_pred[:, :7], labels[:, :7])
+        errors = error_series(zoning, run, (-1, -1), (30, 1))
+        assert errors.first_instant == 7
+        assert errors.e.shape == (4, 1)
 
     def test_not_enough_history(self):
         labels = np.zeros((2, 5), np.int64)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tce.aggregation import aggregate
 from tce.core import TraceSet
 from tce.markov import PredictionRun
 from tce.metrics import (
@@ -21,7 +22,7 @@ def zoning_with(centroids, labels=((0,),)):
 def error_series_norm(zoning, run, lo, hi):
     """The per-(user, instant) form of ``error_series``: the norm of a
     (U, T-w, 2) centroid difference over the extent diagonal."""
-    first = run.first_predicted_instant
+    first = run.window_size
     c = zoning.all_centroids()
     diff = c[zoning.labels[:, first:]] - c[run.labels_pred[:, first:]]
     return np.linalg.norm(diff, axis=2) / np.linalg.norm(np.subtract(hi, lo, dtype=float))
@@ -117,6 +118,20 @@ class TestErrorSeries:
             lo, hi = rng.uniform(-5, 0, size=2), rng.uniform(60, 90, size=2)
             expected = error_series_norm(zoning, run, lo, hi)
             assert error_series(zoning, run, lo, hi).e.tobytes() == expected.tobytes()
+
+    def test_rejects_out_of_range_predicted_zones(self):
+        # the same refusal as the aggregation of the same run
+        labels = np.zeros((2, 4), np.int64)
+        zoning = Zoning([[1.0, 1.0], [3.0, 3.0]], [[55.0, 40.0]], labels)
+        traces = TraceSet(np.zeros((2, 4, 2)), np.zeros(2))
+        for zone in (-1, 3):
+            pred = labels.copy()
+            pred[1, 3] = zone
+            with pytest.raises(ValueError) as aggregated:
+                aggregate(traces, labels, pred, 3)
+            with pytest.raises(ValueError, match=r"labels_pred contains zone ids outside \[0, 3\)") as scored:
+                error_series(zoning, PredictionRun(pred, 2), (0, 0), (60, 80))
+            assert str(scored.value) == str(aggregated.value)
 
     def test_rejects_out_of_bound_errors(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from tce.errors import InfeasibleError
-from tce.zoning import Zoning, _lloyd, assign, cluster
+from tce.zoning import _lloyd, cluster
 
-from conftest import make_traces
+from conftest import make_traces, nearest_zone_loop
 
 
 def brute_force_best_partition(points, k):
@@ -206,42 +206,50 @@ class TestLloyd:
 
 
 class TestAssign:
-    def _zoning(self):
-        inside = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
-        outside = np.array([[55.0, 40.0]])
-        return Zoning(inside, outside, np.zeros((1, 1), np.int64))
+    """``cluster``'s own labels: each (user, instant) takes the nearest fitted
+    centroid of its region class, ties going to the lowest zone id."""
 
     def test_centroid_maps_to_itself(self, festival_venue):
-        zoning = self._zoning()
-        for z in range(4):
-            assert assign(zoning.inside_centroids[z], zoning, festival_venue) == z
+        # positions at exactly k spots per region: each fitted centroid is a
+        # spot, and every position is labeled with the centroid it sits on
+        spots = np.array([[5.0, 5.0], [40.0, 70.0], [25.0, 40.0], [52.0, 20.0], [58.0, 60.0]])
+        positions = spots[np.array([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 2, 4, 0, 1]])]
+        zoning = cluster(make_traces(positions), festival_venue, k_inside=3, k_outside=2, seed=3)
+        assert np.array_equal(zoning.all_centroids()[zoning.labels], positions)
 
     def test_tie_breaks_to_lowest_id(self, festival_venue):
-        # equidistant from centroids 1 (10,0) and 3 (10,10) -> id 1
-        zoning = self._zoning()
-        assert assign((10.0, 5.0), zoning, festival_venue) == 1
+        # (10,10) lies 2 from the centroids (8,10) and (12,10) of
+        # {(7,11), (7,9), (10,10)} and {(12,11), (12,9)}; that fit is stable
+        # only when (10,10) goes to the lower id, which seeds 1 and 19 reach
+        points = [[7, 11], [7, 9], [10, 10], [12, 11], [12, 9], [55, 30], [55, 50], [56, 40]]
+        traces = make_traces(np.reshape(points, (4, 2, 2)))
+        for seed in (1, 19):
+            zoning = cluster(traces, festival_venue, k_inside=2, k_outside=1, seed=seed)
+            assert zoning.inside_centroids.tolist() == [[8.0, 10.0], [12.0, 10.0]]
+            assert zoning.labels.ravel().tolist() == [0, 0, 0, 1, 1, 2, 2, 2]
 
     def test_outside_point_uses_outside_zone(self, festival_venue):
-        zoning = self._zoning()
-        assert assign((52.0, 20.0), zoning, festival_venue) == 4
-
-    def test_outside_point_without_outside_zones_errors(self, festival_venue):
-        zoning = Zoning(np.array([[1.0, 1.0]]), np.empty((0, 2)), np.zeros((1, 1), np.int64))
-        with pytest.raises(InfeasibleError):
-            assign((55.0, 40.0), zoning, festival_venue)
+        # (51, 40) is 3 from the inside centroid and about 19 from the outside
+        # one, yet it is outside the precinct, so it takes the outside zone
+        points = [[48, 39], [48, 41], [47, 40], [49, 40], [51, 40], [59, 64], [59, 64], [59, 64]]
+        traces = make_traces(np.reshape(points, (2, 4, 2)))
+        zoning = cluster(traces, festival_venue, k_inside=1, k_outside=1, seed=0)
+        assert zoning.all_centroids().tolist() == [[48.0, 40.0], [57.0, 58.0]]
+        assert zoning.labels.tolist() == [[0, 0, 0, 0], [1, 1, 1, 1]]
 
     def test_matches_linear_scan(self, festival_venue):
         rng = np.random.default_rng(20)
-        inside = rng.uniform(0, 50, size=(5, 2)) * [1, 1.6]
-        outside = rng.uniform((50, 15), (60, 65), size=(2, 2))
-        zoning = Zoning(inside, outside, np.zeros((1, 1), np.int64))
-        for _ in range(500):
-            if rng.random() < 0.7:
-                p = rng.uniform((0, 0), (50, 80))
-                cents, offset = inside, 0
-            else:
-                p = rng.uniform((50, 15), (60, 65))
-                cents, offset = outside, 5
-            d2 = ((cents - p) ** 2).sum(axis=1)
-            expected = offset + int(np.flatnonzero(d2 == d2.min())[0])
-            assert assign(p, zoning, festival_venue) == expected
+        for case in range(40):
+            users, instants = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+            outside = rng.random((users, instants)) < 0.3
+            outside.flat[:3] = False
+            outside.flat[3:5] = True
+            positions = np.where(
+                outside[..., None],
+                rng.uniform((51, 15), (60, 65), size=(users, instants, 2)),
+                rng.uniform((0, 0), (50, 80), size=(users, instants, 2)),
+            )
+            zoning = cluster(make_traces(positions), festival_venue, k_inside=3, k_outside=2, seed=case)
+            for u in range(users):
+                for t in range(instants):
+                    assert zoning.labels[u, t] == nearest_zone_loop(zoning, festival_venue, positions[u, t])
