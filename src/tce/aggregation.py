@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TraceSet, _frozen
+from .zoning import _zone_table
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,7 @@ def aggregate_runs(traces: TraceSet, labels_real, runs_pred, zone_count: int) ->
     weights = np.repeat(traces.mean_traffic, traces.instant_count)
 
     def tally(name, table):
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
-        if table.min() < 0 or table.max() >= zone_count:
-            raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
-        return _tally(table, weights, zone_count)
+        return _tally(_zone_table(table, zone_count, name, shape), weights, zone_count)
 
     users_real, traffic_real = tally("labels_real", labels_real)
     return [

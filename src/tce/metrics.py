@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import TraceSet, _frozen
 from .markov import PredictionRun
-from .zoning import Zoning
+from .zoning import Zoning, _zone_table
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class ErrorSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "e", _frozen(np.asarray(self.e, np.float64)))
-        if self.e.size and (self.e.min() < 0.0 or self.e.max() > 1.0 + 1e-12):
+        if self.e.size and not (self.e.min() >= 0.0 and self.e.max() <= 1.0 + 1e-12):
             raise ValueError("error values must lie in [0, 1]")
 
 
@@ -40,13 +40,11 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
     """Errors for every user at every predicted instant of one run."""
     extent_min = np.asarray(extent_min, np.float64)
     extent_max = np.asarray(extent_max, np.float64)
-    if not np.all(extent_max > extent_min):
+    if not (np.all(np.isfinite([extent_min, extent_max])) and np.all(extent_max > extent_min)):
         raise ValueError(
-            f"degenerate extent: max {extent_max} must exceed min {extent_min} component-wise"
+            f"degenerate extent: max {extent_max} must be finite and exceed min {extent_min} component-wise"
         )
-    k, pred = zoning.zone_count, run.labels_pred
-    if pred.size and (pred.min() < 0 or pred.max() >= k):
-        raise ValueError(f"labels_pred contains zone ids outside [0, {k})")
+    pred = _zone_table(run.labels_pred, zoning.zone_count, "labels_pred", zoning.labels.shape)
     first = run.window_size
     real = zoning.labels[:, first:]
     pred = pred[:, first:]

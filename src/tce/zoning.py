@@ -18,6 +18,22 @@ from .errors import InfeasibleError
 MAX_ITER = 300
 
 
+def _zone_table(table, zone_count, name: str, shape=None) -> np.ndarray:
+    """``table`` as an int64 (users, instants) table of zone ids in
+    [0, ``zone_count``) (unchecked when ``zone_count`` is None), of ``shape``
+    when one is given; anything else is a ValueError naming ``name``."""
+    table = np.asarray(table)
+    if table.ndim != 2 or table.size == 0:
+        raise ValueError(f"{name} must be a non-empty (users, instants) table, got shape {table.shape}")
+    if shape is not None and table.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
+    if table.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer zone ids, got dtype {table.dtype}")
+    if zone_count is not None and (table.min() < 0 or table.max() >= zone_count):
+        raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
+    return table.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Zoning:
     """Fitted centroids plus the per-user per-instant zone labels.
@@ -30,14 +46,12 @@ class Zoning:
     labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "inside_centroids", _frozen(np.array(self.inside_centroids, np.float64).reshape(-1, 2)))
-        object.__setattr__(self, "outside_centroids", _frozen(np.array(self.outside_centroids, np.float64).reshape(-1, 2)))
-        labels = np.array(self.labels, np.int64)
-        if labels.ndim != 2:
-            raise ValueError(f"labels must be (users, instants), got shape {labels.shape}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.zone_count):
-            raise ValueError("zone labels out of range")
-        object.__setattr__(self, "labels", _frozen(labels))
+        for name in ("inside_centroids", "outside_centroids"):
+            centroids = np.array(getattr(self, name), np.float64).reshape(-1, 2)
+            if not np.all(np.isfinite(centroids)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, _frozen(centroids))
+        object.__setattr__(self, "labels", _frozen(np.array(_zone_table(self.labels, self.zone_count, "labels"))))
 
     @property
     def inside_count(self) -> int:

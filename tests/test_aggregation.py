@@ -72,22 +72,6 @@ def test_conservation_and_non_negativity():
             assert np.all(table >= 0)
 
 
-def test_rejects_out_of_range_labels():
-    traces = traces_with_traffic([1.0], instants=2)
-    good = np.zeros((1, 2), np.int64)
-    bad = np.array([[0, 5]], np.int64)
-    with pytest.raises(ValueError):
-        aggregate(traces, bad, good, zone_count=2)
-    with pytest.raises(ValueError):
-        aggregate(traces, good, bad, zone_count=2)
-
-
-def test_rejects_shape_mismatch():
-    traces = traces_with_traffic([1.0, 2.0], instants=3)
-    with pytest.raises(ValueError):
-        aggregate(traces, np.zeros((2, 2), np.int64), np.zeros((2, 3), np.int64), 1)
-
-
 def test_runs_share_one_real_series():
     rng = np.random.default_rng(16)
     traces = traces_with_traffic(rng.uniform(0, 10, size=5), instants=6)

@@ -342,6 +342,13 @@ def load_config_text(trace, traffic, extra=""):
 
 
 class TestLoadMode:
+    def test_generate_subcommand_in_load_mode_exit_code(self, tmp_path, capsys):
+        text = load_config_text(tmp_path / "trace.csv", tmp_path / "traffic.csv")
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: generate subcommand needs [input] mode = generate\n"
+        assert not out.exists()
+
     def test_load_csv_reproduces_generate_run(self, tmp_path):
         gen_cfg = write_cfg(tmp_path)
         full = tmp_path / "full"

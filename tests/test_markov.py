@@ -7,6 +7,7 @@ from tce.errors import InfeasibleError
 from tce.markov import (
     GENERAL,
     PER_USER,
+    PredictionRun,
     TransitionMatrix,
     WindowConfig,
     build_general_matrix,
@@ -82,9 +83,22 @@ class TestBuildGeneralMatrix:
             assert np.all(np.abs(sums[occupied] - 1.0) < 1e-9)
             assert np.all(sums[~occupied] == 0.0)
 
-    def test_rejects_out_of_range_ids(self):
-        with pytest.raises(ValueError):
-            build_general_matrix(np.array([[0, 3]]), 3)
+
+class TestPredictionRun:
+    """A run holds a (users, instants) table and a boundary with at least one
+    true and one predicted instant on either side."""
+
+    def test_rejects_window_zero(self):
+        with pytest.raises(ValueError, match=r"window_size must lie in \[1, 4\), got 0"):
+            PredictionRun(np.zeros((3, 4), np.int64), 0)
+
+    def test_rejects_window_past_last_instant(self):
+        with pytest.raises(ValueError, match=r"window_size must lie in \[1, 4\), got 9"):
+            PredictionRun(np.zeros((3, 4), np.int64), 9)
+
+    def test_rejects_3d_table(self):
+        with pytest.raises(ValueError, match=r"labels_pred must be a non-empty \(users, instants\) table"):
+            PredictionRun(np.zeros((1, 1, 1), np.int64), 1)
 
 
 class TestBuildWindowMatrix:

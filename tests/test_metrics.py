@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from tce.aggregation import aggregate
 from tce.core import TraceSet
 from tce.markov import PredictionRun
 from tce.metrics import (
@@ -72,6 +71,12 @@ class TestPredictionError:
         with pytest.raises(ValueError):
             error_of([[0.0, 0.0], [1.0, 1.0]], 0, 1, (5, 0), (5, 80))
 
+    @pytest.mark.parametrize("lo, hi", [((0, 0), (math.inf, 6)), ((0, 0), (5, math.nan)), ((-math.inf, 0), (5, 6))])
+    def test_non_finite_extent_rejected(self, lo, hi):
+        # an infinite diagonal would score every forecast 0
+        with pytest.raises(ValueError, match="must be finite"):
+            error_of([[0.0, 0.0], [1.0, 1.0]], 0, 1, lo, hi)
+
 
 class TestPositionExtent:
     def test_covers_outside_points(self):
@@ -119,23 +124,13 @@ class TestErrorSeries:
             expected = error_series_norm(zoning, run, lo, hi)
             assert error_series(zoning, run, lo, hi).e.tobytes() == expected.tobytes()
 
-    def test_rejects_out_of_range_predicted_zones(self):
-        # the same refusal as the aggregation of the same run
-        labels = np.zeros((2, 4), np.int64)
-        zoning = Zoning([[1.0, 1.0], [3.0, 3.0]], [[55.0, 40.0]], labels)
-        traces = TraceSet(np.zeros((2, 4, 2)), np.zeros(2))
-        for zone in (-1, 3):
-            pred = labels.copy()
-            pred[1, 3] = zone
-            with pytest.raises(ValueError) as aggregated:
-                aggregate(traces, labels, pred, 3)
-            with pytest.raises(ValueError, match=r"labels_pred contains zone ids outside \[0, 3\)") as scored:
-                error_series(zoning, PredictionRun(pred, 2), (0, 0), (60, 80))
-            assert str(scored.value) == str(aggregated.value)
-
     def test_rejects_out_of_bound_errors(self):
         with pytest.raises(ValueError):
             ErrorSeries(np.array([[0.5, 1.5]]), 1)
+
+    def test_rejects_nan_errors(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            ErrorSeries(np.array([[0.5, math.nan]]), 1)
 
 
 class TestErrorHistogram:

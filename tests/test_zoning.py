@@ -1,11 +1,15 @@
 import itertools
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from tce import zoning as zoning_module
+from tce.core import Venue
 from tce.errors import InfeasibleError
-from tce.zoning import _lloyd, cluster
+from tce.zoning import Zoning, _lloyd, cluster
 
 from conftest import make_traces, nearest_zone_loop
 
@@ -194,6 +198,25 @@ class TestLloyd:
         assert np.array_equal(repaired[1], [8.0, 0.0])
         assert np.array_equal(repaired[2], [6.0, 0.0])
 
+    def test_cluster_repairs_an_emptied_cluster(self):
+        # 28 users at one instant, most near the origin: with these seeds
+        # cluster 5 of 6 loses every member once and is reseeded
+        points = [
+            [-1.79, -0.1], [0, 0], [169.73, -153.37], [-0.01, -0.01], [0, -0.0], [-71.06, -163.7],
+            [-2.06, -2.12], [0.01, -0.0], [-80.53, 84.21], [77.28, 3.46], [83.5, -83.89],
+            [-94.1, -37.56], [-0.45, -71.05], [-0.0, -0.02], [1.57, 0.08], [0.77, 1.68],
+            [-143.5, 13.0], [-0.0, 0.0], [-1.28, -1.65], [-38.73, 78.15], [0.79, -0.54],
+            [7.08, -42.08], [-0.0, 0.01], [106.91, -36.23], [0.01, -0.01], [0.01, -0.01],
+            [2.68, -24.13], [-19.13, 19.96],
+        ]
+        venue = Venue((-200, -200), (200, 200), (), 1.0)
+        spy = mock.patch.object(zoning_module, "_repair_empty", wraps=zoning_module._repair_empty)
+        with spy as repair:
+            zoning = cluster(make_traces(np.reshape(points, (28, 1, 2))), venue, 6, 1, seed=17666)
+        assert [call.args[4].tolist() for call in repair.call_args_list] == [[3, 3, 4, 1, 17, 0]]
+        assert np.bincount(zoning.labels.ravel(), minlength=6).tolist() == [3, 2, 4, 1, 16, 2]
+        assert zoning.labels[:, 0].tolist() == [nearest_zone_loop(zoning, venue, p) for p in points]
+
     def test_objective_non_increasing(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
@@ -253,3 +276,13 @@ class TestAssign:
             for u in range(users):
                 for t in range(instants):
                     assert zoning.labels[u, t] == nearest_zone_loop(zoning, festival_venue, positions[u, t])
+
+
+class TestZoning:
+    @pytest.mark.parametrize("inside, outside", [
+        ([[math.nan, 1.0]], np.empty((0, 2))),
+        ([[1.0, 1.0]], [[math.inf, 2.0]]),
+    ])
+    def test_rejects_non_finite_centroids(self, inside, outside):
+        with pytest.raises(ValueError, match="centroids must be finite"):
+            Zoning(inside, outside, [[0]])
