@@ -40,9 +40,12 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
     """Errors for every user at every predicted instant of one run."""
     extent_min = np.asarray(extent_min, np.float64)
     extent_max = np.asarray(extent_max, np.float64)
-    if not (np.all(np.isfinite([extent_min, extent_max])) and np.all(extent_max > extent_min)):
+    with np.errstate(all="ignore"):  # a span that overflows is refused below
+        diagonal = np.linalg.norm(extent_max - extent_min)
+    if not (np.all(extent_max > extent_min) and np.isfinite(diagonal)):
         raise ValueError(
-            f"degenerate extent: max {extent_max} must be finite and exceed min {extent_min} component-wise"
+            f"degenerate extent: max {extent_max} must exceed min {extent_min} component-wise, "
+            "and the span between them must be finite"
         )
     pred = _zone_table(run.labels_pred, zoning.zone_count, "labels_pred", zoning.labels.shape)
     first = run.window_size
@@ -51,7 +54,7 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
     c = zoning.all_centroids()
     # one cell per (real, predicted) zone pair, from the same operands as a
     # per-(user, instant) difference would use, so the bits are the same
-    table = np.linalg.norm(c[:, None] - c[None], axis=2) / np.linalg.norm(extent_max - extent_min)
+    table = np.linalg.norm(c[:, None] - c[None], axis=2) / diagonal
     return ErrorSeries(table[real, pred], first)
 
 

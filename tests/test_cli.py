@@ -180,6 +180,18 @@ class TestRun:
         files = json.dumps(read_manifest(out)["files"], sort_keys=True)
         assert hashlib.sha256(files.encode()).hexdigest() == digest
 
+    def test_fine_zones_run_pins_output_bytes(self, tmp_path):
+        # 24 + 2 zones: each zone_*_run<r>.svg draws 52 polylines of 60
+        # points, so the palette wraps and y values repeat across zones
+        text = FESTIVAL_INI.read_text().replace("user_count = 200\n", "user_count = 150\n")
+        text = text.replace("k_inside = 5\n", "k_inside = 24\n").replace("k_outside = 1\n", "k_outside = 2\n")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+        assert (out / "plots" / "zone_users_run0.svg").read_text().count("<polyline ") == 52
+        files = json.dumps(read_manifest(out)["files"], sort_keys=True)
+        assert hashlib.sha256(files.encode()).hexdigest() == "a9eba6d6d43103f1c3f02714e9157503f30973ce62f547eb87e3c55cb4d3875b"
+
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "seed, digest",

@@ -71,7 +71,16 @@ class TestPredictionError:
         with pytest.raises(ValueError):
             error_of([[0.0, 0.0], [1.0, 1.0]], 0, 1, (5, 0), (5, 80))
 
-    @pytest.mark.parametrize("lo, hi", [((0, 0), (math.inf, 6)), ((0, 0), (5, math.nan)), ((-math.inf, 0), (5, 6))])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            ((0, 0), (math.inf, 6)),
+            ((0, 0), (5, math.nan)),
+            ((-math.inf, 0), (5, 6)),
+            ((-1e308, 0), (1e308, 6)),  # finite ends, the span overflows
+            ((0, 0), (1e200, 1e200)),  # a finite span, the diagonal overflows
+        ],
+    )
     def test_non_finite_extent_rejected(self, lo, hi):
         # an infinite diagonal would score every forecast 0
         with pytest.raises(ValueError, match="must be finite"):

@@ -5,6 +5,7 @@ are computed or formatted shows."""
 import hashlib
 
 import numpy as np
+import pytest
 
 from tce import svgplot
 
@@ -57,3 +58,64 @@ def test_histogram_chart_bytes_pinned(tmp_path):
     svgplot.histogram_chart(path, per_run_counts, edges, "Prediction error by run")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "192493b798874a140e52c5074f0f76d77ea080b54e45462ca7ad68aad022101e"
+
+
+def reference_line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
+    """``line_chart`` drawing one polyline at a time, each point formatted
+    on its own from Python floats: the per-polyline form the chart-level
+    formatter replaced."""
+    ys_all = np.concatenate([np.asarray(ys, float) for _, ys, _ in series])
+    lo, hi = float(ys_all.min()), float(ys_all.max())
+    pad = 0.5 if step else (hi - lo) * 0.05 or 1.0
+    with svgplot._Canvas(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad)) as canvas:
+        canvas.vline(vline_at)
+        for i, (_, ys, dash) in enumerate(series):
+            sx = [f"{canvas.px(float(x)):.2f}" for x in xs]
+            sy = [f"{canvas.py(float(y)):.2f}" for y in ys]
+            pts = [f"{x},{y}" for x, y in zip(sx, sy)]
+            if step:  # before each point, a riser at its x from the previous y
+                risers = [f"{x},{y}" for x, y in zip(sx[1:], sy)]
+                pts[1:] = [p for pair in zip(risers, pts[1:]) for p in pair]
+            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+            color = svgplot.PALETTE[i % len(svgplot.PALETTE)]
+            canvas._put(
+                f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}"{dash_attr} stroke-width="1.5"/>'
+            )
+        canvas.legend(
+            [(label, svgplot.PALETTE[i % len(svgplot.PALETTE)]) for i, (label, _, _) in enumerate(series)]
+        )
+
+
+ORACLE_KINDS = ["floats", "counts", "constant", "signed_zero", "near_ties"]
+
+
+def oracle_values(kind, rng, shape):
+    if kind == "floats":
+        return rng.uniform(-50.0, 250.0, shape)
+    if kind == "counts":  # integer users per zone: few distinct values, many repeats
+        return rng.integers(0, 6, shape).astype(np.int64)
+    if kind == "constant":
+        return np.full(shape, 2.5)
+    if kind == "signed_zero":
+        return rng.choice([-0.0, 0.0, 1.0, 0.5], shape)
+    # distinct values whose texts are equal: a few bases, each moved by less
+    # than the half-hundredth the .2f text rounds away
+    base = rng.choice([0.0, 1 / 3, 10.0, 2 / 3], shape)
+    return base + rng.choice([0.0, 1e-9, -1e-12, 5e-16], shape)
+
+
+@pytest.mark.parametrize("step", [False, True], ids=["plain", "step"])
+@pytest.mark.parametrize("count", [1, 2, 9, 60])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+def test_line_chart_matches_per_polyline_reference(tmp_path, kind, count, step):
+    # 9 and 60 series wrap the palette; counts and near ties make few distinct y texts
+    rng = np.random.default_rng([count, int(step), ORACLE_KINDS.index(kind)])
+    for instants in (60, 7, 1):
+        xs = np.arange(instants) if kind != "floats" else np.sort(rng.uniform(-3.0, 40.0, instants))
+        values = oracle_values(kind, rng, (count, instants))
+        series = [(f"zone {i // 2} {'pred' if i % 2 else 'real'} <&>", ys, "5 3" if i % 2 else "")
+                  for i, ys in enumerate(values)]
+        args = (xs, series, "Chart & title", "instant", "users", instants // 3)
+        svgplot.line_chart(tmp_path / "chart.svg", *args, step=step)
+        reference_line_chart(tmp_path / "reference.svg", *args, step=step)
+        assert (tmp_path / "chart.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
