@@ -9,8 +9,11 @@ only on a strictly smaller distance (ties go to the lowest index);
 ``accumulate_points`` sums with ``np.bincount(labels, weights=...)``, which
 adds the points in ascending index order, and ``predict_series`` adds each
 row's probabilities in zone order, one in-place row add at a time, which is
-the sequential order of ``np.cumsum``. ``tests/test_kernels.py`` checks each
-kernel against a plain-Python loop.
+the sequential order of ``np.cumsum``. ``predict_series`` forecasts every
+run of one label table in one pass: the runs are stacked as rows of the
+chain over one sliding count table. ``tests/test_kernels.py`` checks each
+kernel against a plain-Python loop, and the stacked runs against one loop
+per run.
 """
 
 from __future__ import annotations
@@ -70,35 +73,41 @@ def count_transitions(labels, k):
 # instants {t-w..t-1}, then sample the next zone from the row of the current
 # state by cumulative interval lookup. The state is the previous prediction
 # except at t=w, where it is the true label at w-1. Rows with no observed
-# transition predict "stay". uniforms[u, t-w] is the draw for user u at
-# instant t.
+# transition predict "stay".
+#
+# The R runs of one forecast share the true labels, so they are stacked as
+# rows of one chain: uniforms has R*U rows, and row r*U + u is user u in run
+# r, with uniforms[r*U + u, t-w] its draw at instant t. The output has the
+# same rows; R = 1 is a single run.
 #
 # Both scopes are one grouped count: a user's group is its own index when
 # per_user, else 0, and the counts of every group sit in one (k to,
-# groups*k from) table, so a user in state s reads column group*k + s. The
+# groups*k from) table, so a row in state s reads column group*k + s. The
 # table is counted once over the pairs of the first window, then slides:
 # after instant t the pair (t-1 -> t) enters and the pair (t-w -> t-w+1)
 # leaves. np.add.at counts the general scope's repeated keys, and for w = 1
-# the two updates cancel. The work is column-major: the users' columns are
-# gathered as a (k, U) block whose probabilities are summed by k-1 in-place
-# row adds, the sequential order of np.cumsum.
+# the two updates cancel. The work is column-major: the rows' columns are
+# gathered as a (k, R*U) block whose probabilities are summed by k-1
+# in-place row adds, the sequential order of np.cumsum.
 
 
 def predict_series(labels, k, w, per_user, uniforms):
     U, T = labels.shape
-    out = labels.copy()
-    state = labels[:, w - 1]
-    first_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
+    runs = uniforms.shape[0] // U
+    out = np.tile(labels, (runs, 1))
+    state = out[:, w - 1]
+    user_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
+    first_row = np.tile(user_row, runs)
     width = (U if per_user else 1) * k
 
     def keys(frm, to):  # table index of each user's pair (frm -> to)
-        return to * width + first_row + frm
+        return to * width + user_row + frm
 
     window = keys(labels[:, : w - 1].T, labels[:, 1:w].T)
     table = np.bincount(window.ravel(), minlength=k * width).reshape(k, width)
-    cum = np.empty((k, U))
+    cum = np.empty((k, runs * U))
     for t in range(w, T):
-        # np.take keeps the (k, U) block row-major, so each row add is contiguous
+        # np.take keeps the (k, R*U) block row-major, so each row add is contiguous
         rows = np.take(table, first_row + state, axis=1)
         total = rows.sum(axis=0)
         np.divide(rows, np.where(total == 0, 1, total), out=cum)

@@ -85,29 +85,36 @@ class PredictionRun:
         object.__setattr__(self, "labels_pred", labels)
 
 
-def predict_labels(labels, zone_count: int, cfg: WindowConfig, seed: int) -> PredictionRun:
-    """Forecast every user's zone at each instant from ``window_size`` on.
+def predict_labels(labels, zone_count: int, cfg: WindowConfig, seeds) -> list[PredictionRun]:
+    """Forecast every user's zone at each instant from ``window_size`` on,
+    once per seed in ``seeds``; run r is seeded with ``seeds[r]``.
 
     Each step builds the window matrix ending at t-1 from true labels only,
     then samples the next zone from the row of the previous predicted zone
     (the true zone at t-1 for the first prediction). One seeded generator
-    drives the whole run; draws are laid out in (user, instant) order.
+    drives each run; its draws are laid out in (user, instant) order. All
+    runs go through one chain pass, stacked as its rows, so the window
+    matrices are counted once whatever the number of runs.
     """
     labels = np.ascontiguousarray(_zone_table(labels, zone_count, "labels"))
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one run")
     users, instants = labels.shape
     w = cfg.window_size
     if instants <= w:
         raise InfeasibleError(
             f"not enough history: {instants} instants cannot support a window of {w}"
         )
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random((users, instants - w))
+    uniforms = np.empty((len(seeds) * users, instants - w))
+    for r, seed in enumerate(seeds):
+        np.random.default_rng(seed).random(out=uniforms[r * users : (r + 1) * users])
     pred = kern.predict_series(labels, zone_count, w, cfg.scope == PER_USER, uniforms)
-    return PredictionRun(pred, w)
+    return [PredictionRun(pred[r * users : (r + 1) * users], w) for r in range(len(seeds))]
 
 
 def run_prediction(traces: TraceSet, zoning: Zoning, cfg: WindowConfig, seed: int) -> PredictionRun:
-    """``predict_labels`` over ``zoning``'s labels, after checking that they
-    cover the users and instants of ``traces``."""
+    """``predict_labels`` over ``zoning``'s labels for the one seed ``seed``,
+    after checking that they cover the users and instants of ``traces``."""
     labels = _zone_table(zoning.labels, None, "labels", (traces.user_count, traces.instant_count))
-    return predict_labels(labels, zoning.zone_count, cfg, seed)
+    return predict_labels(labels, zoning.zone_count, cfg, [seed])[0]

@@ -123,15 +123,13 @@ def general_matrix_stage(zoning: Zoning, out_dir: Path) -> None:
 def prediction_stage(
     cfg: RunConfig, zoning: Zoning, base_seed: int, out_dir: Path
 ) -> list[PredictionRun]:
-    """Forecast ``cfg.run_count`` runs, run r seeded with base_seed + r, and
-    write predictions_run<r>.csv for each."""
-    runs = []
+    """Forecast ``cfg.run_count`` runs, run r seeded with base_seed + r, in
+    one ``predict_labels`` call, then write predictions_run<r>.csv for each."""
     with _stage("prediction"):
-        for r in range(cfg.run_count):
-            runs.append(predict_labels(zoning.labels, zoning.zone_count, cfg.window, base_seed + r))
-            csvio.write_predictions(
-                out_dir / f"predictions_run{r}.csv", zoning.labels, runs[-1].labels_pred
-            )
+        seeds = [base_seed + r for r in range(cfg.run_count)]
+        runs = predict_labels(zoning.labels, zoning.zone_count, cfg.window, seeds)
+        for r, run in enumerate(runs):
+            csvio.write_predictions(out_dir / f"predictions_run{r}.csv", zoning.labels, run.labels_pred)
     return runs
 
 

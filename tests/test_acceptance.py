@@ -138,7 +138,7 @@ def test_criterion_3b_window_equals_restricted_general():
         users, instants, zones = rng.integers(1, 6), rng.integers(3, 10), rng.integers(2, 5)
         labels = rng.integers(0, zones, size=(users, instants)).astype(np.int64)
         w = int(rng.integers(2, instants))
-        pred = predict_labels(labels, int(zones), WindowConfig(w, GENERAL), case).labels_pred
+        pred = predict_labels(labels, int(zones), WindowConfig(w, GENERAL), [case])[0].labels_pred
         uniforms = np.random.default_rng(case).random((users, instants - w))
         for t in range(w, instants):
             restricted = build_general_matrix(labels[:, t - w : t], int(zones))

@@ -40,7 +40,7 @@ def test_forecast_bytes_pinned():
     extent = tce.position_extent(traces)
     digest = hashlib.sha256(extent[0].tobytes() + extent[1].tobytes())
     for scope in (tce.PER_USER, tce.GENERAL):
-        run = predict_labels(zoning.labels, zoning.zone_count, tce.WindowConfig(10, scope), 4)
+        run = predict_labels(zoning.labels, zoning.zone_count, tce.WindowConfig(10, scope), [4])[0]
         digest.update(run.labels_pred.tobytes())
         digest.update(tce.error_series(zoning, run, *extent).e.tobytes())
     assert digest.hexdigest() == "fd2ea58c65ffb0d2d15782c0c7d23cb5f3f6128207ac6a5b007a9cc1df0efe75"

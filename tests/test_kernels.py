@@ -161,6 +161,27 @@ def test_predict_series_matches_reference_loop():
                 assert np.array_equal(a, b), (per_user, labels.shape, zones, w)
 
 
+def test_predict_series_stacked_runs_match_one_loop_per_run():
+    # R runs stacked as rows r*U + u of one call equal R separate loops
+    rng = np.random.default_rng(15)
+    edges = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
+    cases = [random_case(rng, instants=int(rng.integers(3, 12))) for _ in range(40)]
+    cases += [random_case(rng, int(rng.integers(20, 41)), 10, int(rng.integers(5, 13))) for _ in range(2)]
+    for labels, zones in cases:
+        U, T = labels.shape
+        for runs in (2, 3, 5):
+            for w in sorted({1, 2, T - 1}):
+                shape = (runs * U, T - w)
+                for uniforms in (rng.random(shape), rng.choice(edges, shape)):
+                    for per_user in (False, True):
+                        stacked = kern.predict_series(labels, zones, w, per_user, uniforms)
+                        assert stacked.shape == (runs * U, T)
+                        for r in range(runs):
+                            rows = slice(r * U, (r + 1) * U)
+                            b = predict_series_loop(labels, zones, w, per_user, uniforms[rows])
+                            assert np.array_equal(stacked[rows], b), (runs, r, per_user, labels.shape, zones, w)
+
+
 def test_count_transitions_matches_double_loop():
     rng = np.random.default_rng(13)
     for _ in range(500):

@@ -11,6 +11,7 @@ from tce.markov import (
     TransitionMatrix,
     WindowConfig,
     build_general_matrix,
+    predict_labels,
     run_prediction,
 )
 from tce.metrics import error_series
@@ -286,3 +287,41 @@ class TestRunPrediction:
             if not np.array_equal(run.labels_pred, cheat):
                 diverged += 1
         assert diverged > 0
+
+
+class TestPredictLabelsSeeds:
+    def test_each_run_equals_its_own_one_seed_forecast(self):
+        rng = np.random.default_rng(31)
+        seeds = [3, 14, 15, 92, 65]
+        for scope in (PER_USER, GENERAL):
+            for _ in range(10):
+                labels = random_labels(rng, int(rng.integers(1, 8)), int(rng.integers(3, 12)), 4)
+                cfg = WindowConfig(int(rng.integers(1, labels.shape[1])), scope)
+                runs = predict_labels(labels, 4, cfg, seeds)
+                assert len(runs) == len(seeds)
+                for run, seed in zip(runs, seeds):
+                    alone = predict_labels(labels, 4, cfg, [seed])[0]
+                    assert run.labels_pred.tobytes() == alone.labels_pred.tobytes()
+                    assert run.window_size == cfg.window_size
+
+    def test_repeated_seeds_give_equal_runs(self):
+        labels = random_labels(np.random.default_rng(32), 6, 15, 4)
+        for scope in (PER_USER, GENERAL):
+            a, b, c = predict_labels(labels, 4, WindowConfig(5, scope), [7, 8, 7])
+            assert a.labels_pred.tobytes() == c.labels_pred.tobytes()
+            assert a.labels_pred.tobytes() != b.labels_pred.tobytes()
+
+    def test_empty_seed_list_refused(self):
+        labels = np.zeros((2, 5), np.int64)
+        with pytest.raises(ValueError, match="seeds"):
+            predict_labels(labels, 1, WindowConfig(2, GENERAL), [])
+
+    def test_filled_draws_equal_shaped_draws(self):
+        # predict_labels fills each run's rows of one buffer in place; the
+        # bits must be those of rng.random((users, instants - w))
+        for seed in (0, 1, 2**40):
+            for users, steps in ((1, 1), (7, 13), (2000, 50)):
+                buf = np.empty((3 * users, steps))
+                np.random.default_rng(seed).random(out=buf[users : 2 * users])
+                shaped = np.random.default_rng(seed).random((users, steps))
+                assert buf[users : 2 * users].tobytes() == shaped.tobytes()
