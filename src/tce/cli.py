@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import MODE_GENERATE, load_config
+from .config import load_config
 from .errors import ConfigError, ToolError
 
 _EPILOG = """\
@@ -21,8 +21,9 @@ config file sections (INI format):
   [venue]       precinct_min, precinct_max ("x y"), outside_regions
                 (one "x0 y0 x1 y1" per line), index_scale
   [time]        step_seconds, instant_count
-  [input]       mode = generate | load, trace_file, traffic_file,
-                trace_format = csv | waypoint (these three for load only)
+  [input]       trace_file, traffic_file (a trace CSV, or waypoint lines if
+                its first line has no comma, and its traffic CSV; without
+                them [scenario] and [traffic] generate the trace)
   [scenario]    user_count, speed_min, speed_max (m/s), pause_instants,
                 background_weight, attractors (one "name weight x0 y0 x1 y1"
                 per line)
@@ -31,7 +32,6 @@ config file sections (INI format):
   [prediction]  window_size, scope = per_user | general, run_count,
                 base_seed
   [report]      plot_users (ids, space separated), bin_count
-  [output]      directory (overridden by --out)
 
 A missing or malformed config value, or an unknown key, exits 2 naming its
 [section] key (and the line, for outside_regions, attractors and tiers); an
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="path to the INI config file")
         p.add_argument("--seed", type=int, default=None, help="override the config base seed")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=None, help="output directory (required)")
         return p
 
     add("run", "run the full pipeline and write a manifest", _cmd_run)
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("generate", "generate a synthetic trace/traffic CSV pair", _cmd_generate)
 
     p = add("cluster", "fit zones over a trace and write zones.csv / labels.csv", _cmd_cluster)
-    p.add_argument("--trace", required=True, help="trace CSV (user_id,t,x,y)")
+    p.add_argument("--trace", required=True, help="trace CSV (user_id,t,x,y) or waypoint lines")
     p.add_argument("--traffic", required=True, help="traffic CSV (user_id,mean_traffic_mbps)")
 
     p = add("predict", "run seeded predictions over fitted zone labels", _cmd_predict)
@@ -81,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_args(args):
     """Config, output directory and base seed of a command."""
     cfg = load_config(args.config)
-    if args.command == "generate" and cfg.mode != MODE_GENERATE:
-        raise ConfigError("generate subcommand needs [input] mode = generate")
-    if not (args.out or cfg.out_dir):
-        raise ConfigError("no output directory: pass --out or set [output] directory")
+    if args.command == "generate" and cfg.trace_file is not None:
+        raise ConfigError("generate subcommand needs a config without [input] trace_file")
+    if not args.out:
+        raise ConfigError("no output directory: pass --out")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    return cfg, Path(args.out or cfg.out_dir), cfg.base_seed if args.seed is None else args.seed
+    return cfg, Path(args.out), cfg.base_seed if args.seed is None else args.seed
 
 
 def _cmd_run(args) -> int:

@@ -3,12 +3,14 @@
 Every key is documented in the CLI ``--help`` epilog. configs/festival.ini is
 the demo scenario and a complete example; build it with
 ``load_config("configs/festival.ini")`` and vary a field with
-``dataclasses.replace``. A missing or malformed value raises ConfigError
-(CLI exit 2) naming its ``[section] key``, and the line of a table key; a
-value that a constructor's own check rejects names its ``[section]``; a
-section or key outside ``SECTIONS`` is refused the same way. An
-unreadable config file exits 2 and an unreadable input file (``trace_file``,
-``traffic_file``) exits 3, each naming the file.
+``dataclasses.replace``. A config with ``[input]`` keys loads the
+``trace_file`` and ``traffic_file`` they name; one without them generates
+its trace from ``[scenario]`` and ``[traffic]``. A missing or malformed value
+raises ConfigError (CLI exit 2) naming its ``[section] key``, and the line of
+a table key; a value that a constructor's own check rejects names its
+``[section]``; a section or key outside ``SECTIONS`` is refused the same way.
+An unreadable config file exits 2 and an unreadable input file
+(``trace_file``, ``traffic_file``) exits 3, each naming the file.
 """
 
 from __future__ import annotations
@@ -23,15 +25,11 @@ from .errors import ConfigError, open_input
 from .markov import PER_USER, WindowConfig
 from .scenario import Attractor, MobilityParams, TrafficTiers
 
-MODE_GENERATE = "generate"
-MODE_LOAD = "load"
-
 
 @dataclass(frozen=True)
 class RunConfig:
     venue: Venue
     grid: TimeGrid
-    mode: str
     k_inside: int
     k_outside: int
     window: WindowConfig
@@ -42,23 +40,20 @@ class RunConfig:
     traffic: TrafficTiers | None = None
     trace_file: str | None = None
     traffic_file: str | None = None
-    trace_format: str = "csv"
     plot_users: tuple[int, ...] = ()
     bin_count: int = 10
-    out_dir: str | None = None
 
 
-# The keys of each section, those of both [input] modes; any other is refused.
+# The keys of each section, those of both trace sources; any other is refused.
 SECTIONS = {
     "venue": ("precinct_min", "precinct_max", "outside_regions", "index_scale"),
     "time": ("step_seconds", "instant_count"),
-    "input": ("mode", "trace_file", "traffic_file", "trace_format"),
+    "input": ("trace_file", "traffic_file"),
     "scenario": ("user_count", "speed_min", "speed_max", "pause_instants", "background_weight", "attractors"),
     "traffic": ("tiers",),
     "clustering": ("k_inside", "k_outside"),
     "prediction": ("window_size", "scope", "run_count", "base_seed"),
     "report": ("plot_users", "bin_count"),
-    "output": ("directory",),
 }
 
 
@@ -88,8 +83,6 @@ def _checked(kind, ok, why: str):
 
 _COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "must be >= 0")
-_MODE = _checked(str, (MODE_GENERATE, MODE_LOAD).__contains__, "must be 'generate' or 'load'")
-_FORMAT = _checked(str, ("csv", "waypoint").__contains__, "must be 'csv' or 'waypoint'")
 
 
 def _get(section, key, cast=str, default=None):
@@ -170,8 +163,12 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     grid = _make(
         "[time]", TimeGrid, _get(time, "step_seconds", float), _get(time, "instant_count", int)
     )
-    mode = _get(input_sec, "mode", _MODE)
-    if mode == MODE_GENERATE:
+    if input_sec:  # [input] names the trace to load
+        source = dict(
+            trace_file=_get(input_sec, "trace_file"),
+            traffic_file=_get(input_sec, "traffic_file"),
+        )
+    else:
         attractors = _table(
             scen, "attractors", "name weight x0 y0 x1 y1", (str,) + (_number,) * 5,
             lambda a: Attractor(Rect(a[2:4], a[4:]), a[1], a[0]),
@@ -188,12 +185,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
                 background_weight=_get(scen, "background_weight", float, 0.0),
             ),
             traffic=_make("[traffic] tiers:", TrafficTiers, tuple(tiers)),
-        )
-    else:
-        source = dict(
-            trace_file=_get(input_sec, "trace_file"),
-            traffic_file=_get(input_sec, "traffic_file"),
-            trace_format=_get(input_sec, "trace_format", _FORMAT, "csv"),
         )
 
     window = _make(
@@ -215,7 +206,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
             _get(venue, "index_scale", float, 1.0),
         ),
         grid=grid,
-        mode=mode,
         k_inside=_get(parser["clustering"], "k_inside", _COUNT),
         k_outside=_get(parser["clustering"], "k_outside", _COUNT, 1),
         window=window,
@@ -223,7 +213,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         base_seed=_get(prediction, "base_seed", _SEED, 0),
         plot_users=_get(report, "plot_users", lambda raw: tuple(map(int, raw.split())), ()),
         bin_count=_get(report, "bin_count", _COUNT, 10),
-        out_dir=_get(parser["output"], "directory", default="") or None,
         **source,
     )
 

@@ -255,6 +255,16 @@ def load_trace(trace_path, traffic_path, grid: TimeGrid) -> TraceSet:
     return TraceSet(np.stack([x[order], y[order]], axis=-1), traffic)
 
 
+def load_trace_pair(trace_path, traffic_path, grid: TimeGrid) -> TraceSet:
+    """A trace file and its traffic CSV. A trace whose first line holds a
+    comma is a trace CSV (``load_trace``); any other is waypoint lines."""
+    with open_input(trace_path, DataError, mode="rb") as fh:
+        if b"," in fh.readline():
+            return load_trace(trace_path, traffic_path, grid)
+    positions = load_waypoint_lines(trace_path, grid)
+    return TraceSet(positions, load_traffic(traffic_path, positions.shape[0]))
+
+
 def load_traffic(path, user_count: int) -> np.ndarray:
     """Per-user mean rates; each user id in [0, user_count) exactly once."""
     row, (u, rate) = _columns(path, TRAFFIC_HEADER, (int, float))

@@ -1,9 +1,11 @@
 """Transition matrices over zones and the sliding-window prediction chain.
 
 The general matrix (all users, all instants) is descriptive only; forecasting
-uses window matrices rebuilt each step from true labels. ``run_prediction``
-therefore never accepts a matrix argument: it derives every window matrix
-internally, so the general matrix cannot leak into the forecast path.
+uses window matrices rebuilt each step from true labels. ``predict_labels`` is
+the one forecast entry point: ``run_prediction`` (one seed) and
+``pipeline.prediction_stage`` (every run of a config) both call it. It never
+accepts a matrix argument: it derives every window matrix internally, so the
+general matrix cannot leak into the forecast path.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ import numpy as np
 from . import csvio, svgplot
 from ._kernels import backend
 from .aggregation import aggregate_runs
-from .config import MODE_GENERATE, RunConfig, config_digest
+from .config import RunConfig, config_digest
 from .core import TraceSet
 from .errors import ConfigError, DataError, ToolError
 from .markov import PredictionRun, build_general_matrix, predict_labels
@@ -89,16 +89,12 @@ def input_stage(cfg: RunConfig, seed: int, out_dir: Path) -> TraceSet:
     """Generate the scenario, or load the configured trace files, and write
     trace.csv and traffic.csv."""
     with _stage("input"):
-        if cfg.mode == MODE_GENERATE:
+        if cfg.trace_file is None:
             traces = generate_scenario(
                 cfg.venue, cfg.grid, cfg.user_count, cfg.mobility, cfg.traffic, seed
             )
-        elif cfg.trace_format == "waypoint":
-            positions = csvio.load_waypoint_lines(cfg.trace_file, cfg.grid)
-            traffic = csvio.load_traffic(cfg.traffic_file, positions.shape[0])
-            traces = TraceSet(positions, traffic)
         else:
-            traces = csvio.load_trace(cfg.trace_file, cfg.traffic_file, cfg.grid)
+            traces = csvio.load_trace_pair(cfg.trace_file, cfg.traffic_file, cfg.grid)
         csvio.write_trace(out_dir / "trace.csv", traces)
         csvio.write_traffic(out_dir / "traffic.csv", traces)
     return traces
@@ -166,9 +162,10 @@ def check_plot_users(cfg: RunConfig, traces: TraceSet) -> None:
 
 
 def load_traces(cfg: RunConfig, trace_file, traffic_file) -> TraceSet:
-    """Read a trace/traffic CSV pair as the input of a stage subcommand."""
+    """Read a trace file (CSV or waypoint lines, as ``input_stage`` reads
+    them) and its traffic CSV as the input of a stage subcommand."""
     with _stage("input"):
-        return csvio.load_trace(trace_file, traffic_file, cfg.grid)
+        return csvio.load_trace_pair(trace_file, traffic_file, cfg.grid)
 
 
 def load_zoning(cfg: RunConfig, zones_file, labels_file) -> Zoning:

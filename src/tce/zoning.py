@@ -100,8 +100,6 @@ def _repair_empty(points, labels, dist2, centroids, counts):
     for j in np.flatnonzero(counts == 0):
         largest = int(np.argmax(counts))
         members = np.flatnonzero(labels == largest)
-        if members.size == 0:
-            continue
         far = members[int(np.argmax(d2[members]))]
         centroids[j] = points[far]
         counts[largest] -= 1

@@ -29,9 +29,6 @@ outside_regions =
 step_seconds = 300
 instant_count = 12
 
-[input]
-mode = generate
-
 [scenario]
 user_count = 6
 speed_min = 0
@@ -71,9 +68,6 @@ precinct_max = 10 10
 [time]
 step_seconds = 60
 instant_count = 2
-
-[input]
-mode = generate
 
 [scenario]
 user_count = 1
@@ -259,12 +253,6 @@ class TestRun:
         cfg = write_cfg(tmp_path, CONFIG.replace("[time]", "[tim]"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-    def test_output_section_supplies_directory(self, tmp_path):
-        out = tmp_path / "from_config"
-        cfg = write_cfg(tmp_path, CONFIG + f"\n[output]\ndirectory = {out}\n")
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert (out / "manifest.json").exists()
-
     def test_missing_out_dir_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 2
@@ -290,8 +278,10 @@ class TestRun:
         [
             ("bin_count = 10", "bin_cont = 20", "[report] bin_cont: unknown key"),
             ("[prediction]", "[predicton]", "unknown section [predicton]"),
+            ("[scenario]", "[input]\nmode = generate\n\n[scenario]", "[input] mode: unknown key"),
+            ("bin_count = 10", "bin_count = 10\n\n[output]\ndirectory = out", "unknown section [output]"),
         ],
-        ids=["misspelled_key", "misspelled_section"],
+        ids=["misspelled_key", "misspelled_section", "mode_key", "output_section"],
     )
     def test_unknown_config_name_exit_code(self, tmp_path, capsys, old, new, message):
         cfg = write_cfg(tmp_path, CONFIG.replace(old, new))
@@ -338,19 +328,9 @@ class TestRun:
         assert "[clustering]" in capsys.readouterr().err
 
 
-LOAD_SECTIONS = """\
-[input]
-mode = load
-trace_file = {trace}
-traffic_file = {traffic}
-{extra}
-"""
-
-
-def load_config_text(trace, traffic, extra=""):
-    """CONFIG in load mode over the given trace and traffic files."""
-    head, _, tail = CONFIG.partition("[input]\nmode = generate\n")
-    return head + LOAD_SECTIONS.format(trace=trace, traffic=traffic, extra=extra) + tail
+def load_config_text(trace, traffic):
+    """CONFIG loading the given trace and traffic files."""
+    return CONFIG + f"\n[input]\ntrace_file = {trace}\ntraffic_file = {traffic}\n"
 
 
 class TestLoadMode:
@@ -358,7 +338,7 @@ class TestLoadMode:
         text = load_config_text(tmp_path / "trace.csv", tmp_path / "traffic.csv")
         out = tmp_path / "out"
         assert main(["generate", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: generate subcommand needs [input] mode = generate\n"
+        assert capsys.readouterr().err == "error: generate subcommand needs a config without [input] trace_file\n"
         assert not out.exists()
 
     def test_load_csv_reproduces_generate_run(self, tmp_path):
@@ -382,7 +362,7 @@ class TestLoadMode:
         )
         traffic = tmp_path / "rates.csv"
         traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n1,2.0\n")
-        text = load_config_text(wp, traffic, extra="trace_format = waypoint")
+        text = load_config_text(wp, traffic)
         text = text.replace("k_inside = 3", "k_inside = 2")
         cfg = write_cfg(tmp_path, text, name="wp.ini")
         out = tmp_path / "out"
@@ -417,7 +397,7 @@ class TestLoadMode:
         )
         traffic = tmp_path / "rates.csv"
         traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n1,2.0\n2,1.0\n3,1.0\n")
-        text = load_config_text(wp, traffic, extra="trace_format = waypoint")
+        text = load_config_text(wp, traffic)
         text = text.replace("k_inside = 3", "k_inside = 2").replace("k_outside = 1", "k_outside = 2")
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
@@ -430,14 +410,40 @@ class TestLoadMode:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("trace_format", ["csv", "waypoint"])
-    def test_directory_as_trace_file_exit_code(self, tmp_path, capsys, trace_format):
+    def test_directory_as_trace_file_exit_code(self, tmp_path, capsys):
         folder = tmp_path / "folder"
         folder.mkdir()
-        text = load_config_text(folder, folder, extra=f"trace_format = {trace_format}")
+        text = load_config_text(folder, folder)
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
         assert f"{folder}: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cluster_reads_waypoint_lines_as_run_does(self, tmp_path):
+        # tce run and tce cluster --trace read a trace file through one loader
+        wp = tmp_path / "wp.txt"
+        wp.write_text("0 5 40 3300 5 40\n0 10 5 3300 20 5\n0 30 70 3300 40 75\n0 55 20 3300 55 60\n")
+        traffic = tmp_path / "rates.csv"
+        traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n1,2.0\n2,0.0\n3,5.0\n")
+        cfg = write_cfg(tmp_path, load_config_text(wp, traffic))
+        full, clus = tmp_path / "full", tmp_path / "clus"
+        assert main(["run", "--config", str(cfg), "--out", str(full)]) == 0
+        assert main([
+            "cluster", "--config", str(cfg), "--out", str(clus), "--trace", str(wp), "--traffic", str(traffic),
+        ]) == 0
+        for name in ("zones.csv", "labels.csv"):
+            assert (clus / name).read_bytes() == (full / name).read_bytes(), name
+        assert b"\r\n3,outside," in (full / "zones.csv").read_bytes()  # the walk outside has a zone
+
+    @pytest.mark.parametrize("command", ["run", "cluster", "report"])
+    def test_empty_trace_file_exit_code(self, tmp_path, capsys, full, command):
+        # an empty first line has no comma, so the waypoint reader refuses the file
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        cfg = write_cfg(tmp_path, load_config_text(empty, full / "traffic.csv"))
+        out = tmp_path / "out"
+        assert main(command_argv(command, cfg, full, out, trace=empty)) == 3
+        assert capsys.readouterr().err == f"error: [input] {empty}: no waypoint lines\n"
         assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""Property tests: mutated report inputs, load-mode trace files (CSV and
+"""Property tests: mutated report inputs, loaded trace files (CSV and
 waypoint lines) and config files end in a documented exit code, print no
 traceback and leave no partial --out."""
 
@@ -104,8 +104,8 @@ class TestReportInputProperties:
 
 
 class TestLoadModeProperties:
-    """``tce run`` in load mode over a mutated trace.csv/traffic.csv pair, or
-    over waypoint lines (one user per line, ``t x y`` triples) made from the
+    """``tce run`` loading a mutated trace.csv/traffic.csv pair, or
+    waypoint lines (one user per line, ``t x y`` triples) made from the
     same trace, with whole lines or single tokens edited."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -130,12 +130,12 @@ class TestLoadModeProperties:
         (case / "traffic.csv").write_text(
             "user_id,mean_traffic_mbps\n" + "".join(f"{u},{10 * (u % 2)}\n" for u in range(users))
         )
-        text = load_config_text(case / "wp.txt", case / "traffic.csv", extra="trace_format = waypoint")
+        text = load_config_text(case / "wp.txt", case / "traffic.csv")
         cfg = write_cfg(case, text)
         run_cleanly(["run", "--config", cfg, "--out", case / "out"], case / "out")
 
 
-# a tiny generate-mode run; every token the edits write is small, so no
+# a tiny generated run; every token the edits write is small, so no
 # mutation can blow up the runtime or memory
 TINY_INI = """\
 [venue]
@@ -148,9 +148,6 @@ index_scale = 1.0
 [time]
 step_seconds = 60
 instant_count = {instants}
-
-[input]
-mode = generate
 
 [scenario]
 user_count = {users}

@@ -1,6 +1,8 @@
+import configparser
+
 import pytest
 
-from tce.config import config_digest, load_config
+from tce.config import SECTIONS, config_digest, load_config
 from tce.errors import ConfigError
 
 from conftest import FESTIVAL_INI
@@ -13,9 +15,6 @@ precinct_max = 10 10
 [time]
 step_seconds = 60
 instant_count = 4
-
-[input]
-mode = generate
 
 [scenario]
 user_count = 2
@@ -33,6 +32,12 @@ k_inside = 1
 
 [prediction]
 window_size = 1
+"""
+
+LOAD = """
+[input]
+trace_file = t.csv
+traffic_file = f.csv
 """
 
 
@@ -67,10 +72,16 @@ def test_missing_section_is_config_error(tmp_path):
         ("k_inside = 1", "k_inside = 1\nk_insde = 2",
          r"\[clustering\] k_insde: unknown key; \[clustering\] reads k_inside, k_outside$"),
         ("window_size = 1", "window_size = 1\n[report]\nbin_cont = 20", r"\[report\] bin_cont: unknown key"),
-        ("[input]", "[inputs]", r"unknown section \[inputs\]; sections are \[venue\], \[time\], \[input\]"),
+        ("[clustering]", "[clusterng]", r"unknown section \[clusterng\]; sections are \[venue\], \[time\], \[input\]"),
         ("[venue]", "[DEFAULT]\nbase_seed = 3\n\n[venue]", r"unknown section \[DEFAULT\]$"),
+        ("[scenario]", "[input]\ntrace_format = waypoint\n[scenario]",
+         r"\[input\] trace_format: unknown key; \[input\] reads trace_file, traffic_file$"),
+        ("window_size = 1", "window_size = 1\n[output]\ndirectory = out", r"unknown section \[output\]"),
     ],
-    ids=["misspelled_key", "key_of_no_section", "misspelled_section", "default_section"],
+    ids=[
+        "misspelled_key", "key_of_no_section", "misspelled_section", "default_section",
+        "trace_format_key", "output_section",
+    ],
 )
 def test_unknown_name_is_config_error(tmp_path, old, new, message):
     with pytest.raises(ConfigError, match=message):
@@ -78,11 +89,58 @@ def test_unknown_name_is_config_error(tmp_path, old, new, message):
 
 
 def test_keys_of_either_mode_accepted(tmp_path):
-    # load mode keeps [scenario] and [traffic]; generate mode keeps the file keys
-    load = MINIMAL.replace("mode = generate", "mode = load\ntrace_file = t.csv\ntraffic_file = f.csv")
-    assert load_config(write_cfg(tmp_path, load)).trace_file == "t.csv"
-    generate = MINIMAL.replace("mode = generate", "mode = generate\ntrace_format = waypoint")
-    assert load_config(write_cfg(tmp_path, generate)).trace_file is None
+    # [input] keys load a trace; a loading config may keep [scenario] and [traffic]
+    load = load_config(write_cfg(tmp_path, MINIMAL + LOAD))
+    assert (load.trace_file, load.traffic_file, load.user_count) == ("t.csv", "f.csv", None)
+    generate = load_config(write_cfg(tmp_path, MINIMAL))
+    assert (generate.trace_file, generate.user_count) == (None, 2)
+
+
+# a second valid value of every key: unlike its MINIMAL (+ LOAD) value or default
+SECOND_VALUES = {
+    ("venue", "precinct_min"): "1 0",
+    ("venue", "precinct_max"): "10 9",
+    ("venue", "outside_regions"): "10 2 12 8",
+    ("venue", "index_scale"): "2.0",
+    ("time", "step_seconds"): "30",
+    ("time", "instant_count"): "5",
+    ("input", "trace_file"): "u.csv",
+    ("input", "traffic_file"): "g.csv",
+    ("scenario", "user_count"): "3",
+    ("scenario", "speed_min"): "0.1",
+    ("scenario", "speed_max"): "0.4",
+    ("scenario", "pause_instants"): "1",
+    ("scenario", "background_weight"): "0.5",
+    ("scenario", "attractors"): "a 1.0 1 1 8 8",
+    ("traffic", "tiers"): "1.0 6",
+    ("clustering", "k_inside"): "2",
+    ("clustering", "k_outside"): "2",
+    ("prediction", "window_size"): "2",
+    ("prediction", "scope"): "general",
+    ("prediction", "run_count"): "2",
+    ("prediction", "base_seed"): "1",
+    ("report", "plot_users"): "0",
+    ("report", "bin_count"): "5",
+}
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(section, key) for section, keys in SECTIONS.items() for key in keys],
+    ids=lambda name: name,
+)
+def test_every_key_changes_the_config(tmp_path, section, key):
+    # a key whose second value gives the same RunConfig is a key nothing reads;
+    # the [input] keys are read by a loading config, the others by MINIMAL's
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(MINIMAL + LOAD if section == "input" else MINIMAL)
+    configs = []
+    for name in ("first.ini", "second.ini"):
+        with open(tmp_path / name, "w") as fh:
+            parser.write(fh)
+        configs.append(config_digest(load_config(tmp_path / name)))
+        parser.read_dict({section: {key: SECOND_VALUES[section, key]}})
+    assert configs[0] != configs[1]
 
 
 def test_missing_key_is_config_error(tmp_path):
@@ -91,8 +149,10 @@ def test_missing_key_is_config_error(tmp_path):
 
 
 def test_bad_mode_is_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="mode"):
-        load_config(write_cfg(tmp_path, MINIMAL.replace("mode = generate", "mode = stream")))
+    # there is no mode key: [input] trace_file alone picks the trace source
+    for value in ("generate", "load", "stream"):
+        with pytest.raises(ConfigError, match=r"\[input\] mode: unknown key; \[input\] reads trace_file"):
+            load_config(write_cfg(tmp_path, MINIMAL + LOAD + f"mode = {value}\n"))
 
 
 def test_window_must_fit_grid(tmp_path):
@@ -101,9 +161,11 @@ def test_window_must_fit_grid(tmp_path):
 
 
 def test_load_mode_requires_files(tmp_path):
-    text = MINIMAL.replace("mode = generate", "mode = load")
-    with pytest.raises(ConfigError, match="trace_file"):
-        load_config(write_cfg(tmp_path, text))
+    # either [input] key makes the config load a trace, which needs both files
+    for key, missing in [("trace_file", "traffic_file"), ("traffic_file", "trace_file")]:
+        text = MINIMAL + f"[input]\n{key} = t.csv\n"
+        with pytest.raises(ConfigError, match=f"missing key '{missing}' in section \\[input\\]"):
+            load_config(write_cfg(tmp_path, text))
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -121,7 +183,7 @@ def test_digest_stable_and_sensitive(tmp_path):
 
 def test_festival_digest_pinned():
     # the manifest's config_digest of the demo; a parser change must keep it
-    digest = "79db1dd11db0581dab0363f8d36eeed512ff018324dd52d22320cf18d0f78a6e"
+    digest = "e5c69dacc5780459c138f399b85c30d09b21b630737f1e1a2a9254666ac322c0"
     assert config_digest(load_config(FESTIVAL_INI)) == digest
 
 
@@ -152,13 +214,18 @@ def test_festival_digest_pinned():
          r"\[venue\] precinct_min must be < precinct_max"),
         ("precinct_max = 10 10", "precinct_max = 10 10\noutside_regions =\n    5 2 12 8",
          r"\[venue\] outside_regions\[0\] overlaps the precinct"),
+        ("precinct_min = 0 0", "precinct_min = 0", r"\[venue\] precinct_min must be a 2-vector"),
+        ("window_size = 1", "window_size = 0", r"\[prediction\] window_size must be >= 1, got 0$"),
+        ("tiers =\n    1.0 5", "tiers =", r"\[traffic\] tiers: at least one traffic tier is required"),
+        ("1.0 5", "0 10", r"\[traffic\] tiers: tier fraction must lie in \(0, 1\], got 0.0"),
     ],
     ids=[
         "tier_div_zero", "tier_field_count", "attractor_weight", "region_number",
         "precinct_div_zero", "plot_users_percent", "user_count_zero", "base_seed_negative",
         "no_attractors", "attractor_reversed", "region_reversed", "speed_min_above_max",
         "tier_rate_negative", "tier_fractions_sum", "step_seconds_zero", "scope_unknown",
-        "precinct_empty", "region_overlaps_precinct",
+        "precinct_empty", "region_overlaps_precinct", "precinct_min_shape", "window_size_zero",
+        "tiers_empty", "tier_fraction_zero",
     ],
 )
 def test_malformed_value_names_key(tmp_path, old, new, message):
