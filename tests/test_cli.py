@@ -410,12 +410,33 @@ class TestLoadMode:
         )
         assert not out.exists()
 
-    def test_directory_as_trace_file_exit_code(self, tmp_path, capsys):
-        folder = tmp_path / "folder"
+    @pytest.mark.parametrize("trace_format", ["csv", "waypoint"])
+    def test_directory_as_trace_file_exit_code(self, tmp_path, capsys, trace_format):
+        # a directory named like either kind of trace file is refused before its format is sniffed
+        folder = tmp_path / {"csv": "trace.csv", "waypoint": "wp.txt"}[trace_format]
         folder.mkdir()
-        text = load_config_text(folder, folder)
+        traffic = tmp_path / "rates.csv"
+        traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n")
+        text = load_config_text(folder, traffic)
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
+        assert f"{folder}: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "trace_text",
+        ["user_id,t,x,y\n" + "".join(f"0,{t},5.0,40.0\n" for t in range(12)), "0 5 40 3300 5 40\n"],
+        ids=["csv", "waypoint"],
+    )
+    def test_directory_as_traffic_file_exit_code(self, tmp_path, capsys, trace_text):
+        # either trace reader refuses a directory named as the traffic file
+        trace = tmp_path / "trace.txt"
+        trace.write_text(trace_text)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        cfg = write_cfg(tmp_path, load_config_text(trace, folder))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert f"{folder}: cannot read" in capsys.readouterr().err
         assert not out.exists()
 
