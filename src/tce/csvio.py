@@ -4,7 +4,8 @@ All writers emit a header row and sort rows (user_id, then t) so identical
 data gives identical bytes, with csv-module text: comma-separated, CRLF line
 ends, a float written as its ``repr``. Every per-(id, t) table goes through
 ``_write_table``, which formats each distinct value of a column once and
-repeats its text.
+repeats its text, and writes the lines of a block of ids with one join of at
+most ``_BLOCK_CELLS`` cells (one id's lines where they are more).
 
 Loaders parse a table with numpy's C reader (``np.loadtxt``) into one array
 per column. Where that reader refuses the text, or could read it otherwise
@@ -49,8 +50,12 @@ def _formatted(column, end: str) -> tuple[np.ndarray, np.ndarray]:
     each distinct value followed by ``end``, as an object array. Floats are
     keyed on their bits, so -0.0 stays apart from 0.0."""
     keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
-    _, at, rank = np.unique(keys, return_index=True, return_inverse=True)
-    return rank, np.array([repr(value) + end for value in column[at].tolist()], object)
+    distinct, rank = np.unique(keys, return_inverse=True)
+    values = distinct.view(column.dtype).tolist()
+    return rank, np.array([repr(value) + end for value in values], object)
+
+
+_BLOCK_CELLS = 2**14  # cells joined per file write; a row wider than this is one block
 
 
 def _write_table(path, header, *tables, first=0) -> None:
@@ -58,22 +63,26 @@ def _write_table(path, header, *tables, first=0) -> None:
     (outer, inner) arrays, row-major.
 
     Each column's distinct values are formatted once; a line's cells are
-    looked up in those texts by the value's rank. The file is written one
-    id at a time, so it never holds the text of more than one id's lines.
+    looked up in those texts by the value's rank. The file is written a block
+    of ids at a time, one join and one write per block, so it never holds the
+    text of more than ``_BLOCK_CELLS`` cells or of one id's lines.
     """
     outer, inner = tables[0].shape
     n = 2 + len(tables)
     ends = [","] * (len(tables) - 1) + ["\r\n"]
     columns = [_formatted(table.ravel(), end) for table, end in zip(tables, ends)]
-    line = [None] * (n * inner)  # i, t, then one cell per table: one file line per (i, t)
-    line[1::n] = [f"{t}," for t in range(first, first + inner)]
+    instants = np.array([f"{t}," for t in range(first, first + inner)], object)
+    ids = max(1, _BLOCK_CELLS // (n * inner or 1))  # ids per block
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for i in range(outer):
-            line[0::n] = [f"{i},"] * inner
+        for lo in range(0, outer, ids):
+            hi = min(outer, lo + ids)
+            block = np.empty((hi - lo, inner, n), object)  # one cell per (i, t, column)
+            block[..., 0] = np.array([f"{i}," for i in range(lo, hi)], object)[:, None]
+            block[..., 1] = instants
             for c, (rank, texts) in enumerate(columns, 2):
-                line[c::n] = texts[rank[i * inner : (i + 1) * inner]]
-            fh.write("".join(line))
+                block[..., c] = texts[rank[lo * inner : hi * inner]].reshape(hi - lo, inner)
+            fh.write("".join(block.ravel().tolist()))
 
 
 _DTYPES = {int: np.int64, float: np.float64, str: object}

@@ -9,11 +9,16 @@ every sampled position stays within the precinct or a declared outside region.
 Generation is single-threaded per scenario and draws only through
 ``Generator.permutation`` and ``Generator.random``, so a seed fixes the trace:
 a pick looks ``random()`` up in the CDF ``Generator.choice`` builds, and points
-and speeds are ``lo + (hi - lo) * random()``, the bits of ``uniform``.
+and speeds are ``lo + (hi - lo) * random()``, the bits of ``uniform``. The
+uniforms are drawn ``random(n)`` at a time, which gives the values of n
+``random()`` calls in the same order. A leg's length is C ``hypot``, the
+function ``np.hypot`` calls, reached through the ``abs`` of a Python complex.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,7 @@ import numpy as np
 from .core import Rect, TimeGrid, TraceSet, Venue
 
 _PRECINCT = -1  # region id of the precinct in routing
+_UNIFORM_BLOCK = 1024  # uniforms per Generator.random call
 
 
 @dataclass(frozen=True)
@@ -149,20 +155,23 @@ class _WaypointDraw:
             weights.append(mobility.background_weight)
         w = np.asarray(weights, np.float64)
         with np.errstate(over="ignore"):  # refused just below, not warned
-            self.spans, total = [r.hi - r.lo for r in rects], w.sum()
-        if not (np.isfinite(total) and np.isfinite(self.spans).all()):
+            spans, total = np.array([r.hi - r.lo for r in rects]), w.sum()
+        if not (np.isfinite(total) and np.isfinite(spans).all()):
             raise ValueError("the waypoint weight total and region extents must be finite in float64")
         cdf = np.cumsum(w / total)
         self.cdf = cdf / cdf[-1]  # the CDF Generator.choice builds from p
-        self.los = [r.lo for r in rects]
+        self._cdf = self.cdf.tolist()  # bisect over a list: no ufunc per pick
+        self.los, self.spans = [r.lo.tolist() for r in rects], spans.tolist()
         regions = (*venue.outside_regions, venue.precinct)  # index _PRECINCT is the precinct
         self.regions = [(*r.lo.tolist(), *r.hi.tolist()) for r in regions]
         self.gates = {h: tuple(_gate(venue, h).tolist()) for h in self.hosts if h != _PRECINCT}
 
-    def draw(self, rng: np.random.Generator) -> tuple[list, int]:
-        """A destination point [x, y] and its host region."""
-        i = int(self.cdf.searchsorted(rng.random(), side="right"))
-        return (self.los[i] + self.spans[i] * rng.random(2)).tolist(), self.hosts[i]
+    def draw(self, rng) -> tuple[list, int]:
+        """A destination point [x, y] and its host region, from ``rng.random()``
+        and ``rng.random(2)`` (a Generator or ``_Uniforms``)."""
+        i = bisect_right(self._cdf, rng.random())  # searchsorted(side="right")
+        (lox, loy), (spanx, spany), (ux, uy) = self.los[i], self.spans[i], rng.random(2)
+        return [lox + spanx * ux, loy + spany * uy], self.hosts[i]
 
     def route(self, src: int, target: list, dst: int) -> list:
         """Legs (px, py, lox, loy, hix, hiy): a point and its clip box, from a
@@ -176,6 +185,25 @@ class _WaypointDraw:
             legs.append((*self.gates[dst], *self.regions[_PRECINCT]))
         legs.append((*target, *self.regions[dst]))
         return legs
+
+
+class _Uniforms:
+    """``Generator.random``'s values handed out in stream order, drawn
+    ``_UNIFORM_BLOCK`` at a time: ``random(n)`` gives the values of n
+    ``random()`` calls, so every draw keeps its value."""
+
+    def __init__(self, rng: np.random.Generator):
+        def stream():
+            while True:
+                yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+        self._next = stream().__next__
+
+    def random(self, size=None):
+        """The next value, or a list of the next ``size`` values."""
+        if size is None:
+            return self._next()
+        return [self._next() for _ in range(size)]
 
 
 def generate_scenario(
@@ -201,13 +229,14 @@ def generate_scenario(
     rng = np.random.default_rng(seed)
 
     rates = assign_tiers(user_count, traffic, rng)
+    uniforms = _Uniforms(rng)  # after the permutation, as random() calls would be
     step_budget = grid.step_seconds / venue.index_scale  # index units per (m/s)
     speed_span = mobility.speed_max - mobility.speed_min
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
 
     for u in range(user_count):
-        (x, y), region = draw.draw(rng)
-        positions[u, 0] = x, y
+        (x, y), region = draw.draw(uniforms)
+        row = [x, y]  # this user's positions, x and y per instant
         legs: list = []
         pause_left = 0
         for t in range(1, grid.instant_count):
@@ -216,15 +245,18 @@ def generate_scenario(
             else:
                 if not legs:
                     # routes start only at the previous target, so (x, y) lies in region
-                    target, dst = draw.draw(rng)
+                    target, dst = draw.draw(uniforms)
                     legs = draw.route(region, target, dst)
                     region = dst
-                    speed = mobility.speed_min + speed_span * rng.random()
+                    speed = mobility.speed_min + speed_span * uniforms.random()
                 budget = speed * step_budget
                 while budget > 0 and legs:
                     px, py, lox, loy, hix, hiy = legs[0]
                     dx, dy = px - x, py - y
-                    dist = float(np.hypot(dx, dy))  # not math.hypot: its bits differ
+                    try:
+                        dist = abs(complex(dx, dy))  # C hypot: the bits of np.hypot
+                    except OverflowError:  # where np.hypot gives inf
+                        dist = math.inf
                     if dist <= budget:
                         x, y = px, py
                         budget -= dist
@@ -238,6 +270,6 @@ def generate_scenario(
                         x = min(hix, max(lox, x + dx * step))
                         y = min(hiy, max(loy, y + dy * step))
                         budget = 0.0
-            positions[u, t, 0] = x
-            positions[u, t, 1] = y
+            row += (x, y)
+        positions[u].flat = row
     return TraceSet(positions, rates)

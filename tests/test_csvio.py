@@ -300,6 +300,25 @@ class TestWriteTableOracle:
         assert all(np.unique(table).size == n for table in tables)
         self.assert_same_bytes(tmp_path, tables, first=5)
 
+    # Two tables give 4 cells a line. With 64 instants an id holds 256 cells,
+    # so a block holds _BLOCK_CELLS // 256 ids; one more instant than
+    # _BLOCK_CELLS // 4 makes one id's lines wider than a block.
+    @pytest.mark.parametrize("shape", [
+        pytest.param(lambda ids: (3 * ids + 5, 64), id="several_blocks_and_a_remainder"),
+        pytest.param(lambda ids: (2 * ids, 64), id="exact_multiple"),
+        pytest.param(lambda ids: (3, csvio._BLOCK_CELLS // 4 + 1), id="id_wider_than_a_block"),
+        pytest.param(lambda ids: (ids + 1, 0), id="no_instants"),
+    ])
+    def test_block_boundaries_match_reference(self, tmp_path, shape):
+        ids = csvio._BLOCK_CELLS // (4 * 64)
+        assert ids > 1
+        shape = shape(ids)
+        rng = np.random.default_rng(shape[0])
+        tables = [rng.integers(-3, 40, shape), rng.normal(0, 10, shape).round(2)]
+        self.assert_same_bytes(tmp_path, tables, first=2)
+        lines = (tmp_path / "fast.csv").read_bytes().count(b"\r\n")
+        assert lines == 1 + shape[0] * shape[1]
+
 
 class TestRowNumbers:
     def load(self, tmp_path, trace_text, grid):

@@ -1,8 +1,10 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 
+from tce import scenario
 from tce.config import load_config
 from tce.core import Rect, TimeGrid, Venue, inside_mask
 from tce.scenario import (
@@ -322,3 +324,156 @@ class TestDrawOracle:
                 assert np.float64(speed).tobytes() == np.float64(
                     reference_speed(old, speed_min, speed_max)
                 ).tobytes()
+
+
+def reference_generate(venue, grid, user_count, mobility, traffic, seed):
+    """``generate_scenario`` as it was before its uniforms were buffered: one
+    ``rng.random()`` or ``rng.random(2)`` call per draw, ``np.hypot`` per leg
+    step and positions stored one instant at a time. Also returns how many
+    uniforms it drew."""
+    draw = _WaypointDraw(venue, mobility)
+    los, spans = np.array(draw.los), np.array(draw.spans)
+    rng = np.random.default_rng(seed)
+    drawn = 0
+
+    def pick():
+        nonlocal drawn
+        drawn += 3
+        i = int(draw.cdf.searchsorted(rng.random(), side="right"))
+        return (los[i] + spans[i] * rng.random(2)).tolist(), draw.hosts[i]
+
+    rates = assign_tiers(user_count, traffic, rng)
+    step_budget = grid.step_seconds / venue.index_scale
+    speed_span = mobility.speed_max - mobility.speed_min
+    positions = np.empty((user_count, grid.instant_count, 2), np.float64)
+    for u in range(user_count):
+        (x, y), region = pick()
+        positions[u, 0] = x, y
+        legs, pause_left = [], 0
+        for t in range(1, grid.instant_count):
+            if pause_left > 0:
+                pause_left -= 1
+            else:
+                if not legs:
+                    target, dst = pick()
+                    legs = draw.route(region, target, dst)
+                    region = dst
+                    speed = mobility.speed_min + speed_span * rng.random()
+                    drawn += 1
+                budget = speed * step_budget
+                while budget > 0 and legs:
+                    px, py, lox, loy, hix, hiy = legs[0]
+                    dx, dy = px - x, py - y
+                    with np.errstate(over="ignore"):
+                        dist = float(np.hypot(dx, dy))
+                    if dist <= budget:
+                        x, y = px, py
+                        budget -= dist
+                        legs.pop(0)
+                        if not legs:
+                            pause_left = mobility.pause_instants
+                            budget = 0.0
+                    else:
+                        step = budget / dist
+                        x = min(hix, max(lox, x + dx * step))
+                        y = min(hiy, max(loy, y + dy * step))
+                        budget = 0.0
+            positions[u, t, 0] = x
+            positions[u, t, 1] = y
+    return positions, rates, drawn
+
+
+def festival_case(pause_instants=None):
+    cfg = load_config(FESTIVAL_INI)
+    mobility = cfg.mobility
+    if pause_instants is not None:
+        mobility = MobilityParams(mobility.speed_min, mobility.speed_max, mobility.attractors,
+                                  pause_instants, mobility.background_weight)
+    return cfg.venue, cfg.grid, 200, mobility, cfg.traffic, 7
+
+
+def two_outside_case():
+    venue, grid, mobility = two_outside_scenario()
+    return venue, grid, 90, mobility, THIRDS, 8
+
+
+def scaled_speed_floor_case():
+    festival = Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)),), 1.0)
+    venue = Venue(festival.precinct_min, festival.precinct_max, festival.outside_regions, 0.37)
+    mobility = simple_mobility(speed_min=0.02, speed_max=0.09, background_weight=0.1)
+    return venue, TimeGrid(300.0, 30), 60, mobility, THIRDS, 11
+
+
+def zero_speed_case():
+    venue = Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)),), 1.0)
+    return venue, TimeGrid(300.0, 12), 600, simple_mobility(speed_max=0.0), THIRDS, 3
+
+
+GENERATOR_CASES = {
+    "festival": festival_case,
+    "two_outside_background": two_outside_case,
+    "scaled_speed_floor": scaled_speed_floor_case,
+    "zero_speed": zero_speed_case,
+    "festival_no_pause": lambda: festival_case(pause_instants=0),
+}
+
+
+class TestGeneratorOracle:
+    """``generate_scenario`` against ``reference_generate``: buffered uniforms
+    and complex ``abs`` must give the bits of one ``random()`` per value and
+    ``np.hypot``."""
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("name", list(GENERATOR_CASES))
+    def test_positions_and_traffic_equal_reference(self, name, block, monkeypatch):
+        if block is not None:  # a refill may fall between a point's two coordinates
+            monkeypatch.setattr(scenario, "_UNIFORM_BLOCK", block)
+        args = GENERATOR_CASES[name]()
+        positions, rates, drawn = reference_generate(*args)
+        assert drawn > 3 * 1024  # the default block is refilled several times
+        traces = generate_scenario(*args)
+        assert traces.positions.tobytes() == positions.tobytes()
+        assert traces.mean_traffic.tobytes() == rates.tobytes()
+
+    def test_leg_longer_than_float64_stays_put_without_warning(self):
+        # far-corner attractors of a finite precinct whose diagonal overflows:
+        # np.hypot gives inf (and warns), so a user never leaves its first point
+        venue = Venue((-8e307, -8e307), (8e307, 8e307))
+        mobility = simple_mobility(speed_min=0.05, speed_max=0.08, attractors=(
+            Attractor(Rect((-8e307, -8e307), (-7e307, -7e307)), 1.0, "south_west"),
+            Attractor(Rect((7e307, 7e307), (8e307, 8e307)), 1.0, "north_east"),
+        ))
+        args = venue, TimeGrid(300.0, 20), 30, mobility, THIRDS, 5
+        positions, rates, _ = reference_generate(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = generate_scenario(*args)
+        assert traces.positions.tobytes() == positions.tobytes()
+        assert traces.mean_traffic.tobytes() == rates.tobytes()
+        assert np.isfinite(traces.positions).all()
+
+    def test_complex_abs_equals_np_hypot(self):
+        rng = np.random.default_rng(22)
+        # magnitudes from subnormal to near the float64 maximum, either sign,
+        # and a share near the maximum, where the length overflows
+        exponents = np.concatenate(
+            [rng.integers(-1075, 1024, (2, 200_000)), rng.integers(1022, 1024, (2, 20_000))], axis=1
+        )
+        mags = np.ldexp(rng.random(exponents.shape) + 1.0, exponents)  # finite: below 2**1024
+        dx, dy = mags * rng.choice([-1.0, 1.0], mags.shape)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1.7e308, 3.0]
+        sx, sy = np.array([(a, b) for a in specials for b in specials]).T
+        dx, dy = np.concatenate([dx, sx]), np.concatenate([dy, sy])
+        with np.errstate(over="ignore"):
+            expected = np.hypot(dx, dy)
+        got = []
+        for a, b in zip(dx.tolist(), dy.tolist()):
+            try:
+                got.append(abs(complex(a, b)))
+            except OverflowError:
+                got.append(np.inf)
+        got = np.array(got)
+        assert np.isinf(expected).sum() > 1000  # overflows are covered
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
