@@ -4,8 +4,10 @@ One implementation per kernel: nearest-centroid assignment, the K-Means
 update sums, transition counting and the sliding-window prediction chain.
 Float results are fixed bit for bit, so a seed fixes every output byte:
 ``nearest_labels`` makes one pass per centroid, in index order, over the x
-and y columns, computing ``dx*dx + dy*dy`` and replacing the running best
-only on a strictly smaller distance (ties go to the lowest index);
+and y columns, computing ``dx*dx + dy*dy``; a label moves only on a strictly
+smaller distance (ties go to the lowest index), and the running best is kept
+with ``np.minimum``, which for finite inputs holds the same bits (every
+distance is at least +0, and on a tie both sides are equal);
 ``accumulate_points`` sums with ``np.bincount(labels, weights=...)``, which
 adds the points in ascending index order, and ``predict_series`` adds each
 row's probabilities in zone order, one in-place row add at a time, which is
@@ -29,7 +31,12 @@ def backend() -> str:
 def nearest_labels(points, centroids):
     """For each point, index of the nearest centroid (ties to the lowest index)
     and the squared distance to it. Memory is O(points), whatever the number
-    of centroids."""
+    of centroids.
+
+    The label moves only where a distance is strictly smaller than the best
+    so far, and the best is kept with ``np.minimum``. Points and centroids
+    must be finite; ``zoning`` refuses coordinates whose squared distances
+    would overflow."""
     x = np.ascontiguousarray(points[:, 0], np.float64)
     y = np.ascontiguousarray(points[:, 1], np.float64)
     labels = np.zeros(x.shape, np.int64)
@@ -45,8 +52,8 @@ def nearest_labels(points, centroids):
             np.copyto(best, d2)
             continue
         np.less(d2, best, out=closer)
-        np.putmask(best, closer, d2)
-        np.putmask(labels, closer, j)
+        np.minimum(best, d2, out=best)
+        np.copyto(labels, j, where=closer)
     return labels, best
 
 

@@ -3,6 +3,13 @@
 In-precinct samples and out-of-precinct samples are clustered separately
 over the pooled positions of all users at all instants. Outside zone ids
 follow the inside ids contiguously, and centroids never change once fitted.
+
+Users pause, so about half of the pooled positions repeat the one before.
+K-Means finds these runs of equal adjacent points once per input and does
+its per-point work (the k-means++ D^2 update, each Lloyd assignment) once
+per run, gathering the result back to every point. The draws, update sums
+and objective still run over all points in index order, so the result is
+the same, bit for bit, as assigning every point.
 """
 
 from __future__ import annotations
@@ -65,8 +72,20 @@ class Zoning:
         return np.vstack([self.inside_centroids, self.outside_centroids])
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, region: str, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: a uniform first pick, then D^2-weighted draws.
+def _runs(points: np.ndarray):
+    """The runs of equal adjacent points (a user's pause): each run's first
+    point, as a contiguous array, and each point's run index. A run holds
+    points that compare equal, so +0.0 and -0.0 may share one; every
+    per-point result used here is a squared difference, which is the same
+    for both."""
+    start = np.ones(points.shape[0], bool)
+    np.any(points[1:] != points[:-1], axis=1, out=start[1:])
+    return points[start], np.cumsum(start) - 1
+
+
+def _kmeans_pp_init(points, firsts, back, k: int, region: str, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: a uniform first pick, then D^2-weighted draws over
+    all points; each D^2 update is computed once per run (``_runs``).
 
     A draw never lands on a position an earlier pick holds, so the D^2 total
     reaches 0 before pick j exactly when the points hold j < k distinct
@@ -80,6 +99,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, region: str, rng: np.random.Gene
         raise InfeasibleError(
             f"cannot cluster {region} positions: |coordinate| up to {big:g} overflows their squared distances"
         )
+    fx, fy = np.ascontiguousarray(firsts[:, 0]), np.ascontiguousarray(firsts[:, 1])
     centroids = np.empty((k, 2), np.float64)
     d2 = np.full(n, np.inf)
     for j in range(k):
@@ -88,7 +108,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, region: str, rng: np.random.Gene
             raise InfeasibleError(f"cannot form {k} {region} zones from {j} distinct {region} positions")
         idx = rng.integers(n) if j == 0 else rng.choice(n, p=d2 / total)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        cx, cy = centroids[j]  # column form: the bits of ((p - c) ** 2).sum(axis=1)
+        np.minimum(d2, ((fx - cx) ** 2 + (fy - cy) ** 2)[back], out=d2)
     return centroids
 
 
@@ -109,9 +130,19 @@ def _repair_empty(points, labels, dist2, centroids, counts):
 
 def _lloyd(points: np.ndarray, k: int, region: str, rng: np.random.Generator):
     """Lloyd iterations until the assignment is stable. Returns centroids,
-    labels, and the within-cluster sum of squares after each assignment."""
-    centroids = _kmeans_pp_init(points, k, region, rng)
-    labels, dist2 = kern.nearest_labels(points, centroids)
+    labels, and the within-cluster sum of squares after each assignment.
+
+    Each pass assigns every run of equal adjacent points once and gathers the
+    result back; the update sums and the objective still add all points in
+    index order."""
+    firsts, back = _runs(points)
+    centroids = _kmeans_pp_init(points, firsts, back, k, region, rng)
+
+    def assign(centroids):
+        labels, dist2 = kern.nearest_labels(firsts, centroids)
+        return labels[back], dist2[back]
+
+    labels, dist2 = assign(centroids)
     objective = [dist2.sum()]
     for _ in range(MAX_ITER):
         sums, counts = kern.accumulate_points(points, labels, k)
@@ -119,7 +150,7 @@ def _lloyd(points: np.ndarray, k: int, region: str, rng: np.random.Generator):
         centroids = np.where(nonempty[:, None], sums / np.where(nonempty, counts, 1)[:, None], centroids)
         if not np.all(nonempty):
             centroids = _repair_empty(points, labels, dist2, centroids, counts)
-        new_labels, dist2 = kern.nearest_labels(points, centroids)
+        new_labels, dist2 = assign(centroids)
         objective.append(dist2.sum())
         if np.array_equal(new_labels, labels):
             break

@@ -118,6 +118,47 @@ def test_nearest_labels_tie_goes_to_lowest_index():
         assert labels[0] == 0
 
 
+def assert_nearest_labels_match_loop(points, centroids):
+    ln, dn = kern.nearest_labels(points, centroids)
+    lr, dr = nearest_labels_loop(points, centroids)
+    assert ln.tobytes() == lr.tobytes()
+    assert dn.tobytes() == dr.tobytes()
+    return ln, dn
+
+
+def test_nearest_labels_keeps_the_loops_bytes_on_edge_values():
+    # the running best is kept with np.minimum, and the label moves only
+    # where the new distance is strictly smaller: on ties, on +0 distances
+    # and on signed zeros the bytes must still be the loop's
+    rng = np.random.default_rng(23)
+    zeros = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    for case in range(40):
+        k = int(rng.integers(2, 9))
+        centroids = rng.integers(-3, 4, size=(k, 2)).astype(np.float64)
+        centroids[rng.random((k, 2)) < 0.3] *= 0.0  # some become +0.0 or -0.0
+        centroids[rng.random((k, 2)) < 0.2] = -0.0
+        if k > 2:
+            centroids[k - 1] = centroids[int(rng.integers(0, k - 1))]  # a twin
+        on = centroids[rng.integers(0, k, size=30)]  # +0 distance to a centroid
+        points = np.concatenate([on, zeros, -on, rng.integers(-3, 4, size=(30, 2)).astype(np.float64)])
+        labels, dist2 = assert_nearest_labels_match_loop(points, centroids)
+        assert np.all(dist2[:30] == 0) and not np.signbit(dist2).any()
+        assert np.array_equal(centroids[labels[:30]], on)
+
+
+def test_nearest_labels_near_the_clustering_overflow_bound():
+    # zoning refuses |coordinate| above sqrt(max / (4 n)); up to there every
+    # squared distance, and the D^2 total of n points, stays finite
+    rng = np.random.default_rng(29)
+    for n in (2, 50, 1000):
+        big = np.sqrt(np.finfo(np.float64).max / (4 * n))
+        points = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, 2)) * big
+        points[0] = [big, -big]
+        centroids = np.array([[-big, big], [big, big], [0.0, 0.0], [-big, -big], [big, -big]])
+        labels, dist2 = assert_nearest_labels_match_loop(points, centroids)
+        assert np.all(np.isfinite(dist2)) and labels[0] == 4 and dist2[0] == 0
+
+
 def test_accumulate_points_matches_reference_loop():
     rng = np.random.default_rng(12)
     for _ in range(300):

@@ -6,12 +6,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from tce import _kernels as kern
 from tce import zoning as zoning_module
-from tce.core import Venue
+from tce.config import load_config
+from tce.core import Venue, inside_mask
 from tce.errors import InfeasibleError
+from tce.scenario import generate_scenario
 from tce.zoning import Zoning, _lloyd, cluster
 
-from conftest import make_traces, nearest_zone_loop
+from conftest import FESTIVAL_INI, make_traces, nearest_zone_loop
 
 
 def brute_force_best_partition(points, k):
@@ -226,6 +229,200 @@ class TestLloyd:
                 continue
             _, _, objective = _lloyd(points, k, "in-precinct", np.random.default_rng(0))
             assert np.all(np.diff(objective) <= 1e-9)
+
+
+# The former K-Means, which assigned every point on every pass: the reference
+# that the run-deduplicated ``_lloyd`` must equal bit for bit.
+
+
+def reference_nearest_labels(points, centroids):
+    x = np.ascontiguousarray(points[:, 0], np.float64)
+    y = np.ascontiguousarray(points[:, 1], np.float64)
+    labels = np.zeros(x.shape, np.int64)
+    best, d2, dy = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    closer = np.empty(x.shape, bool)
+    for j, (cx, cy) in enumerate(np.asarray(centroids, np.float64).tolist()):
+        np.subtract(x, cx, out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(y, cy, out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(d2, dy, out=d2)
+        if j == 0:
+            np.copyto(best, d2)
+            continue
+        np.less(d2, best, out=closer)
+        np.putmask(best, closer, d2)
+        np.putmask(labels, closer, j)
+    return labels, best
+
+
+def reference_kmeans_pp_init(points, k, region, rng):
+    n = points.shape[0]
+    big = float(np.abs(points).max(initial=0.0))
+    if big > np.sqrt(np.finfo(np.float64).max / (4 * max(n, 1))):
+        raise InfeasibleError(
+            f"cannot cluster {region} positions: |coordinate| up to {big:g} overflows their squared distances"
+        )
+    centroids = np.empty((k, 2), np.float64)
+    d2 = np.full(n, np.inf)
+    for j in range(k):
+        total = d2.sum()
+        if total == 0:
+            raise InfeasibleError(f"cannot form {k} {region} zones from {j} distinct {region} positions")
+        idx = rng.integers(n) if j == 0 else rng.choice(n, p=d2 / total)
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def reference_lloyd(points, k, region, rng):
+    centroids = reference_kmeans_pp_init(points, k, region, rng)
+    labels, dist2 = reference_nearest_labels(points, centroids)
+    objective = [dist2.sum()]
+    for _ in range(zoning_module.MAX_ITER):
+        sums, counts = kern.accumulate_points(points, labels, k)
+        nonempty = counts > 0
+        centroids = np.where(nonempty[:, None], sums / np.where(nonempty, counts, 1)[:, None], centroids)
+        if not np.all(nonempty):
+            centroids = zoning_module._repair_empty(points, labels, dist2, centroids, counts)
+        new_labels, dist2 = reference_nearest_labels(points, centroids)
+        objective.append(dist2.sum())
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centroids, labels, np.array(objective)
+
+
+def festival_points(seed, users=80):
+    cfg = load_config(FESTIVAL_INI)
+    traces = generate_scenario(cfg.venue, cfg.grid, users, cfg.mobility, cfg.traffic, seed)
+    return traces, cfg.venue
+
+
+def assert_lloyd_matches_reference(points, k, seed):
+    points = np.ascontiguousarray(points, np.float64)
+    got = _lloyd(points, k, "in-precinct", np.random.default_rng(seed))
+    want = reference_lloyd(points, k, "in-precinct", np.random.default_rng(seed))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def assert_cluster_matches_reference(traces, venue, k_inside, k_outside, seed):
+    got = cluster(traces, venue, k_inside, k_outside, seed)
+    with mock.patch.object(zoning_module, "_lloyd", reference_lloyd):
+        want = cluster(traces, venue, k_inside, k_outside, seed)
+    for name in ("inside_centroids", "outside_centroids", "labels"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def spots_in_runs(rng, spots, runs):
+    """Positions on ``spots``, in ``runs`` runs of 1 to 40 repeats each."""
+    which = rng.integers(0, len(spots), size=runs)
+    return np.repeat(np.asarray(spots, np.float64)[which], rng.integers(1, 41, size=runs), axis=0)
+
+
+class TestLloydOracle:
+    """``_lloyd`` assigns each run of equal adjacent points once; its
+    centroids, labels and objective equal the all-points reference's."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 1000, 1013])
+    @pytest.mark.parametrize("k", [24, 5])
+    def test_festival_traces(self, seed, k):
+        traces, venue = festival_points(seed)
+        points = traces.all_points()
+        mask = inside_mask(points, venue)
+        assert_lloyd_matches_reference(points[mask], k, seed)
+        assert_cluster_matches_reference(traces, venue, k, 2, seed)
+
+    def test_festival_points_repeat(self):
+        # the case the change is for: about half of the points repeat the one before
+        points = festival_points(7)[0].all_points()
+        share = np.mean(np.all(points[1:] == points[:-1], axis=1))
+        assert 0.3 < share < 0.8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_without_repeats(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-50, 50, size=(400, 2))
+        assert np.all(np.any(points[1:] != points[:-1], axis=1))
+        assert_lloyd_matches_reference(points, 6, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_on_k_spots_in_long_runs(self, seed):
+        # spots share x or y coordinates, so a run boundary where only one
+        # coordinate changes is one too
+        spots = [[5.0, 5.0], [5.0, 40.0], [30.0, 40.0], [30.0, 5.0], [17.5, 70.0]]
+        points = spots_in_runs(np.random.default_rng(seed), spots, 60)
+        for k in (5, 3, 1):
+            assert_lloyd_matches_reference(points, k, seed)
+        centroids, labels, objective = _lloyd(points, 5, "in-precinct", np.random.default_rng(seed))
+        assert sorted(map(tuple, centroids.tolist())) == sorted(map(tuple, spots))
+        assert np.array_equal(centroids[labels], points)
+        assert objective[-1] == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_signed_zero_pairs(self, seed):
+        # +0.0 and -0.0 compare equal, so an adjacent pair is one run; the
+        # centroids keep whichever zero the reference draws
+        rng = np.random.default_rng(seed)
+        zeros = [[0.0, 3.0], [-0.0, 3.0], [2.0, 0.0], [2.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]
+        points = np.concatenate([spots_in_runs(rng, zeros, 30), rng.uniform(-4, 4, size=(10, 2))])
+        points = points[np.argsort(rng.random(len(points)) < 0.9, kind="stable")]
+        for k in (4, 2):
+            assert_lloyd_matches_reference(points, k, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_across_users_and_the_mask_gap(self, festival_venue, seed):
+        # user u ends where user u+1 starts, and a user's inside run is split
+        # by an outside stay, so in-precinct points repeat across both gaps
+        inside = [[10.0, 10.0], [10.0, 60.0], [40.0, 60.0], [25.0, 30.0]]
+        outside = [[55.0, 20.0], [58.0, 60.0]]
+        rng = np.random.default_rng(seed)
+        rows = []
+        for u in range(6):
+            a, b = inside[u % 4], inside[(u + 1) % 4]
+            rows.append([a, a, outside[u % 2], a, b, b, outside[(u + 1) % 2], b])
+            rows[-1][0] = rows[-2][-1] if u else a
+        positions = np.array(rows) + (rng.random((6, 8, 1)) < 0.2) * rng.uniform(-1, 1, size=(6, 8, 2))
+        traces = make_traces(positions)
+        in_pts = traces.all_points()[inside_mask(traces.all_points(), festival_venue)]
+        assert np.any(np.all(in_pts[1:] == in_pts[:-1], axis=1))
+        for k_inside in (4, 2):
+            assert_cluster_matches_reference(traces, festival_venue, k_inside, 2, seed)
+
+    def test_repair_empty_case(self):
+        # the 28-point case of TestLloyd::test_cluster_repairs_an_emptied_cluster
+        points = np.array([
+            [-1.79, -0.1], [0, 0], [169.73, -153.37], [-0.01, -0.01], [0, -0.0], [-71.06, -163.7],
+            [-2.06, -2.12], [0.01, -0.0], [-80.53, 84.21], [77.28, 3.46], [83.5, -83.89],
+            [-94.1, -37.56], [-0.45, -71.05], [-0.0, -0.02], [1.57, 0.08], [0.77, 1.68],
+            [-143.5, 13.0], [-0.0, 0.0], [-1.28, -1.65], [-38.73, 78.15], [0.79, -0.54],
+            [7.08, -42.08], [-0.0, 0.01], [106.91, -36.23], [0.01, -0.01], [0.01, -0.01],
+            [2.68, -24.13], [-19.13, 19.96],
+        ])
+        assert_lloyd_matches_reference(points, 6, 17666)
+        venue = Venue((-200, -200), (200, 200), (), 1.0)
+        assert_cluster_matches_reference(make_traces(points.reshape(28, 1, 2)), venue, 6, 1, 17666)
+
+    @pytest.mark.parametrize(
+        "points, k",
+        [
+            (np.tile([[10.0, 10.0]], (12, 1)), 2),
+            (np.empty((0, 2)), 3),
+            (np.repeat([[1.0, 2.0], [1.0, 5.0], [1.0, 2.0]], 4, axis=0), 3),
+            (np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]), 2),
+            (np.array([[1e200, 40.0], [1e200, 40.0], [-1e200, 40.0]]), 1),
+        ],
+        ids=["one_spot", "no_points", "two_spots_three_runs", "signed_zeros", "overflow"],
+    )
+    def test_same_infeasible_messages(self, points, k):
+        with pytest.raises(InfeasibleError) as got:
+            _lloyd(points, k, "in-precinct", np.random.default_rng(0))
+        with pytest.raises(InfeasibleError) as want:
+            reference_lloyd(points, k, "in-precinct", np.random.default_rng(0))
+        assert str(got.value) == str(want.value)
+        assert "distinct" in str(got.value) or "overflows" in str(got.value)
 
 
 class TestAssign:
