@@ -59,16 +59,20 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
 
 
 def error_histogram(errors, bin_count: int) -> np.ndarray:
-    """Counts of an array of errors over ``bin_count`` equal-width bins
-    spanning [0, 1].
+    """Counts of an array of errors over the ``bin_count`` bins of
+    ``histogram_edges(bin_count)``, each value in the bin whose edges hold it.
 
     The last bin is closed on the right, so an error of exactly 1 is counted.
+    A value outside [0, 1], with the tolerance ``ErrorSeries`` allows, or NaN
+    is refused.
     """
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
     values = np.asarray(errors, np.float64).ravel()
-    idx = np.minimum((values * bin_count).astype(np.int64), bin_count - 1)
-    return np.bincount(idx, minlength=bin_count)
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0 + 1e-12):
+        raise ValueError("error values must lie in [0, 1]")
+    idx = np.searchsorted(histogram_edges(bin_count), values, side="right") - 1
+    return np.bincount(np.minimum(idx, bin_count - 1), minlength=bin_count)
 
 
 def histogram_edges(bin_count: int) -> np.ndarray:

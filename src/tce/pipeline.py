@@ -265,18 +265,18 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
     """Write the plots under ``out_dir``/plots as dependency-free SVG; the
     data of each selected user's step series is predictions_run<r>.csv.
 
-    Emits the all-positions scatter, per-run overlaid error histograms,
-    per-zone user and traffic series, and a real-vs-predicted step series for
-    each selected user and run (with the learning/prediction boundary marked).
+    Emits the density map of all positions under the venue outlines
+    (positions_scatter.svg), per-run overlaid error histograms, per-zone user
+    and traffic series, and a real-vs-predicted step series for each selected
+    user and run (with the learning/prediction boundary marked).
     ``series`` holds each run's ZoneSeries and ``hist`` its (run, counts)
     error histogram, as the aggregation and error stages computed them.
     """
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
 
-    # scatter of every observed position; its data is trace.csv
-    rects = [(cfg.venue.precinct_min, cfg.venue.precinct_max, "precinct")]
-    rects += [(r.lo, r.hi, "outside") for r in cfg.venue.outside_regions]
+    # density map of every observed position; its data is trace.csv
+    rects = [(r.lo, r.hi) for r in (cfg.venue.precinct, *cfg.venue.outside_regions)]
     svgplot.scatter_chart(plots / "positions_scatter.svg", traces.all_points(), rects, "Observed positions, all users and instants")
 
     # per-run error histograms, overlaid

@@ -1,6 +1,10 @@
 """Minimal SVG chart emission. The CSV files stay the source of truth; these
 renderers exist so runs can be eyeballed without a plotting dependency.
-Each line chart formats its shared x axis once and each distinct y value once."""
+Each line chart formats its shared x axis once and each distinct y value once.
+The position chart is a density map, not one mark per position: one rect per
+occupied square cell of a grid of at most about 257 x 257 cells over the
+observed extent, so its size does not grow with the user or instant count.
+A legend lists only the entries that fit above the bottom margin."""
 
 from __future__ import annotations
 
@@ -83,13 +87,6 @@ class _Canvas:
             'stroke="#999" stroke-dasharray="4 3"/>'
         )
 
-    def dots(self, xs, ys, color):
-        cx = self.px(np.asarray(xs, np.float64)).tolist()
-        cy = self.py(np.asarray(ys, np.float64)).tolist()
-        write = self._fh.write
-        for x, y in zip(cx, cy):
-            write(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.3" fill="{color}" fill-opacity="0.5"/>\n')
-
     def rect(self, lo, hi, color, opacity=1.0, stroke="none"):
         x, y = self.px(lo[0]), self.py(hi[1])
         w = (hi[0] - lo[0]) * self.xs
@@ -100,9 +97,15 @@ class _Canvas:
         )
 
     def legend(self, items):
+        """One entry per (label, color), 16 px apart, as many as have their
+        baseline inside the plot area; past that, the last slot reads "+N more"."""
+        slots = (_H - _MB - _MT - 14) // 16 + 1
+        if len(items) > slots:
+            items = [*items[: slots - 1], (f"+{len(items) - slots + 1} more", None)]
         for i, (label, color) in enumerate(items):
             y = _MT + 14 + 16 * i
-            self._put(f'<rect x="{_W - _MR - 130}" y="{y - 9}" width="12" height="3" fill="{color}"/>')
+            if color is not None:
+                self._put(f'<rect x="{_W - _MR - 130}" y="{y - 9}" width="12" height="3" fill="{color}"/>')
             self._put(f'<text x="{_W - _MR - 112}" y="{y}" fill="#222">{_esc(label)}</text>')
 
 
@@ -133,16 +136,24 @@ def line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
 
 
 def scatter_chart(path, points, rects, title):
-    """Position scatter with venue outlines; rects is [(lo, hi, label), ...]."""
-    pts = np.asarray(points, float)
-    lo = np.minimum(pts.min(axis=0), np.min([r[0] for r in rects], axis=0))
-    hi = np.maximum(pts.max(axis=0), np.max([r[1] for r in rects], axis=0))
+    """Density map of the positions in cells of max(1, span / 256) units; rects is [(lo, hi), ...]."""
+    xy = np.asarray(points, np.float64).T.copy()  # reduces by row, much faster than by column
+    first, side = xy.min(axis=1), max(1.0, float(np.ptp(xy, axis=1).max()) / 256)
+    cell = np.floor((xy - first[:, None]) / side).astype(np.int64)
+    dims = cell.max(axis=1) + 1
+    counts = np.bincount(cell[0] * dims[1] + cell[1])
+    ix, iy = np.divmod(np.flatnonzero(counts), dims[1])
+    lo = np.min([first, *(r[0] for r in rects)], axis=0)
+    hi = np.max([first + dims * side, *(r[1] for r in rects)], axis=0)
     pad = (hi - lo) * 0.04
-    x_range, y_range = (lo[0] - pad[0], hi[0] + pad[0]), (lo[1] - pad[1], hi[1] + pad[1])
-    with _Canvas(path, title, "x (index units)", "y (index units)", x_range, y_range) as canvas:
-        for rect_lo, rect_hi, _ in rects:
+    with _Canvas(path, title, "x (index units)", "y (index units)", *zip(lo - pad, hi + pad)) as canvas:
+        xs, ys = canvas.px(first[0] + ix * side).tolist(), canvas.py(first[1] + (iy + 1) * side).tolist()
+        size = f'width="{side * canvas.xs:.2f}" height="{side * canvas.ys:.2f}"'
+        opacity = (counts[counts > 0] / counts.max()).tolist()
+        rows = [f'<rect x="{x:.2f}" y="{y:.2f}" {size} fill-opacity="{o:.3g}"/>\n' for x, y, o in zip(xs, ys, opacity)]
+        canvas._put(f'<g fill="{PALETTE[0]}">\n{"".join(rows)}</g>')
+        for rect_lo, rect_hi in rects:
             canvas.rect(rect_lo, rect_hi, "none", stroke="#444")
-        canvas.dots(pts[:, 0], pts[:, 1], PALETTE[0])
 
 
 def histogram_chart(path, per_run_counts, edges, title):

@@ -160,8 +160,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "scope, digest",
         [
-            ("per_user", "5a5210b79887d433e13c4badd4a58a071e56f6e73a5e71c6f94120b0bf34952e"),
-            ("general", "5689034b79c61d7c84f3bca2ed93f891147e9c1f4fa0729915f14c3de2afc1b8"),
+            ("per_user", "a690e5bcb9a42b33348bbb7170c4718f50a93c4c995164c48d97e3c3a919bf6b"),
+            ("general", "79962d5195f79f7931a65bf461bf00d61acb710140b8f775ac6001f2f26aef36"),
         ],
         ids=["per_user", "general"],
     )
@@ -184,14 +184,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
         assert (out / "plots" / "zone_users_run0.svg").read_text().count("<polyline ") == 52
         files = json.dumps(read_manifest(out)["files"], sort_keys=True)
-        assert hashlib.sha256(files.encode()).hexdigest() == "a9eba6d6d43103f1c3f02714e9157503f30973ce62f547eb87e3c55cb4d3875b"
+        assert hashlib.sha256(files.encode()).hexdigest() == "85ef8045d6239f66e952b0ec0475a13847ccc3799e353435f16f625c7cf30e96"
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (7, "a1ece7eda4479d94baa3779ff8c3a9c6efaaddca37c3946f05ec1c80ee47a018"),
-            (3, "a4e35f8ca68fc57e486670894eeee720b3f0642e3012b0a9535fa27e29fdc809"),
+            (7, "68536877f17c21f8fce78fe92cf612a5f0c18ef947c2f5793237419aa6e6b8a4"),
+            (3, "f729228c2f81ce8a6cdaa9e2e41b001c9f38dd6fd5625e991fa2f8b9deb0d18d"),
         ],
     )
     def test_paper_scale_run_pins_output_bytes(self, tmp_path, seed, digest):

@@ -9,6 +9,7 @@ from tce.metrics import (
     ErrorSeries,
     error_histogram,
     error_series,
+    histogram_edges,
     position_extent,
 )
 from tce.zoning import Zoning
@@ -168,3 +169,20 @@ class TestErrorHistogram:
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError):
             error_histogram(np.zeros(3), 0)
+
+    @pytest.mark.parametrize("bins", range(1, 51))
+    def test_counts_each_value_in_the_bin_whose_edges_hold_it(self, bins):
+        # histogram.csv reports bin b as [edges[b], edges[b + 1]); at 10 bins
+        # 0.3 lies below edges[3] = 0.30000000000000004, so it belongs to bin 2
+        edges = histogram_edges(bins)
+        for b in range(bins):
+            for value in (edges[b], np.nextafter(edges[b + 1], 0.0)):
+                assert np.flatnonzero(error_histogram(np.array([value]), bins)).tolist() == [b], (value, b)
+
+    @pytest.mark.parametrize("value", [np.nan, -1e-300, -0.05, 1.0 + 1e-11, np.inf])
+    def test_rejects_values_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            error_histogram(np.array([0.5, value]), 10)
+
+    def test_tolerance_of_error_series_lands_in_last_bin(self):
+        assert error_histogram(np.array([1.0 + 1e-13, -0.0]), 4).tolist() == [1, 0, 0, 1]

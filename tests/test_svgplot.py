@@ -3,6 +3,9 @@
 are computed or formatted shows."""
 
 import hashlib
+import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -43,11 +46,95 @@ def test_scatter_chart_bytes_pinned(tmp_path):
         [0.0, 0.0], [50.0, 80.0], [25.0, 40.0], [25.0, 40.0], [25.0, 40.0],
         [60.0, 65.0], [50.0, 15.0], [1 / 3, 79.9], [12.345, 67.891], [55.0, 40.0],
     ])
-    rects = [((0.0, 0.0), (50.0, 80.0), "precinct"), ((50.0, 15.0), (60.0, 65.0), "outside")]
+    rects = [((0.0, 0.0), (50.0, 80.0)), ((50.0, 15.0), (60.0, 65.0))]
     path = tmp_path / "scatter.svg"
     svgplot.scatter_chart(path, points, rects, "Positions (all users, all instants)")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "39f59c0d52ae1acc75f30a60eb8bb98f75c3adfa3e8b21098c7a6197047f5796"
+    assert digest == "2bb8bdac6dca1314bf280688b0d2fa37301cea25cc9be30b76c289863fb7f67f"
+
+
+CELL = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="[^"]+" height="[^"]+" fill-opacity="([^"]+)"/>')
+
+
+def reference_cells(points):
+    """(column, row) -> count of the positions in each cell, in plain Python:
+    cells of max(1, span / 256) units from the observed minimum."""
+    xs, ys = [float(x) for x, _ in points], [float(y) for _, y in points]
+    side = max(1.0, max(max(xs) - min(xs), max(ys) - min(ys)) / 256)
+    return Counter((math.floor((x - min(xs)) / side), math.floor((y - min(ys)) / side)) for x, y in zip(xs, ys))
+
+
+def chart_cells(path, expected):
+    """(column, row) -> fill-opacity text of each cell the chart draws, its
+    pixel corners mapped to indices on the column and row extremes of
+    ``expected``; rows count up from the lowest, whose rect has the largest y."""
+    found = [(float(x), float(y), opacity) for x, y, opacity in CELL.findall(path.read_text())]
+    cols, rows = [c for c, _ in expected], [r for _, r in expected]
+
+    def index(values, span):
+        lo, hi = min(values), max(values)
+        step = (hi - lo) / span if span else 1.0
+        return [round((v - lo) / step) for v in values]
+
+    xi = index([x for x, _, _ in found], max(cols) - min(cols))
+    yi = index([-y for _, y, _ in found], max(rows) - min(rows))
+    return {(min(cols) + c, min(rows) + r): opacity for c, r, (_, _, opacity) in zip(xi, yi, found)}
+
+
+def scatter_point_sets():
+    rng = np.random.default_rng(24)
+    paused = rng.uniform(0.0, 60.0, (40, 2)).repeat(rng.integers(1, 30, 40), axis=0)
+    edges = np.array([[x, y] for x in range(0, 9) for y in (0.0, 2.0, 5.0)] * 3)
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [1.0, -0.0], [-0.0, 3.5]])
+    wide = np.vstack([rng.uniform(-1e12, 1e12, (3000, 2)), [[-1e12, -1e12], [1e12, 1e12], [0.0, 1e12]]])
+    return {
+        "random": rng.uniform(-5.0, 70.0, (500, 2)),
+        "paused": paused,
+        "negative": rng.uniform(-400.0, -120.0, (300, 2)),
+        "cell_edges": edges,
+        "signed_zero": zeros,
+        "single": np.array([[12.5, -7.25]]),
+        "all_equal": np.full((50, 2), 3.0),
+        "wide": wide,
+    }
+
+
+@pytest.mark.parametrize("rects", [[], [((0.0, 0.0), (50.0, 80.0)), ((50.0, 15.0), (60.0, 65.0))]],
+                         ids=["no_venue", "festival_venue"])
+@pytest.mark.parametrize("name", list(scatter_point_sets()))
+def test_scatter_chart_cells_match_counter(tmp_path, name, rects):
+    points = scatter_point_sets()[name]
+    expected = reference_cells(points.tolist())
+    path = tmp_path / "scatter.svg"
+    svgplot.scatter_chart(path, points, rects, "Positions")
+    cells = chart_cells(path, expected)
+    top = max(expected.values())
+    assert len(CELL.findall(path.read_text())) == len(cells) <= 258 ** 2
+    assert cells == {cell: f"{count / top:.3g}" for cell, count in expected.items()}
+
+
+@pytest.mark.parametrize("name", ["random", "paused", "wide"])
+def test_scatter_chart_bytes_ignore_repeats_and_order(tmp_path, name):
+    points = scatter_point_sets()[name]
+    rects = [((0.0, 0.0), (50.0, 80.0))]
+    variants = [points, points.repeat(10, axis=0), np.random.default_rng(1).permutation(points)]
+    texts = []
+    for i, variant in enumerate(variants):
+        svgplot.scatter_chart(tmp_path / f"{i}.svg", variant, rects, "Positions")
+        texts.append((tmp_path / f"{i}.svg").read_bytes())
+    assert texts[0] == texts[1] == texts[2]
+
+
+def test_legend_caps_entries_inside_the_canvas(tmp_path):
+    # 26 zones draw 52 polylines; 20 entries fit above the bottom margin, then "+32 more"
+    values = np.arange(52 * 6, dtype=float).reshape(52, 6)
+    series = [(f"zone {i // 2} {'pred' if i % 2 else 'real'}", ys, "") for i, ys in enumerate(values)]
+    svgplot.line_chart(tmp_path / "zones.svg", np.arange(6), series, "Users per zone", "instant", "users", 2)
+    legend = re.findall(r'<text x="[^"]+" y="(\d+)" fill="#222">([^<]*)</text>', (tmp_path / "zones.svg").read_text())
+    assert [label for _, label in legend] == [label for label, _, _ in series[:20]] + ["+32 more"]
+    assert max(int(y) for y, _ in legend) <= svgplot._H - svgplot._MB
+    swatches = (tmp_path / "zones.svg").read_text().count('width="12" height="3"')
+    assert swatches == 20
 
 
 def test_histogram_chart_bytes_pinned(tmp_path):
