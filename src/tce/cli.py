@@ -31,7 +31,7 @@ config file sections (INI format):
   [clustering]  k_inside, k_outside
   [prediction]  window_size, scope = per_user | general, run_count,
                 base_seed
-  [report]      plot_users (ids, space separated), bin_count
+  [report]      plot_users (ids, space separated, each once), bin_count
 
 A missing or malformed config value, or an unknown key, exits 2 naming its
 [section] key (and the line, for outside_regions, attractors and tiers); an

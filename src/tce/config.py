@@ -85,6 +85,15 @@ _COUNT = _checked(int, lambda n: n >= 1, "must be >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "must be >= 0")
 
 
+def _user_ids(raw: str) -> tuple[int, ...]:
+    """Space-separated user ids, each listed once."""
+    ids = tuple(map(int, raw.split()))
+    for i, uid in enumerate(ids):
+        if uid in ids[:i]:
+            raise ValueError(f"user id {uid} is listed twice")
+    return ids
+
+
 def _get(section, key, cast=str, default=None):
     """``cast`` of the stripped value; a missing key without a default or a
     value ``cast`` rejects is a ConfigError naming ``[section] key``."""
@@ -211,7 +220,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         window=window,
         run_count=_get(prediction, "run_count", _COUNT, 1),
         base_seed=_get(prediction, "base_seed", _SEED, 0),
-        plot_users=_get(report, "plot_users", lambda raw: tuple(map(int, raw.split())), ()),
+        plot_users=_get(report, "plot_users", _user_ids, ()),
         bin_count=_get(report, "bin_count", _COUNT, 10),
         **source,
     )

@@ -6,19 +6,18 @@ share over the precinct). Each attractor must lie within its host region: the
 precinct or one declared outside region. A leg between hosts passes through
 the midpoint of the boundary each outside host shares with the precinct, so
 every sampled position stays within the precinct or a declared outside region.
-Generation is single-threaded per scenario and draws only through
-``Generator.permutation`` and ``Generator.random``, so a seed fixes the trace:
-a pick looks ``random()`` up in the CDF ``Generator.choice`` builds, and points
-and speeds are ``lo + (hi - lo) * random()``, the bits of ``uniform``. The
-uniforms are drawn ``random(n)`` at a time, which gives the values of n
-``random()`` calls in the same order. A leg's length is C ``hypot``, the
-function ``np.hypot`` calls, reached through the ``abs`` of a Python complex.
+All users move together, one instant at a time. A seed fixes the trace: its
+``SeedSequence`` spawns one child for the traffic tiers and one for a
+``(users, instants, 4)`` block of uniforms, whose row ``[u, t]`` is the
+rectangle, x, y and speed of the waypoint user u picks at instant t (its
+start point at t = 0). A user picks at most one waypoint per instant, so the
+block never runs out, and user u's positions do not depend on how many users
+follow it. A pick looks the uniform up in the CDF ``Generator.choice`` builds,
+and a point or speed is ``lo + (hi - lo) * u``, the arithmetic of ``uniform``.
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from .core import Rect, TimeGrid, TraceSet, Venue
 
 _PRECINCT = -1  # region id of the precinct in routing
-_UNIFORM_BLOCK = 1024  # uniforms per Generator.random call
 
 
 @dataclass(frozen=True)
@@ -142,16 +140,16 @@ def _host(venue: Venue, attractor: Attractor) -> int:
 
 class _WaypointDraw:
     """Weighted choice of destination rectangles (attractors plus a uniform
-    background share of the precinct), each with its host region, and the legs
-    that move a user between hosts through their gates."""
+    background share of the precinct), each with its host region, and the
+    gate legs that move a user between hosts."""
 
     def __init__(self, venue: Venue, mobility: MobilityParams):
         rects = [a.region for a in mobility.attractors]
-        self.hosts = [_host(venue, a) for a in mobility.attractors]
+        hosts = [_host(venue, a) for a in mobility.attractors]
         weights = [a.weight for a in mobility.attractors]
         if mobility.background_weight > 0:
             rects.append(venue.precinct)
-            self.hosts.append(_PRECINCT)
+            hosts.append(_PRECINCT)
             weights.append(mobility.background_weight)
         w = np.asarray(weights, np.float64)
         with np.errstate(over="ignore"):  # refused just below, not warned
@@ -160,50 +158,28 @@ class _WaypointDraw:
             raise ValueError("the waypoint weight total and region extents must be finite in float64")
         cdf = np.cumsum(w / total)
         self.cdf = cdf / cdf[-1]  # the CDF Generator.choice builds from p
-        self._cdf = self.cdf.tolist()  # bisect over a list: no ufunc per pick
-        self.los, self.spans = [r.lo.tolist() for r in rects], spans.tolist()
+        self.los, self.spans, self.hosts = np.array([r.lo for r in rects]), spans, np.array(hosts)
         regions = (*venue.outside_regions, venue.precinct)  # index _PRECINCT is the precinct
-        self.regions = [(*r.lo.tolist(), *r.hi.tolist()) for r in regions]
-        self.gates = {h: tuple(_gate(venue, h).tolist()) for h in self.hosts if h != _PRECINCT}
+        self.boxes = np.array([np.concatenate((r.lo, r.hi)) for r in regions])
+        # gates[src, dst, first[src, dst]:] are the legs (px, py, lox, loy,
+        # hix, hiy) from a point of host src to the gate of host dst: out
+        # through src's gate, then in through dst's, each clipped to its box
+        n = len(regions)
+        self.gates, self.first = np.zeros((n, n, 2, 6)), np.full((n, n), 2)
+        in_use = set(hosts)
+        gate = {h: _gate(venue, h) for h in in_use if h != _PRECINCT}
+        for src in in_use:
+            for dst in in_use - {src}:
+                legs = [(*gate[h], *self.boxes[box]) for h, box in ((src, src), (dst, _PRECINCT))
+                        if h != _PRECINCT]
+                self.first[src, dst] = 2 - len(legs)
+                self.gates[src, dst, self.first[src, dst]:] = legs
 
-    def draw(self, rng) -> tuple[list, int]:
-        """A destination point [x, y] and its host region, from ``rng.random()``
-        and ``rng.random(2)`` (a Generator or ``_Uniforms``)."""
-        i = bisect_right(self._cdf, rng.random())  # searchsorted(side="right")
-        (lox, loy), (spanx, spany), (ux, uy) = self.los[i], self.spans[i], rng.random(2)
-        return [lox + spanx * ux, loy + spany * uy], self.hosts[i]
-
-    def route(self, src: int, target: list, dst: int) -> list:
-        """Legs (px, py, lox, loy, hix, hiy): a point and its clip box, from a
-        point of host src to target in host dst, staying in the venue."""
-        if src == dst:
-            return [(*target, *self.regions[dst])]
-        legs = []
-        if src != _PRECINCT:
-            legs.append((*self.gates[src], *self.regions[src]))
-        if dst != _PRECINCT:
-            legs.append((*self.gates[dst], *self.regions[_PRECINCT]))
-        legs.append((*target, *self.regions[dst]))
-        return legs
-
-
-class _Uniforms:
-    """``Generator.random``'s values handed out in stream order, drawn
-    ``_UNIFORM_BLOCK`` at a time: ``random(n)`` gives the values of n
-    ``random()`` calls, so every draw keeps its value."""
-
-    def __init__(self, rng: np.random.Generator):
-        def stream():
-            while True:
-                yield from rng.random(_UNIFORM_BLOCK).tolist()
-
-        self._next = stream().__next__
-
-    def random(self, size=None):
-        """The next value, or a list of the next ``size`` values."""
-        if size is None:
-            return self._next()
-        return [self._next() for _ in range(size)]
+    def draw(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Destination points (n, 2) and their hosts (n,) from (n, >= 3)
+        uniforms: column 0 picks the rectangle, columns 1-2 place the point."""
+        i = self.cdf.searchsorted(uniforms[:, 0], side="right")
+        return self.los[i] + self.spans[i] * uniforms[:, 1:3], self.hosts[i]
 
 
 def generate_scenario(
@@ -216,60 +192,63 @@ def generate_scenario(
 ) -> TraceSet:
     """Simulate ``user_count`` users over the time grid.
 
-    Identical parameters and seed give a bit-identical TraceSet. Per-instant
-    displacement never exceeds speed_max * step_seconds / index_scale in index
-    units; leftover movement budget at a waypoint is dropped (the user dwells
-    there until the next instant). Raises ValueError when an attractor has no
+    Identical parameters and seed give a bit-identical TraceSet. The seed's
+    first ``SeedSequence`` child draws the traffic tiers, its second one
+    ``(users, instants, 4)`` block of uniforms: the waypoint user u picks at
+    instant t (t = 0 is its start point) reads row ``[u, t]`` as rectangle,
+    x, y and speed. Per-instant displacement never exceeds speed_max *
+    step_seconds / index_scale in index units; leftover movement budget at a
+    waypoint is dropped (the user dwells there until the next instant), so a
+    user picks at most one waypoint per instant and user u's positions do not
+    depend on ``user_count``. A leg whose length overflows float64 is not
+    walked: the user stays put. Raises ValueError when an attractor has no
     host region, an outside host does not touch the precinct, or the weight
     total or a drawn region's extent overflows float64.
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     draw = _WaypointDraw(venue, mobility)
-    rng = np.random.default_rng(seed)
-
-    rates = assign_tiers(user_count, traffic, rng)
-    uniforms = _Uniforms(rng)  # after the permutation, as random() calls would be
+    tier_seed, move_seed = np.random.SeedSequence(seed).spawn(2)
+    rates = assign_tiers(user_count, traffic, np.random.default_rng(tier_seed))
+    uniforms = np.random.default_rng(move_seed).random((user_count, grid.instant_count, 4))
     step_budget = grid.step_seconds / venue.index_scale  # index units per (m/s)
     speed_span = mobility.speed_max - mobility.speed_min
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
 
-    for u in range(user_count):
-        (x, y), region = draw.draw(uniforms)
-        row = [x, y]  # this user's positions, x and y per instant
-        legs: list = []
-        pause_left = 0
-        for t in range(1, grid.instant_count):
-            if pause_left > 0:
-                pause_left -= 1
-            else:
-                if not legs:
-                    # routes start only at the previous target, so (x, y) lies in region
-                    target, dst = draw.draw(uniforms)
-                    legs = draw.route(region, target, dst)
-                    region = dst
-                    speed = mobility.speed_min + speed_span * uniforms.random()
-                budget = speed * step_budget
-                while budget > 0 and legs:
-                    px, py, lox, loy, hix, hiy = legs[0]
-                    dx, dy = px - x, py - y
-                    try:
-                        dist = abs(complex(dx, dy))  # C hypot: the bits of np.hypot
-                    except OverflowError:  # where np.hypot gives inf
-                        dist = math.inf
-                    if dist <= budget:
-                        x, y = px, py
-                        budget -= dist
-                        legs.pop(0)
-                        if not legs:  # waypoint reached: dwell out the instant
-                            pause_left = mobility.pause_instants
-                            budget = 0.0
-                    else:
-                        step = budget / dist
-                        # min(hi, max(lo, v)) breaks ties as np.clip does, signed zeros too
-                        x = min(hix, max(lox, x + dx * step))
-                        y = min(hiy, max(loy, y + dy * step))
-                        budget = 0.0
-            row += (x, y)
-        positions[u].flat = row
+    pos, host = draw.draw(uniforms[:, 0])
+    legs = np.empty((user_count, 3, 6))  # gate legs, then the target leg
+    leg = np.full(user_count, 3)  # index of the current leg; 3 when none is left
+    speed, pause = np.zeros(user_count), np.zeros(user_count, np.int64)
+    positions[:, 0] = pos
+    for t in range(1, grid.instant_count):
+        walk = pause == 0
+        pause[~walk] -= 1
+        new = np.flatnonzero(walk & (leg == 3))
+        target, dst = draw.draw(uniforms[new, t])
+        src = host[new]
+        legs[new, :2] = draw.gates[src, dst]
+        legs[new, 2, :2], legs[new, 2, 2:] = target, draw.boxes[dst]
+        leg[new], host[new] = draw.first[src, dst], dst
+        speed[new] = mobility.speed_min + speed_span * uniforms[new, t, 3]
+        budget = np.where(walk, speed * step_budget, 0.0)
+        for _ in range(3):  # a route has at most three legs
+            users = np.flatnonzero((budget > 0) & (leg < 3))
+            if not users.size:
+                break
+            p, b = legs[users, leg[users]], budget[users]
+            with np.errstate(over="ignore"):  # a leg longer than float64 has length inf
+                d = p[:, :2] - pos[users]
+                dist = np.hypot(d[:, 0], d[:, 1])
+            reach = dist <= b
+            done = users[reach]
+            pos[done] = p[reach, :2]
+            leg[done] += 1
+            end = leg[done] == 3  # waypoint reached: dwell out the instant
+            budget[done] = np.where(end, 0.0, b[reach] - dist[reach])
+            pause[done[end]] = mobility.pause_instants
+            budget[users[~reach]] = 0.0
+            part = ~reach & (dist < np.inf)  # a leg longer than float64 is not walked
+            moved = pos[users[part]] + d[part] * (b[part] / dist[part])[:, None]
+            pos[users[part]] = np.minimum(p[part, 4:], np.maximum(p[part, 2:4], moved))
+        positions[:, t] = pos
     return TraceSet(positions, rates)

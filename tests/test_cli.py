@@ -160,8 +160,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "scope, digest",
         [
-            ("per_user", "a690e5bcb9a42b33348bbb7170c4718f50a93c4c995164c48d97e3c3a919bf6b"),
-            ("general", "79962d5195f79f7931a65bf461bf00d61acb710140b8f775ac6001f2f26aef36"),
+            ("per_user", "85ed70f987d362059fe1e9a93675dcbf98e440550510441b00c6c4df1799864e"),
+            ("general", "f78f604beb50436180a21552a68a0be359704fa774eb4c4ce537b38eaa24a5ba"),
         ],
         ids=["per_user", "general"],
     )
@@ -184,14 +184,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
         assert (out / "plots" / "zone_users_run0.svg").read_text().count("<polyline ") == 52
         files = json.dumps(read_manifest(out)["files"], sort_keys=True)
-        assert hashlib.sha256(files.encode()).hexdigest() == "85ef8045d6239f66e952b0ec0475a13847ccc3799e353435f16f625c7cf30e96"
+        assert hashlib.sha256(files.encode()).hexdigest() == "346399d188a7b5c8dad606f66ef0e1900979f6ea225fa19f6c44f3d83d810a64"
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (7, "68536877f17c21f8fce78fe92cf612a5f0c18ef947c2f5793237419aa6e6b8a4"),
-            (3, "f729228c2f81ce8a6cdaa9e2e41b001c9f38dd6fd5625e991fa2f8b9deb0d18d"),
+            (7, "21ce35842f7beac3583034f90c4456dc0a460e62ff0e1db8b624252a57fb8c41"),
+            (3, "35444cf2a415af1041f88b9b388597fd7025f5e4bf7dafb85650b99e670b6c2f"),
         ],
     )
     def test_paper_scale_run_pins_output_bytes(self, tmp_path, seed, digest):

@@ -197,6 +197,8 @@ def test_festival_digest_pinned():
          r"\[venue\] outside_regions: line must read 'x0 y0 x1 y1', got '10 2 x 8'"),
         ("precinct_max = 10 10", "precinct_max = 10 1/0", r"\[venue\] precinct_max: bad value"),
         ("window_size = 1", "window_size = 1\n[report]\nplot_users = 0 5%", r"\[report\] plot_users: bad value"),
+        ("window_size = 1", "window_size = 1\n[report]\nplot_users = 0 0 1",
+         r"\[report\] plot_users: bad value '0 0 1' \(user id 0 is listed twice\)"),
         ("user_count = 2", "user_count = 0", r"\[scenario\] user_count: bad value '0'"),
         ("window_size = 1", "window_size = 1\nbase_seed = -1", r"\[prediction\] base_seed: bad value '-1'"),
         ("    a 1.0 1 1 9 9", "", "at least one attractor"),
@@ -221,7 +223,7 @@ def test_festival_digest_pinned():
     ],
     ids=[
         "tier_div_zero", "tier_field_count", "attractor_weight", "region_number",
-        "precinct_div_zero", "plot_users_percent", "user_count_zero", "base_seed_negative",
+        "precinct_div_zero", "plot_users_percent", "plot_users_repeated", "user_count_zero", "base_seed_negative",
         "no_attractors", "attractor_reversed", "region_reversed", "speed_min_above_max",
         "tier_rate_negative", "tier_fractions_sum", "step_seconds_zero", "scope_unknown",
         "precinct_empty", "region_overlaps_precinct", "precinct_min_shape", "window_size_zero",

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -135,7 +136,7 @@ class TestGenerateScenario:
         cfg = load_config(FESTIVAL_INI)
         traces = generate_scenario(cfg.venue, cfg.grid, 20, cfg.mobility, cfg.traffic, seed=7)
         assert hashlib.sha256(traces.positions.tobytes()).hexdigest() == (
-            "d9101e29b3e3a3099f729cb1de9a62cf12c1539f7b2a52c837088b7f892e2818"
+            "862aac8a74e36bffdf85a5d8760fbc0a1d1be316dc67f75c2ed574da2a153988"
         )
 
     def test_seed_pins_two_outside_regions_bytes(self):
@@ -143,7 +144,7 @@ class TestGenerateScenario:
         venue, grid, mobility = two_outside_scenario()
         traces = generate_scenario(venue, grid, 30, mobility, THIRDS, seed=8)
         assert trace_digest(traces) == (
-            "a3075f9c2a313e6500aed4b43e65e42e91144026ac9b7d8623b1971edb808316"
+            "fc7ef600aa9aad1e2e657df9151845ec38b5fe74a52f31cc3a0d44b0547cd369"
         )
 
     def test_seed_pins_scaled_speed_floor_bytes(self, festival_venue):
@@ -153,8 +154,33 @@ class TestGenerateScenario:
         mobility = simple_mobility(speed_min=0.02, speed_max=0.09, background_weight=0.1)
         traces = generate_scenario(venue, TimeGrid(300.0, 30), 25, mobility, THIRDS, seed=11)
         assert trace_digest(traces) == (
-            "7bbabe7ca172f75d402775cfc0b11d27b9c7344640d0cd26e0db6e5b8b60ea4a"
+            "48f9f549e1ab7db839f2d111a0a1e491f4ce4a477b0fe36d805ef7febdbdc8dc"
         )
+
+    def test_first_users_do_not_depend_on_user_count(self):
+        # user u reads only its own rows of the uniform block
+        cfg = load_config(FESTIVAL_INI)
+        few = generate_scenario(cfg.venue, cfg.grid, 12, cfg.mobility, cfg.traffic, seed=7)
+        many = generate_scenario(cfg.venue, cfg.grid, 45, cfg.mobility, cfg.traffic, seed=7)
+        assert many.positions[:12].tobytes() == few.positions.tobytes()
+
+    def test_fast_users_pick_a_waypoint_every_instant(self):
+        # no dwell and a speed that finishes any route, gate legs included,
+        # within one instant: user u stands at instant t on the point of row [u, t]
+        venue, grid, mobility = two_outside_scenario()
+        fast = dataclasses.replace(mobility, speed_min=10.0, speed_max=10.0)
+        traces = generate_scenario(venue, grid, 40, fast, THIRDS, seed=9)
+        _, move_seed = np.random.SeedSequence(9).spawn(2)
+        uniforms = np.random.default_rng(move_seed).random((40, grid.instant_count, 4))
+        points, hosts = _WaypointDraw(venue, fast).draw(uniforms.reshape(-1, 4))
+        assert traces.positions.tobytes() == points.tobytes()
+        hosts = hosts.reshape(40, grid.instant_count)
+        gate_to_gate = (hosts[:, :-1] != hosts[:, 1:]) & (hosts[:, :-1] >= 0) & (hosts[:, 1:] >= 0)
+        assert gate_to_gate.any()  # some routes run east <-> west through both gates
+        pts = traces.all_points()
+        assert np.all(inside_mask(pts, venue) | EAST.contains_many(pts) | WEST.contains_many(pts))
+        steps = np.linalg.norm(np.diff(traces.positions, axis=1), axis=2)
+        assert steps.max() <= fast.speed_max * grid.step_seconds / venue.index_scale + 1e-9
 
     def test_stage_attracts_occupancy(self, festival_venue):
         grid = TimeGrid(300.0, 60)
@@ -234,8 +260,8 @@ class TestValidation:
             Attractor(Rect((0, 0), (1, 1)), 0.0)
 
 
-# The numpy calls the generator drew through before it used Generator.random
-# alone, kept as the reference its draws must equal bit for bit.
+# The numpy call the generator's pick replaces, kept as the reference its
+# picks must equal.
 def reference_pick(rng, probs):
     return int(rng.choice(len(probs), p=probs))
 
@@ -245,14 +271,6 @@ def reference_cdf(probs):
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return cdf
-
-
-def reference_point(rng, rect):
-    return rng.uniform(rect.lo, rect.hi)
-
-
-def reference_speed(rng, speed_min, speed_max):
-    return rng.uniform(speed_min, speed_max)
 
 
 ORACLE_SEEDS, ORACLE_DRAWS = range(200), 50
@@ -279,8 +297,8 @@ WEIGHT_SETS = {
 
 
 class TestDrawOracle:
-    """``_WaypointDraw`` and the speed draw against the numpy calls they
-    replace, on twin generators: same seed, same draws, same bits."""
+    """``_WaypointDraw``'s pick against ``Generator.choice`` on twin
+    generators: same seed, same draws, same picks."""
 
     @pytest.mark.parametrize("name", list(WEIGHT_SETS))
     def test_pick_equals_choice(self, name):
@@ -292,62 +310,47 @@ class TestDrawOracle:
             for _ in range(ORACLE_DRAWS):
                 assert int(draw.cdf.searchsorted(new.random(), side="right")) == reference_pick(old, probs)
 
-    @pytest.mark.parametrize("name", list(WEIGHT_SETS))
-    def test_point_equals_uniform(self, name):
-        draw, rects, probs = festival_draw(*WEIGHT_SETS[name])
-        for seed in ORACLE_SEEDS:
-            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(ORACLE_DRAWS):
-                point, host = draw.draw(new)
-                i = reference_pick(old, probs)
-                assert host == draw.hosts[i]
-                assert np.array(point).tobytes() == reference_point(old, rects[i]).tobytes()
-
     def test_draw_on_a_cdf_step_picks_the_next_rect(self):
-        # a random() equal to cdf[k] is past rect k, as choice's side="right" has it
+        # a uniform equal to cdf[k] is past rect k, as choice's side="right" has it
         draw, rects, _ = festival_draw(*WEIGHT_SETS["festival"])
-
-        class StepRng:
-            def random(self, size=None):
-                return draw.cdf[1] if size is None else np.zeros(size)
-
-        point, _ = draw.draw(StepRng())
-        assert point == rects[2].lo.tolist()
-
-    @pytest.mark.parametrize("speed_min, speed_max", [(0.0, 0.08), (0.02, 0.09), (0.3, 0.3), (0.1, 7.0)])
-    def test_speed_equals_uniform(self, speed_min, speed_max):
-        span = speed_max - speed_min
-        for seed in ORACLE_SEEDS:
-            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(ORACLE_DRAWS):
-                speed = speed_min + span * new.random()  # the form generate_scenario uses
-                assert np.float64(speed).tobytes() == np.float64(
-                    reference_speed(old, speed_min, speed_max)
-                ).tobytes()
+        points, hosts = draw.draw(np.array([[draw.cdf[1], 0.0, 0.0, 0.5]]))
+        assert points.tolist() == [rects[2].lo.tolist()]
+        assert hosts.tolist() == [draw.hosts[2]]
 
 
 def reference_generate(venue, grid, user_count, mobility, traffic, seed):
-    """``generate_scenario`` as it was before its uniforms were buffered: one
-    ``rng.random()`` or ``rng.random(2)`` call per draw, ``np.hypot`` per leg
-    step and positions stored one instant at a time. Also returns how many
-    uniforms it drew."""
+    """``generate_scenario`` as a plain loop over users and instants: each
+    user reads its rows of the same uniform block one at a time, routes with
+    a list of legs, measures a leg with ``np.hypot`` on scalars and clips a
+    partial step as the generator does."""
     draw = _WaypointDraw(venue, mobility)
-    los, spans = np.array(draw.los), np.array(draw.spans)
-    rng = np.random.default_rng(seed)
-    drawn = 0
+    tier_seed, move_seed = np.random.SeedSequence(seed).spawn(2)
+    rates = assign_tiers(user_count, traffic, np.random.default_rng(tier_seed))
+    uniforms = np.random.default_rng(move_seed).random((user_count, grid.instant_count, 4))
+    rects = [a.region for a in mobility.attractors] + [venue.precinct] * (mobility.background_weight > 0)
+    boxes = {h: (*r.lo, *r.hi) for h, r in enumerate(venue.outside_regions)}
+    boxes[-1] = (*venue.precinct.lo, *venue.precinct.hi)
 
-    def pick():
-        nonlocal drawn
-        drawn += 3
-        i = int(draw.cdf.searchsorted(rng.random(), side="right"))
-        return (los[i] + spans[i] * rng.random(2)).tolist(), draw.hosts[i]
+    def pick(row):
+        i = int(draw.cdf.searchsorted(row[0], side="right"))
+        point = rects[i].lo + (rects[i].hi - rects[i].lo) * row[1:3]
+        return point.tolist(), int(draw.hosts[i])
 
-    rates = assign_tiers(user_count, traffic, rng)
+    def route(src, target, dst):
+        if src == dst:
+            return [(*target, *boxes[dst])]
+        legs = []
+        if src != -1:
+            legs.append((*scenario._gate(venue, src), *boxes[src]))
+        if dst != -1:
+            legs.append((*scenario._gate(venue, dst), *boxes[-1]))
+        return legs + [(*target, *boxes[dst])]
+
     step_budget = grid.step_seconds / venue.index_scale
     speed_span = mobility.speed_max - mobility.speed_min
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
     for u in range(user_count):
-        (x, y), region = pick()
+        (x, y), region = pick(uniforms[u, 0])
         positions[u, 0] = x, y
         legs, pause_left = [], 0
         for t in range(1, grid.instant_count):
@@ -355,17 +358,16 @@ def reference_generate(venue, grid, user_count, mobility, traffic, seed):
                 pause_left -= 1
             else:
                 if not legs:
-                    target, dst = pick()
-                    legs = draw.route(region, target, dst)
+                    target, dst = pick(uniforms[u, t])
+                    legs = route(region, target, dst)
                     region = dst
-                    speed = mobility.speed_min + speed_span * rng.random()
-                    drawn += 1
+                    speed = mobility.speed_min + speed_span * uniforms[u, t, 3]
                 budget = speed * step_budget
                 while budget > 0 and legs:
                     px, py, lox, loy, hix, hiy = legs[0]
-                    dx, dy = px - x, py - y
                     with np.errstate(over="ignore"):
-                        dist = float(np.hypot(dx, dy))
+                        dx, dy = np.subtract(px, x), np.subtract(py, y)
+                        dist = np.hypot(dx, dy)
                     if dist <= budget:
                         x, y = px, py
                         budget -= dist
@@ -374,13 +376,13 @@ def reference_generate(venue, grid, user_count, mobility, traffic, seed):
                             pause_left = mobility.pause_instants
                             budget = 0.0
                     else:
-                        step = budget / dist
-                        x = min(hix, max(lox, x + dx * step))
-                        y = min(hiy, max(loy, y + dy * step))
+                        if np.isfinite(dist):  # a leg longer than float64 is not walked
+                            step = budget / dist
+                            x = np.minimum(hix, np.maximum(lox, x + dx * step))
+                            y = np.minimum(hiy, np.maximum(loy, y + dy * step))
                         budget = 0.0
-            positions[u, t, 0] = x
-            positions[u, t, 1] = y
-    return positions, rates, drawn
+            positions[u, t] = x, y
+    return positions, rates
 
 
 def festival_case(pause_instants=None):
@@ -419,61 +421,40 @@ GENERATOR_CASES = {
 
 
 class TestGeneratorOracle:
-    """``generate_scenario`` against ``reference_generate``: buffered uniforms
-    and complex ``abs`` must give the bits of one ``random()`` per value and
-    ``np.hypot``."""
+    """``generate_scenario``, which steps every user at once, against
+    ``reference_generate``, which walks one user at a time: same bits."""
 
-    @pytest.mark.parametrize("block", [None, 1, 3])
     @pytest.mark.parametrize("name", list(GENERATOR_CASES))
-    def test_positions_and_traffic_equal_reference(self, name, block, monkeypatch):
-        if block is not None:  # a refill may fall between a point's two coordinates
-            monkeypatch.setattr(scenario, "_UNIFORM_BLOCK", block)
+    def test_positions_and_traffic_equal_reference(self, name):
         args = GENERATOR_CASES[name]()
-        positions, rates, drawn = reference_generate(*args)
-        assert drawn > 3 * 1024  # the default block is refilled several times
+        positions, rates = reference_generate(*args)
         traces = generate_scenario(*args)
         assert traces.positions.tobytes() == positions.tobytes()
         assert traces.mean_traffic.tobytes() == rates.tobytes()
 
     def test_leg_longer_than_float64_stays_put_without_warning(self):
         # far-corner attractors of a finite precinct whose diagonal overflows:
-        # np.hypot gives inf (and warns), so a user never leaves its first point
-        venue = Venue((-8e307, -8e307), (8e307, 8e307))
-        mobility = simple_mobility(speed_min=0.05, speed_max=0.08, attractors=(
-            Attractor(Rect((-8e307, -8e307), (-7e307, -7e307)), 1.0, "south_west"),
-            Attractor(Rect((7e307, 7e307), (8e307, 8e307)), 1.0, "north_east"),
-        ))
-        args = venue, TimeGrid(300.0, 20), 30, mobility, THIRDS, 5
-        positions, rates, _ = reference_generate(*args)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            traces = generate_scenario(*args)
-        assert traces.positions.tobytes() == positions.tobytes()
-        assert traces.mean_traffic.tobytes() == rates.tobytes()
-        assert np.isfinite(traces.positions).all()
+        # np.hypot gives inf, so a user never leaves its first point
+        assert_far_corners_stay_put(8e307)
 
-    def test_complex_abs_equals_np_hypot(self):
-        rng = np.random.default_rng(22)
-        # magnitudes from subnormal to near the float64 maximum, either sign,
-        # and a share near the maximum, where the length overflows
-        exponents = np.concatenate(
-            [rng.integers(-1075, 1024, (2, 200_000)), rng.integers(1022, 1024, (2, 20_000))], axis=1
-        )
-        mags = np.ldexp(rng.random(exponents.shape) + 1.0, exponents)  # finite: below 2**1024
-        dx, dy = mags * rng.choice([-1.0, 1.0], mags.shape)
-        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1.7e308, 3.0]
-        sx, sy = np.array([(a, b) for a in specials for b in specials]).T
-        dx, dy = np.concatenate([dx, sx]), np.concatenate([dy, sy])
-        with np.errstate(over="ignore"):
-            expected = np.hypot(dx, dy)
-        got = []
-        for a, b in zip(dx.tolist(), dy.tolist()):
-            try:
-                got.append(abs(complex(a, b)))
-            except OverflowError:
-                got.append(np.inf)
-        got = np.array(got)
-        assert np.isinf(expected).sum() > 1000  # overflows are covered
-        nan = np.isnan(expected)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == expected[~nan].tobytes()
+    def test_leg_whose_coordinate_difference_overflows_stays_put(self):
+        # at +-1e308 the x difference itself is inf, and a step of inf * 0
+        # would be nan: the user still stays put
+        assert_far_corners_stay_put(1e308)
+
+
+def assert_far_corners_stay_put(far_x):
+    venue = Venue((-far_x, -8e307), (far_x, 8e307))
+    mobility = simple_mobility(speed_min=0.05, speed_max=0.08, attractors=(
+        Attractor(Rect((-far_x, -8e307), (-7e307, -7e307)), 1.0, "south_west"),
+        Attractor(Rect((7e307, 7e307), (far_x, 8e307)), 1.0, "north_east"),
+    ))
+    args = venue, TimeGrid(300.0, 20), 30, mobility, THIRDS, 5
+    positions, rates = reference_generate(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = generate_scenario(*args)
+    assert traces.positions.tobytes() == positions.tobytes()
+    assert traces.mean_traffic.tobytes() == rates.tobytes()
+    assert np.isfinite(traces.positions).all()
+    assert (traces.positions == traces.positions[:, :1]).all()
