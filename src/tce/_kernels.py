@@ -13,9 +13,14 @@ adds the points in ascending index order, and ``predict_series`` adds each
 row's probabilities in zone order, one in-place row add at a time, which is
 the sequential order of ``np.cumsum``. ``predict_series`` forecasts every
 run of one label table in one pass: the runs are stacked as rows of the
-chain over one sliding count table. ``tests/test_kernels.py`` checks each
-kernel against a plain-Python loop, and the stacked runs against one loop
-per run.
+chain over one sliding count table. It steps through blocks of a few
+instants and lays each block's window pairs and draws out instant-major
+once, so that every step reads and writes contiguous rows. A count table
+with fewer columns than the chain has rows is scored once per column, and
+each row looks its column's cumulative probabilities up. Both ways of
+scoring do the same divisions and adds per column, so they give the same
+bits. ``tests/test_kernels.py`` checks each kernel against a plain-Python
+loop, and the stacked runs and the blocks against one loop per run.
 """
 
 from __future__ import annotations
@@ -93,40 +98,76 @@ def count_transitions(labels, k):
 # table is counted once over the pairs of the first window, then slides:
 # after instant t the pair (t-1 -> t) enters and the pair (t-w -> t-w+1)
 # leaves. np.add.at counts the general scope's repeated keys, and for w = 1
-# the two updates cancel. The work is column-major: the rows' columns are
-# gathered as a (k, R*U) block whose probabilities are summed by k-1
-# in-place row adds, the sequential order of np.cumsum.
+# the two updates cancel.
+#
+# The steps run in blocks of _BLOCK instants. Per block, the table keys of
+# the pairs that enter or leave the window and the block's draws are laid
+# out once, transposed so that one instant is one contiguous row, and the
+# block's predictions collect in a (block, R*U) buffer that is written back
+# to the (R*U, T) output at once; reading a column of a (user, instant)
+# table per step costs about one cache miss per element at event scale. The
+# three buffers are allocated once and reused by every block.
+#
+# Scoring works on (k, columns) blocks whose probabilities are summed by k-1
+# in-place row adds, the sequential order of np.cumsum. A narrow table, with
+# fewer columns than the chain has rows (the general table, or per_user with
+# more runs than zones), is scored whole, once per column, and each row
+# takes its column's cumulative sums; a wider one has the rows' columns
+# gathered first. Either way each column sees the same division and adds,
+# so the bits do not depend on the route.
+
+_BLOCK = 16  # instants per block; longer blocks gain little and hold more memory
 
 
 def predict_series(labels, k, w, per_user, uniforms):
     U, T = labels.shape
     runs = uniforms.shape[0] // U
     out = np.tile(labels, (runs, 1))
-    state = out[:, w - 1]
     user_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
     first_row = np.tile(user_row, runs)
     width = (U if per_user else 1) * k
+    narrow = width < runs * U
 
-    def keys(frm, to):  # table index of each user's pair (frm -> to)
-        return to * width + user_row + frm
+    def keys(frm, to, out=None):  # table index of each user's pair (frm -> to)
+        out = np.multiply(to, width, out=out)
+        out += user_row
+        out += frm
+        return out
 
     window = keys(labels[:, : w - 1].T, labels[:, 1:w].T)
     table = np.bincount(window.ravel(), minlength=k * width).reshape(k, width)
-    cum = np.empty((k, runs * U))
-    for t in range(w, T):
-        # np.take keeps the (k, R*U) block row-major, so each row add is contiguous
-        rows = np.take(table, first_row + state, axis=1)
-        total = rows.sum(axis=0)
-        np.divide(rows, np.where(total == 0, 1, total), out=cum)
-        for i in range(1, k):
-            np.add(cum[i - 1], cum[i], out=cum[i])
-        j = (cum <= uniforms[:, t - w]).sum(axis=0)
-        # cum is nondecreasing, so j passes the last positive-probability zone
-        # only by reaching k; there the residual float mass lands in that zone
-        over = np.flatnonzero((j == k) & (total > 0))
-        j[over] = (k - 1) - np.argmax(rows[::-1, over] > 0, axis=0)
-        state = np.where(total == 0, state, j)
-        out[:, t] = state
-        np.add.at(table.reshape(-1), keys(labels[:, t - 1], labels[:, t]), 1)
-        np.subtract.at(table.reshape(-1), keys(labels[:, t - w], labels[:, t - w + 1]), 1)
+    cum = np.empty((k, width if narrow else runs * U))
+    block = min(_BLOCK, T - w)
+    pairs = np.empty((block + w - 1, U), np.int64)
+    draws = np.empty((block, runs * U))
+    pred = np.empty((block, runs * U), np.int64)
+    for t0 in range(w, T, _BLOCK):
+        n = min(_BLOCK, T - t0)
+        # row m of pairs is the pair (t0-w+m -> t0-w+m+1): step i, at instant
+        # t0 + i, adds row i + w - 1 and drops row i; row i of draws and of
+        # pred is instant t0 + i
+        keys(labels[:, t0 - w : t0 + n - 1].T, labels[:, t0 - w + 1 : t0 + n].T, pairs[: n + w - 1])
+        np.copyto(draws[:n], uniforms[:, t0 - w : t0 - w + n].T)
+        state = out[:, t0 - 1]
+        for i in range(n):
+            cols = first_row + state
+            rows = table if narrow else np.take(table, cols, axis=1)
+            total = rows.sum(axis=0)
+            np.divide(rows, np.where(total == 0, 1, total), out=cum)
+            for r in range(1, k):
+                np.add(cum[r - 1], cum[r], out=cum[r])
+            if narrow:
+                j = (np.take(cum, cols, axis=1) <= draws[i]).sum(axis=0)
+                total = total[cols]
+            else:
+                j = (cum <= draws[i]).sum(axis=0)
+            # cum is nondecreasing, so j passes the last positive-probability zone
+            # only by reaching k; there the residual float mass lands in that zone
+            over = np.flatnonzero((j == k) & (total > 0))
+            j[over] = (k - 1) - np.argmax(table[::-1, cols[over]] > 0, axis=0)
+            pred[i] = np.where(total == 0, state, j)
+            state = pred[i]
+            np.add.at(table.reshape(-1), pairs[i + w - 1], 1)
+            np.subtract.at(table.reshape(-1), pairs[i], 1)
+        out[:, t0 : t0 + n] = pred[:n].T
     return out

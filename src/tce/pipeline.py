@@ -15,6 +15,7 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import shutil
 import time
 from contextlib import contextmanager
@@ -236,6 +237,10 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
             "base_seed": base_seed,
             "run_seeds": [base_seed + r for r in range(cfg.run_count)],
             "backend": backend(),
+            # the output bytes rest on numpy's Generator streams, which NEP 19
+            # does not freeze across versions
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             "summary": summary,
             "elapsed_seconds": round(time.perf_counter() - started, 3),
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import platform
 import re
 import signal
 import subprocess
@@ -131,6 +132,15 @@ class TestRun:
         for rel, digest in manifest["files"].items():
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         assert manifest["run_seeds"] == [5, 6]
+
+    def test_manifest_records_python_and_numpy_versions(self, tmp_path):
+        # the bytes of a seed rest on numpy's Generator streams, which are not
+        # promised across numpy versions; the manifest says which ran
+        out = tmp_path / "out"
+        main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)])
+        manifest = read_manifest(out)
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
 
     def test_scatter_rows_equal_users_times_instants(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -223,6 +223,61 @@ def test_predict_series_stacked_runs_match_one_loop_per_run():
                             assert np.array_equal(stacked[rows], b), (runs, r, per_user, labels.shape, zones, w)
 
 
+# draws on interval ends: 0, fractions m/n whose cumulative sums land on them
+# exactly for small row totals n, and the largest double below 1
+EDGES = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
+
+
+def test_predict_series_blocks_match_one_loop_per_run():
+    # the chain steps through blocks of kern._BLOCK instants: forecasts shorter
+    # than a block, an exact multiple of it and several blocks with a remainder
+    # must equal the loop. A count table with fewer columns than the chain has
+    # rows is scored once per column, a wider one per row. Of the (users,
+    # zones, runs) shapes, (1, 4, 1) has a wide general table and the others
+    # a narrow one; per_user is narrow only with more runs than zones, as in
+    # (5, 2, 3), (9, 4, 5) and (3, 2, 11), and (4, 3, 3) sits on the edge.
+    rng = np.random.default_rng(16)
+    block = kern._BLOCK
+    shapes = [(7, 3, 1), (1, 4, 1), (5, 2, 3), (4, 3, 3), (9, 4, 5), (3, 2, 11)]
+    for users, zones, runs in shapes:
+        for steps in (1, block - 3, block, 2 * block, 2 * block + 5):
+            for w in (1, 2, 6):
+                T = w + steps
+                # sticky labels, so some window rows are empty and some not
+                labels = rng.integers(0, zones, size=(users, T)).astype(np.int64)
+                for t in range(1, T):
+                    stay = rng.random(users) < 0.6
+                    labels[stay, t] = labels[stay, t - 1]
+                shape = (runs * users, steps)
+                for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
+                    for per_user in (False, True):
+                        out = kern.predict_series(labels, zones, w, per_user, uniforms)
+                        assert out.shape == (runs * users, T) and out.flags.c_contiguous
+                        for r in range(runs):
+                            rows = slice(r * users, (r + 1) * users)
+                            b = predict_series_loop(labels, zones, w, per_user, uniforms[rows])
+                            case = (users, zones, runs, steps, w, per_user, r)
+                            assert np.array_equal(out[rows], b), case
+
+
+def test_predict_series_residual_mass_lands_in_last_zone_on_both_routes():
+    # zone 10's window row counts one move to each of zones 0..9, so its
+    # cumulative sum ends at 10 * 0.1 = 1 - 2**-53, and the largest draw below
+    # 1 must land in zone 9, the last one with a count. One run leaves the
+    # table wider than the chain; 12 runs make it narrow in both scopes.
+    zones, stay = 11, 10
+    row = [z for move in range(10) for z in (stay, move)] + [stay, stay]
+    labels = np.array([row], np.int64)
+    w = labels.shape[1] - 1
+    for runs in (1, zones + 1):
+        uniforms = np.full((runs, 1), EDGES[-1])
+        for per_user in (False, True):
+            out = kern.predict_series(labels, zones, w, per_user, uniforms)
+            b = predict_series_loop(labels, zones, w, per_user, uniforms[:1])
+            assert np.array_equal(out, np.tile(b, (runs, 1))), (runs, per_user)
+            assert np.all(out[:, w] == 9)
+
+
 def test_count_transitions_matches_double_loop():
     rng = np.random.default_rng(13)
     for _ in range(500):
