@@ -19,8 +19,13 @@ once, so that every step reads and writes contiguous rows. A count table
 with fewer columns than the chain has rows is scored once per column, and
 each row looks its column's cumulative probabilities up. Both ways of
 scoring do the same divisions and adds per column, so they give the same
-bits. ``tests/test_kernels.py`` checks each kernel against a plain-Python
-loop, and the stacked runs and the blocks against one loop per run.
+bits. The table holds its counts in the narrowest unsigned type that holds
+a full column, w-1 pairs per user or users*(w-1) in general; each step casts
+the counts it scores to float64 once and divides float64 by float64, the
+operation numpy's integer true division performs, so the bits are those of
+an int64 table. ``tests/test_kernels.py`` checks each kernel against a
+plain-Python loop, and the stacked runs and the blocks against one loop per
+run.
 """
 
 from __future__ import annotations
@@ -115,6 +120,24 @@ def count_transitions(labels, k):
 # takes its column's cumulative sums; a wider one has the rows' columns
 # gathered first. Either way each column sees the same division and adds,
 # so the bits do not depend on the route.
+#
+# A window holds w-1 pairs per user, so no cell and no column total passes
+# (1 if per_user else U) * (w-1), and the table holds its counts in the
+# narrowest unsigned type that does: uint8 per user for w <= 256, which at
+# event scale makes the gather read one byte per count instead of eight.
+# The first window is counted straight into it, so no int64 table (3.9 MB
+# at event scale) is ever made. Increments are scalars of the table's type:
+# with a Python int, np.add.at on a uint8 table took 1.3 ms a call at event
+# scale, against 34 us. The pair that enters is added before the one that
+# leaves is dropped, so a full cell may wrap for a moment; unsigned
+# arithmetic is modular, and the drop brings it back before the next score.
+# Each step copies the scored counts into the float64 block (an exact cast)
+# and sums the column totals there, exactly, as every count is an integer
+# far below 2**53; it then divides by the totals, 0 read as 1. numpy's
+# int/int true division casts both sides to float64 and divides, so the
+# bits are the same as an int64 table's. Summing in the table's type, or
+# casting the totals inside np.maximum, left numpy's 64 KB cast buffers on
+# the heap and raised the benchmark's peak RSS by 0.1-0.25 MB.
 
 _BLOCK = 16  # instants per block; longer blocks gain little and hold more memory
 
@@ -135,7 +158,10 @@ def predict_series(labels, k, w, per_user, uniforms):
         return out
 
     window = keys(labels[:, : w - 1].T, labels[:, 1:w].T)
-    table = np.bincount(window.ravel(), minlength=k * width).reshape(k, width)
+    dtype = np.min_scalar_type((1 if per_user else U) * (w - 1))  # a full column's total
+    one = dtype.type(1)
+    table = np.zeros((k, width), dtype)
+    np.add.at(table.reshape(-1), window.ravel(), one)
     cum = np.empty((k, width if narrow else runs * U))
     block = min(_BLOCK, T - w)
     pairs = np.empty((block + w - 1, U), np.int64)
@@ -152,8 +178,9 @@ def predict_series(labels, k, w, per_user, uniforms):
         for i in range(n):
             cols = first_row + state
             rows = table if narrow else np.take(table, cols, axis=1)
-            total = rows.sum(axis=0)
-            np.divide(rows, np.where(total == 0, 1, total), out=cum)
+            np.copyto(cum, rows)
+            total = cum.sum(axis=0)
+            np.divide(cum, np.maximum(total, 1), out=cum)
             for r in range(1, k):
                 np.add(cum[r - 1], cum[r], out=cum[r])
             if narrow:
@@ -167,7 +194,7 @@ def predict_series(labels, k, w, per_user, uniforms):
             j[over] = (k - 1) - np.argmax(table[::-1, cols[over]] > 0, axis=0)
             pred[i] = np.where(total == 0, state, j)
             state = pred[i]
-            np.add.at(table.reshape(-1), pairs[i + w - 1], 1)
-            np.subtract.at(table.reshape(-1), pairs[i], 1)
+            np.add.at(table.reshape(-1), pairs[i + w - 1], one)
+            np.subtract.at(table.reshape(-1), pairs[i], one)
         out[:, t0 : t0 + n] = pred[:n].T
     return out

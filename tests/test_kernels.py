@@ -172,6 +172,11 @@ def test_accumulate_points_matches_reference_loop():
         assert np.array_equal(cn, cr)
 
 
+# draws on interval ends: 0, fractions m/n whose cumulative sums land on them
+# exactly for small row totals n, and the largest double below 1
+EDGES = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
+
+
 def test_predict_series_matches_reference_loop():
     rng = np.random.default_rng(14)
     cases = [random_case(rng, instants=int(rng.integers(3, 12))) for _ in range(200)]
@@ -190,12 +195,9 @@ def test_predict_series_matches_reference_loop():
             rng, int(rng.integers(100, 301)), int(rng.integers(6, 11)), int(rng.integers(10, 31))
         )
         runs += [(labels, zones, w) for w in (1, 2, labels.shape[1] - 1)]
-    # draws on interval ends: 0, fractions m/n whose cumulative sums land on
-    # them exactly for small row totals n, and the largest double below 1
-    edges = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
     for labels, zones, w in runs:
         shape = (labels.shape[0], labels.shape[1] - w)
-        for uniforms in (rng.random(shape), rng.choice(edges, shape)):
+        for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
             for per_user in (False, True):
                 a = kern.predict_series(labels, zones, w, per_user, uniforms)
                 b = predict_series_loop(labels, zones, w, per_user, uniforms)
@@ -205,7 +207,6 @@ def test_predict_series_matches_reference_loop():
 def test_predict_series_stacked_runs_match_one_loop_per_run():
     # R runs stacked as rows r*U + u of one call equal R separate loops
     rng = np.random.default_rng(15)
-    edges = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
     cases = [random_case(rng, instants=int(rng.integers(3, 12))) for _ in range(40)]
     cases += [random_case(rng, int(rng.integers(20, 41)), 10, int(rng.integers(5, 13))) for _ in range(2)]
     for labels, zones in cases:
@@ -213,7 +214,7 @@ def test_predict_series_stacked_runs_match_one_loop_per_run():
         for runs in (2, 3, 5):
             for w in sorted({1, 2, T - 1}):
                 shape = (runs * U, T - w)
-                for uniforms in (rng.random(shape), rng.choice(edges, shape)):
+                for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
                     for per_user in (False, True):
                         stacked = kern.predict_series(labels, zones, w, per_user, uniforms)
                         assert stacked.shape == (runs * U, T)
@@ -221,11 +222,6 @@ def test_predict_series_stacked_runs_match_one_loop_per_run():
                             rows = slice(r * U, (r + 1) * U)
                             b = predict_series_loop(labels, zones, w, per_user, uniforms[rows])
                             assert np.array_equal(stacked[rows], b), (runs, r, per_user, labels.shape, zones, w)
-
-
-# draws on interval ends: 0, fractions m/n whose cumulative sums land on them
-# exactly for small row totals n, and the largest double below 1
-EDGES = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
 
 
 def test_predict_series_blocks_match_one_loop_per_run():
@@ -276,6 +272,35 @@ def test_predict_series_residual_mass_lands_in_last_zone_on_both_routes():
             b = predict_series_loop(labels, zones, w, per_user, uniforms[:1])
             assert np.array_equal(out, np.tile(b, (runs, 1))), (runs, per_user)
             assert np.all(out[:, w] == 9)
+
+
+def test_predict_series_count_dtype_edges_match_loop():
+    # the window table holds its counts in the narrowest unsigned type that
+    # holds a full column: w-1 per user, users*(w-1) in general. Every user
+    # sits in zone 0 up to instant w-1, and about half move to zone 1 at w,
+    # so at t = w+1 zone 0's column is full and mixes stays with moves. The
+    # (users, w, scopes) cases put a full column at 255 and 256 per user, at
+    # 255 and 260 in general, and at 65 535 and 65 792 in general (257 users),
+    # where the per_user columns also cross 255.
+    rng = np.random.default_rng(18)
+    zones, steps, runs = 3, 3, 2
+    cases = [(3, 256, (True,)), (3, 257, (True,)), (5, 52, (False,)), (5, 53, (False,))]
+    cases += [(257, 256, (False, True)), (257, 257, (False, True))]
+    for users, w, scopes in cases:
+        T = w + steps
+        labels = np.zeros((users, T), np.int64)
+        labels[rng.permutation(users)[: users // 2 + 1], w] = 1
+        for t in range(w + 1, T):
+            moves = rng.random(users) < 0.5
+            labels[:, t] = np.where(moves, rng.integers(0, zones, users), labels[:, t - 1])
+        shape = (runs * users, steps)
+        for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
+            for per_user in scopes:
+                out = kern.predict_series(labels, zones, w, per_user, uniforms)
+                for r in range(runs):
+                    rows = slice(r * users, (r + 1) * users)
+                    b = predict_series_loop(labels, zones, w, per_user, uniforms[rows])
+                    assert np.array_equal(out[rows], b), (users, w, per_user, r)
 
 
 def test_count_transitions_matches_double_loop():
