@@ -12,20 +12,18 @@ distance is at least +0, and on a tie both sides are equal);
 adds the points in ascending index order, and ``predict_series`` adds each
 row's probabilities in zone order, one in-place row add at a time, which is
 the sequential order of ``np.cumsum``. ``predict_series`` forecasts every
-run of one label table in one pass: the runs are stacked as rows of the
-chain over one sliding count table. It steps through blocks of a few
-instants and lays each block's window pairs and draws out instant-major
-once, so that every step reads and writes contiguous rows. A count table
-with fewer columns than the chain has rows is scored once per column, and
-each row looks its column's cumulative probabilities up. Both ways of
-scoring do the same divisions and adds per column, so they give the same
-bits. The table holds its counts in the narrowest unsigned type that holds
-a full column, w-1 pairs per user or users*(w-1) in general; each step casts
-the counts it scores to float64 once and divides float64 by float64, the
+run of one label table in one pass over one sliding count table, one
+instant at a time; its pair keys, draws and predictions are instant-major
+tables, so every step reads and writes contiguous rows. A count table with
+fewer columns than the chain has rows is scored once per column, and each
+row looks its column's cumulative probabilities up. Both ways of scoring do
+the same divisions and adds per column, so they give the same bits. The
+table holds its counts in the narrowest unsigned type that holds a full
+column, w-1 pairs per user or users*(w-1) in general; each step casts the
+counts it scores to float64 once and divides float64 by float64, the
 operation numpy's integer true division performs, so the bits are those of
 an int64 table. ``tests/test_kernels.py`` checks each kernel against a
-plain-Python loop, and the stacked runs and the blocks against one loop per
-run.
+plain-Python loop, and the stacked runs against one loop per run.
 """
 
 from __future__ import annotations
@@ -34,7 +32,9 @@ import numpy as np
 
 
 def backend() -> str:
-    """Name of the kernel implementation, recorded in the run manifest."""
+    """Name of the kernel implementation. Runs no longer record it; it stays
+    because the benchmark (``perfbench/run.py``) writes it into each bench
+    point."""
     return "numpy"
 
 
@@ -93,27 +93,30 @@ def count_transitions(labels, k):
 # transition predict "stay".
 #
 # The R runs of one forecast share the true labels, so they are stacked as
-# rows of one chain: uniforms has R*U rows, and row r*U + u is user u in run
-# r, with uniforms[r*U + u, t-w] its draw at instant t. The output has the
-# same rows; R = 1 is a single run.
+# columns of one chain: draws is a (T-w, R*U) table whose column r*U + u is
+# user u in run r, with draws[t-w, r*U + u] its draw at instant t. The
+# (R*U, T) output has the same runs as rows; R = 1 is a single run.
 #
 # Both scopes are one grouped count: a user's group is its own index when
 # per_user, else 0, and the counts of every group sit in one (k to,
 # groups*k from) table, so a row in state s reads column group*k + s. The
-# table is counted once over the pairs of the first window, then slides:
-# after instant t the pair (t-1 -> t) enters and the pair (t-w -> t-w+1)
-# leaves. np.add.at counts the general scope's repeated keys, and for w = 1
-# the two updates cancel.
+# table index of every user's pair (t -> t+1) is laid out once as row t of
+# pairs. The table is counted over pairs[:w-1], the first window, then
+# slides: after instant t the pair (t-1 -> t) enters and the pair (t-w ->
+# t-w+1) leaves. np.add.at counts the general scope's repeated keys, and for
+# w = 1 the two updates cancel.
 #
-# The steps run in blocks of _BLOCK instants. Per block, the table keys of
-# the pairs that enter or leave the window and the block's draws are laid
-# out once, transposed so that one instant is one contiguous row, and the
-# block's predictions collect in a (block, R*U) buffer that is written back
-# to the (R*U, T) output at once; reading a column of a (user, instant)
-# table per step costs about one cache miss per element at event scale. The
-# three buffers are allocated once and reused by every block.
+# Every table the steps read or write (pairs, draws and the predictions) is
+# instant-major, so a step reads and writes contiguous rows; reading a
+# column of a (user, instant) table costs about one cache miss per element
+# at event scale. The keys are held in the narrowest unsigned type that
+# holds k*width - 1, the largest index into the (k, width) table: 2.4 MB
+# at event scale per_user, against 4.7 MB of int64. They are cast from the
+# labels straight into that type, after the predictions are allocated:
+# allocating the keys first left a heap hole that raised the benchmark's
+# peak RSS by 2.8 MB.
 #
-# Scoring works on (k, columns) blocks whose probabilities are summed by k-1
+# Scoring works on (k, columns) float64 arrays whose probabilities are summed by k-1
 # in-place row adds, the sequential order of np.cumsum. A narrow table, with
 # fewer columns than the chain has rows (the general table, or per_user with
 # more runs than zones), is scored whole, once per column, and each row
@@ -126,75 +129,58 @@ def count_transitions(labels, k):
 # narrowest unsigned type that does: uint8 per user for w <= 256, which at
 # event scale makes the gather read one byte per count instead of eight.
 # The first window is counted straight into it, so no int64 table (3.9 MB
-# at event scale) is ever made. Increments are scalars of the table's type:
-# with a Python int, np.add.at on a uint8 table took 1.3 ms a call at event
-# scale, against 34 us. The pair that enters is added before the one that
-# leaves is dropped, so a full cell may wrap for a moment; unsigned
-# arithmetic is modular, and the drop brings it back before the next score.
-# Each step copies the scored counts into the float64 block (an exact cast)
-# and sums the column totals there, exactly, as every count is an integer
-# far below 2**53; it then divides by the totals, 0 read as 1. numpy's
-# int/int true division casts both sides to float64 and divides, so the
-# bits are the same as an int64 table's. Summing in the table's type, or
-# casting the totals inside np.maximum, left numpy's 64 KB cast buffers on
-# the heap and raised the benchmark's peak RSS by 0.1-0.25 MB.
-
-_BLOCK = 16  # instants per block; longer blocks gain little and hold more memory
+# at event scale) is ever made. Increments are scalars of the table's type: with a Python int, np.add.at
+# on a uint8 table took 1.3 ms a call at event scale, against 34 us. The
+# pair that enters is added before the one that leaves is dropped, so a
+# full cell may wrap for a moment; unsigned arithmetic is modular, and the
+# drop brings it back before the next score. Each step copies the scored
+# counts into cum (an exact cast) and sums the column totals
+# there, exactly, as every count is an integer far below 2**53; it then
+# divides by the totals, 0 read as 1. numpy's int/int true division casts
+# both sides to float64 and divides, so the bits are the same as an int64
+# table's. Summing in the table's type, or casting the totals inside
+# np.maximum, left numpy's 64 KB cast buffers on the heap and raised the
+# benchmark's peak RSS by 0.1-0.25 MB.
 
 
-def predict_series(labels, k, w, per_user, uniforms):
+def predict_series(labels, k, w, per_user, draws):
     U, T = labels.shape
-    runs = uniforms.shape[0] // U
-    out = np.tile(labels, (runs, 1))
-    user_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
-    first_row = np.tile(user_row, runs)
+    runs = draws.shape[1] // U
     width = (U if per_user else 1) * k
     narrow = width < runs * U
-
-    def keys(frm, to, out=None):  # table index of each user's pair (frm -> to)
-        out = np.multiply(to, width, out=out)
-        out += user_row
-        out += frm
-        return out
-
-    window = keys(labels[:, : w - 1].T, labels[:, 1:w].T)
+    user_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
+    first_row = np.tile(user_row, runs)
+    key = np.min_scalar_type(k * width - 1)  # the largest table index
+    pred = np.empty((T, runs * U), np.int64)
+    pred[:w] = np.tile(labels[:, :w].T, runs)
+    pairs = np.empty((T - 1, U), key)  # row t: each user's pair (t -> t+1)
+    np.multiply(labels[:, 1:].T, width, out=pairs, casting="unsafe")
+    np.add(pairs, labels[:, :-1].T, out=pairs, casting="unsafe")
+    pairs += user_row.astype(key)
     dtype = np.min_scalar_type((1 if per_user else U) * (w - 1))  # a full column's total
     one = dtype.type(1)
     table = np.zeros((k, width), dtype)
-    np.add.at(table.reshape(-1), window.ravel(), one)
+    np.add.at(table.reshape(-1), pairs[: w - 1].ravel(), one)
     cum = np.empty((k, width if narrow else runs * U))
-    block = min(_BLOCK, T - w)
-    pairs = np.empty((block + w - 1, U), np.int64)
-    draws = np.empty((block, runs * U))
-    pred = np.empty((block, runs * U), np.int64)
-    for t0 in range(w, T, _BLOCK):
-        n = min(_BLOCK, T - t0)
-        # row m of pairs is the pair (t0-w+m -> t0-w+m+1): step i, at instant
-        # t0 + i, adds row i + w - 1 and drops row i; row i of draws and of
-        # pred is instant t0 + i
-        keys(labels[:, t0 - w : t0 + n - 1].T, labels[:, t0 - w + 1 : t0 + n].T, pairs[: n + w - 1])
-        np.copyto(draws[:n], uniforms[:, t0 - w : t0 - w + n].T)
-        state = out[:, t0 - 1]
-        for i in range(n):
-            cols = first_row + state
-            rows = table if narrow else np.take(table, cols, axis=1)
-            np.copyto(cum, rows)
-            total = cum.sum(axis=0)
-            np.divide(cum, np.maximum(total, 1), out=cum)
-            for r in range(1, k):
-                np.add(cum[r - 1], cum[r], out=cum[r])
-            if narrow:
-                j = (np.take(cum, cols, axis=1) <= draws[i]).sum(axis=0)
-                total = total[cols]
-            else:
-                j = (cum <= draws[i]).sum(axis=0)
-            # cum is nondecreasing, so j passes the last positive-probability zone
-            # only by reaching k; there the residual float mass lands in that zone
-            over = np.flatnonzero((j == k) & (total > 0))
-            j[over] = (k - 1) - np.argmax(table[::-1, cols[over]] > 0, axis=0)
-            pred[i] = np.where(total == 0, state, j)
-            state = pred[i]
-            np.add.at(table.reshape(-1), pairs[i + w - 1], one)
-            np.subtract.at(table.reshape(-1), pairs[i], one)
-        out[:, t0 : t0 + n] = pred[:n].T
-    return out
+    for t in range(w, T):
+        state = pred[t - 1]
+        cols = first_row + state
+        rows = table if narrow else np.take(table, cols, axis=1)
+        np.copyto(cum, rows)
+        total = cum.sum(axis=0)
+        np.divide(cum, np.maximum(total, 1), out=cum)
+        for r in range(1, k):
+            np.add(cum[r - 1], cum[r], out=cum[r])
+        if narrow:
+            j = (np.take(cum, cols, axis=1) <= draws[t - w]).sum(axis=0)
+            total = total[cols]
+        else:
+            j = (cum <= draws[t - w]).sum(axis=0)
+        # cum is nondecreasing, so j passes the last positive-probability zone
+        # only by reaching k; there the residual float mass lands in that zone
+        over = np.flatnonzero((j == k) & (total > 0))
+        j[over] = (k - 1) - np.argmax(table[::-1, cols[over]] > 0, axis=0)
+        pred[t] = np.where(total == 0, state, j)
+        np.add.at(table.reshape(-1), pairs[t - 1], one)
+        np.subtract.at(table.reshape(-1), pairs[t - w], one)
+    return pred.T

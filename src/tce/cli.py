@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_args(args):
     """Config, output directory and base seed of a command."""
     cfg = load_config(args.config)
-    if args.command == "generate" and cfg.trace_file is not None:
-        raise ConfigError("generate subcommand needs a config without [input] trace_file")
     if not args.out:
         raise ConfigError("no output directory: pass --out")
     if args.seed is not None and args.seed < 0:
@@ -97,13 +95,15 @@ def _cmd_run(args) -> int:
     print(f"run complete: {len(manifest['files'])} files in {out}")
     print(
         f"mean error {summary['mean_error']:.4f}, median {summary['median_error']:.4f} "
-        f"over {len(manifest['run_seeds'])} run(s) [{manifest['backend']} backend]"
+        f"over {len(manifest['run_seeds'])} run(s)"
     )
     return 0
 
 
 def _cmd_generate(args) -> int:
     cfg, out, seed = _command_args(args)
+    if cfg.trace_file is not None:
+        raise ConfigError("generate subcommand needs a config without [input] trace_file")
     with pipeline.atomic_dir(out) as tmp:
         pipeline.input_stage(cfg, seed, tmp)
     print(f"wrote {out / 'trace.csv'} and {out / 'traffic.csv'}")

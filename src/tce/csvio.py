@@ -390,11 +390,10 @@ def write_errors(path, errors) -> None:
     _write_table(path, ERRORS_HEADER, errors.e, first=errors.first_instant)
 
 
-def write_histogram(path, per_run_counts, edges) -> None:
-    """per_run_counts: list of (run_id, counts) pairs over shared bin edges."""
+def write_histogram(path, counts, edges) -> None:
+    """A (runs, bins) count table over shared bin edges; row r is run r."""
     edges = np.asarray(edges, np.float64).tolist()
     rows = []
-    for run_id, counts in per_run_counts:
-        counts = np.asarray(counts, np.int64).tolist()
-        rows += zip([run_id] * len(counts), edges, edges[1:], counts)
+    for run_id, run_counts in enumerate(np.asarray(counts, np.int64).tolist()):
+        rows += zip([run_id] * len(run_counts), edges, edges[1:], run_counts)
     _write_rows(path, HISTOGRAM_HEADER, rows)

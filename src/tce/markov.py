@@ -81,7 +81,7 @@ class PredictionRun:
     window_size: int
 
     def __post_init__(self):
-        labels = _frozen(np.array(_zone_table(self.labels_pred, None, "labels_pred")))
+        labels = _frozen(np.array(_zone_table(self.labels_pred, None, "labels_pred"), order="C"))
         if not 1 <= self.window_size < labels.shape[1]:
             raise ValueError(f"window_size must lie in [1, {labels.shape[1]}), got {self.window_size}")
         object.__setattr__(self, "labels_pred", labels)
@@ -94,11 +94,12 @@ def predict_labels(labels, zone_count: int, cfg: WindowConfig, seeds) -> list[Pr
     Each step builds the window matrix ending at t-1 from true labels only,
     then samples the next zone from the row of the previous predicted zone
     (the true zone at t-1 for the first prediction). One seeded generator
-    drives each run; its draws are laid out in (user, instant) order. All
-    runs go through one chain pass, stacked as its rows, so the window
-    matrices are counted once whatever the number of runs.
+    drives each run; its draws are made in (user, instant) order and stored
+    instant-major, as the chain reads them. All runs go through one chain
+    pass, stacked side by side, so the window matrices are counted once
+    whatever the number of runs.
     """
-    labels = np.ascontiguousarray(_zone_table(labels, zone_count, "labels"))
+    labels = _zone_table(labels, zone_count, "labels")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must name at least one run")
@@ -108,10 +109,10 @@ def predict_labels(labels, zone_count: int, cfg: WindowConfig, seeds) -> list[Pr
         raise InfeasibleError(
             f"not enough history: {instants} instants cannot support a window of {w}"
         )
-    uniforms = np.empty((len(seeds) * users, instants - w))
+    draws = np.empty((instants - w, len(seeds) * users))
     for r, seed in enumerate(seeds):
-        np.random.default_rng(seed).random(out=uniforms[r * users : (r + 1) * users])
-    pred = kern.predict_series(labels, zone_count, w, cfg.scope == PER_USER, uniforms)
+        draws[:, r * users : (r + 1) * users] = np.random.default_rng(seed).random((users, instants - w)).T
+    pred = kern.predict_series(labels, zone_count, w, cfg.scope == PER_USER, draws)
     return [PredictionRun(pred[r * users : (r + 1) * users], w) for r in range(len(seeds))]
 
 

@@ -16,6 +16,9 @@ from .markov import PredictionRun
 from .zoning import Zoning, _zone_table
 
 
+_ERROR_MAX = 1.0 + 1e-12  # the largest error accepted: 1 and rounding slack
+
+
 @dataclass(frozen=True)
 class ErrorSeries:
     """Per-user error at each predicted instant from ``first_instant`` on."""
@@ -25,7 +28,7 @@ class ErrorSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "e", _frozen(np.asarray(self.e, np.float64)))
-        if self.e.size and not (self.e.min() >= 0.0 and self.e.max() <= 1.0 + 1e-12):
+        if self.e.size and not (self.e.min() >= 0.0 and self.e.max() <= _ERROR_MAX):
             raise ValueError("error values must lie in [0, 1]")
 
 
@@ -69,7 +72,7 @@ def error_histogram(errors, bin_count: int) -> np.ndarray:
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
     values = np.asarray(errors, np.float64).ravel()
-    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0 + 1e-12):
+    if values.size and not (values.min() >= 0.0 and values.max() <= _ERROR_MAX):
         raise ValueError("error values must lie in [0, 1]")
     idx = np.searchsorted(histogram_edges(bin_count), values, side="right") - 1
     return np.bincount(np.minimum(idx, bin_count - 1), minlength=bin_count)

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio, svgplot
-from ._kernels import backend
 from .aggregation import aggregate_runs
 from .config import RunConfig, config_digest
 from .core import TraceSet
@@ -145,11 +144,12 @@ def report_stage(cfg: RunConfig, traces: TraceSet, zoning: Zoning, runs, out_dir
         errors = [error_series(zoning, p, extent_min, extent_max) for p in runs]
         for r, es in enumerate(errors):
             csvio.write_errors(out_dir / f"errors_run{r}.csv", es)
-        hist = [(r, error_histogram(es.e, cfg.bin_count)) for r, es in enumerate(errors)]
-        csvio.write_histogram(out_dir / "histogram.csv", hist, histogram_edges(cfg.bin_count))
+        edges = histogram_edges(cfg.bin_count)
+        hist = np.array([error_histogram(es.e, cfg.bin_count) for es in errors])
+        csvio.write_histogram(out_dir / "histogram.csv", hist, edges)
 
     with _stage("report"):
-        emit_plots(out_dir, cfg, traces, zoning, runs, series, hist)
+        emit_plots(out_dir, cfg, traces, zoning, runs, series, hist, edges)
     return _summary(errors, zoning, traces)
 
 
@@ -236,7 +236,6 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
             "config_digest": config_digest(cfg),
             "base_seed": base_seed,
             "run_seeds": [base_seed + r for r in range(cfg.run_count)],
-            "backend": backend(),
             # the output bytes rest on numpy's Generator streams, which NEP 19
             # does not freeze across versions
             "python": platform.python_version(),
@@ -266,7 +265,7 @@ def _summary(errors, zoning, traces) -> dict:
     }
 
 
-def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist) -> None:
+def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist, edges) -> None:
     """Write the plots under ``out_dir``/plots as dependency-free SVG; the
     data of each selected user's step series is predictions_run<r>.csv.
 
@@ -274,8 +273,9 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
     (positions_scatter.svg), per-run overlaid error histograms, per-zone user
     and traffic series, and a real-vs-predicted step series for each selected
     user and run (with the learning/prediction boundary marked).
-    ``series`` holds each run's ZoneSeries and ``hist`` its (run, counts)
-    error histogram, as the aggregation and error stages computed them.
+    ``series`` holds each run's ZoneSeries and ``hist`` the (runs, bins)
+    error histogram table over ``edges``, as the aggregation and error
+    stages computed them.
     """
     plots = out_dir / "plots"
     plots.mkdir(exist_ok=True)
@@ -285,9 +285,7 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
     svgplot.scatter_chart(plots / "positions_scatter.svg", traces.all_points(), rects, "Observed positions, all users and instants")
 
     # per-run error histograms, overlaid
-    svgplot.histogram_chart(
-        plots / "histogram.svg", hist, histogram_edges(cfg.bin_count), "Prediction error by run"
-    )
+    svgplot.histogram_chart(plots / "histogram.svg", hist, edges, "Prediction error by run")
 
     instants = np.arange(traces.instant_count)
     boundary = cfg.window.window_size

@@ -156,18 +156,19 @@ def scatter_chart(path, points, rects, title):
             canvas.rect(rect_lo, rect_hi, "none", stroke="#444")
 
 
-def histogram_chart(path, per_run_counts, edges, title):
-    """Overlaid per-run histograms; per_run_counts is [(run_id, counts), ...]."""
-    top = max(int(np.max(counts)) for _, counts in per_run_counts) or 1
-    width = len(per_run_counts)
+def histogram_chart(path, counts, edges, title):
+    """Overlaid per-run histograms of a (runs, bins) count table; row r is run r."""
+    counts = np.asarray(counts)
+    top = int(counts.max()) or 1
+    width = len(counts)
     with _Canvas(path, title, "prediction error", "count", (float(edges[0]), float(edges[-1])), (0, top)) as canvas:
-        for i, (run_id, counts) in enumerate(per_run_counts):
+        for i, run_counts in enumerate(counts):
             color = PALETTE[i % len(PALETTE)]
-            for b, count in enumerate(counts):
+            for b, count in enumerate(run_counts):
                 if count == 0:
                     continue
                 span = edges[b + 1] - edges[b]
                 lo_x = edges[b] + span * i / width
                 hi_x = edges[b] + span * (i + 1) / width
                 canvas.rect((lo_x, 0), (hi_x, count), color, opacity=0.8)
-        canvas.legend([(f"run {run_id}", PALETTE[i % len(PALETTE)]) for i, (run_id, _) in enumerate(per_run_counts)])
+        canvas.legend([(f"run {i}", PALETTE[i % len(PALETTE)]) for i in range(width)])

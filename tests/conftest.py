@@ -68,7 +68,7 @@ def first_forecasts(row, k, w, us):
     identical users pool to that user's own window counts."""
     labels = np.tile(np.array(row[: w + 1], np.int64), (len(us), 1))
     uniforms = np.reshape(np.asarray(us, np.float64), (-1, 1))
-    return kern.predict_series(labels, k, w, False, uniforms)[:, w]
+    return kern.predict_series(labels, k, w, False, uniforms.T)[:, w]
 
 
 def nearest_zone_loop(zoning, venue, p):

@@ -133,6 +133,14 @@ class TestRun:
             assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
         assert manifest["run_seeds"] == [5, 6]
 
+    def test_manifest_top_level_keys(self, tmp_path):
+        out = tmp_path / "out"
+        main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)])
+        assert set(read_manifest(out)) == {
+            "config_digest", "base_seed", "run_seeds", "python", "numpy",
+            "summary", "elapsed_seconds", "created_at", "files",
+        }
+
     def test_manifest_records_python_and_numpy_versions(self, tmp_path):
         # the bytes of a seed rest on numpy's Generator streams, which are not
         # promised across numpy versions; the manifest says which ran

@@ -134,7 +134,7 @@ class TestErrorExports:
 
     def test_histogram_rows(self, tmp_path):
         edges = np.linspace(0, 1, 3)
-        csvio.write_histogram(tmp_path / "h.csv", [(0, [2, 1]), (1, [0, 3])], edges)
+        csvio.write_histogram(tmp_path / "h.csv", [[2, 1], [0, 3]], edges)
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert lines[0] == "run_id,bin_lo,bin_hi,count"
         assert len(lines) == 5

@@ -199,7 +199,7 @@ def test_predict_series_matches_reference_loop():
         shape = (labels.shape[0], labels.shape[1] - w)
         for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
             for per_user in (False, True):
-                a = kern.predict_series(labels, zones, w, per_user, uniforms)
+                a = kern.predict_series(labels, zones, w, per_user, uniforms.T)
                 b = predict_series_loop(labels, zones, w, per_user, uniforms)
                 assert np.array_equal(a, b), (per_user, labels.shape, zones, w)
 
@@ -216,7 +216,7 @@ def test_predict_series_stacked_runs_match_one_loop_per_run():
                 shape = (runs * U, T - w)
                 for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
                     for per_user in (False, True):
-                        stacked = kern.predict_series(labels, zones, w, per_user, uniforms)
+                        stacked = kern.predict_series(labels, zones, w, per_user, uniforms.T)
                         assert stacked.shape == (runs * U, T)
                         for r in range(runs):
                             rows = slice(r * U, (r + 1) * U)
@@ -225,18 +225,16 @@ def test_predict_series_stacked_runs_match_one_loop_per_run():
 
 
 def test_predict_series_blocks_match_one_loop_per_run():
-    # the chain steps through blocks of kern._BLOCK instants: forecasts shorter
-    # than a block, an exact multiple of it and several blocks with a remainder
-    # must equal the loop. A count table with fewer columns than the chain has
-    # rows is scored once per column, a wider one per row. Of the (users,
-    # zones, runs) shapes, (1, 4, 1) has a wide general table and the others
-    # a narrow one; per_user is narrow only with more runs than zones, as in
-    # (5, 2, 3), (9, 4, 5) and (3, 2, 11), and (4, 3, 3) sits on the edge.
+    # forecasts of 1 to 37 steps must equal the loop on both scoring routes.
+    # A count table with fewer columns than the chain has rows is scored once
+    # per column, a wider one per row. Of the (users, zones, runs) shapes,
+    # (1, 4, 1) has a wide general table and the others a narrow one;
+    # per_user is narrow only with more runs than zones, as in (5, 2, 3),
+    # (9, 4, 5) and (3, 2, 11), and (4, 3, 3) sits on the edge.
     rng = np.random.default_rng(16)
-    block = kern._BLOCK
     shapes = [(7, 3, 1), (1, 4, 1), (5, 2, 3), (4, 3, 3), (9, 4, 5), (3, 2, 11)]
     for users, zones, runs in shapes:
-        for steps in (1, block - 3, block, 2 * block, 2 * block + 5):
+        for steps in (1, 13, 16, 32, 37):
             for w in (1, 2, 6):
                 T = w + steps
                 # sticky labels, so some window rows are empty and some not
@@ -247,8 +245,8 @@ def test_predict_series_blocks_match_one_loop_per_run():
                 shape = (runs * users, steps)
                 for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
                     for per_user in (False, True):
-                        out = kern.predict_series(labels, zones, w, per_user, uniforms)
-                        assert out.shape == (runs * users, T) and out.flags.c_contiguous
+                        out = kern.predict_series(labels, zones, w, per_user, uniforms.T)
+                        assert out.shape == (runs * users, T)
                         for r in range(runs):
                             rows = slice(r * users, (r + 1) * users)
                             b = predict_series_loop(labels, zones, w, per_user, uniforms[rows])
@@ -268,7 +266,7 @@ def test_predict_series_residual_mass_lands_in_last_zone_on_both_routes():
     for runs in (1, zones + 1):
         uniforms = np.full((runs, 1), EDGES[-1])
         for per_user in (False, True):
-            out = kern.predict_series(labels, zones, w, per_user, uniforms)
+            out = kern.predict_series(labels, zones, w, per_user, uniforms.T)
             b = predict_series_loop(labels, zones, w, per_user, uniforms[:1])
             assert np.array_equal(out, np.tile(b, (runs, 1))), (runs, per_user)
             assert np.all(out[:, w] == 9)
@@ -277,26 +275,32 @@ def test_predict_series_residual_mass_lands_in_last_zone_on_both_routes():
 def test_predict_series_count_dtype_edges_match_loop():
     # the window table holds its counts in the narrowest unsigned type that
     # holds a full column: w-1 per user, users*(w-1) in general. Every user
-    # sits in zone 0 up to instant w-1, and about half move to zone 1 at w,
-    # so at t = w+1 zone 0's column is full and mixes stays with moves. The
-    # (users, w, scopes) cases put a full column at 255 and 256 per user, at
-    # 255 and 260 in general, and at 65 535 and 65 792 in general (257 users),
-    # where the per_user columns also cross 255.
+    # sits in the last zone up to instant w-1, and about half move to zone 0
+    # at w, so at t = w+1 the last zone's column is full and mixes stays with
+    # moves. The (users, zones, w, scopes) cases put a full column at 255 and
+    # 256 per user, at 255 and 260 in general, and at 65 535 and 65 792 in
+    # general (257 users), where the per_user columns also cross 255.
+    # The pair keys are held in the narrowest unsigned type that holds
+    # k*width - 1, the largest table index, which a stay in the last zone
+    # reaches for the last user. The last four cases put it at 255 and 288
+    # in general (k = 16 and 17) and at 65 535 and 65 599 per user (k = 8,
+    # 1024 and 1025 users).
     rng = np.random.default_rng(18)
-    zones, steps, runs = 3, 3, 2
-    cases = [(3, 256, (True,)), (3, 257, (True,)), (5, 52, (False,)), (5, 53, (False,))]
-    cases += [(257, 256, (False, True)), (257, 257, (False, True))]
-    for users, w, scopes in cases:
+    steps, runs = 3, 2
+    cases = [(3, 3, 256, (True,)), (3, 3, 257, (True,)), (5, 3, 52, (False,)), (5, 3, 53, (False,))]
+    cases += [(257, 3, 256, (False, True)), (257, 3, 257, (False, True))]
+    cases += [(40, 16, 4, (False,)), (40, 17, 4, (False,)), (1024, 8, 4, (True,)), (1025, 8, 4, (True,))]
+    for users, zones, w, scopes in cases:
         T = w + steps
-        labels = np.zeros((users, T), np.int64)
-        labels[rng.permutation(users)[: users // 2 + 1], w] = 1
+        labels = np.full((users, T), zones - 1, np.int64)
+        labels[rng.permutation(users)[: users // 2 + 1], w] = 0
         for t in range(w + 1, T):
             moves = rng.random(users) < 0.5
             labels[:, t] = np.where(moves, rng.integers(0, zones, users), labels[:, t - 1])
         shape = (runs * users, steps)
         for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
             for per_user in scopes:
-                out = kern.predict_series(labels, zones, w, per_user, uniforms)
+                out = kern.predict_series(labels, zones, w, per_user, uniforms.T)
                 for r in range(runs):
                     rows = slice(r * users, (r + 1) * users)
                     b = predict_series_loop(labels, zones, w, per_user, uniforms[rows])

@@ -112,7 +112,7 @@ class TestBuildWindowMatrix:
         # 1,2,3, and instant 3's real label adds the transition 2 -> 0
         labels = np.array([[0, 1, 2, 0, 1]], np.int64)
         for u in (0.0, 0.5, 0.999):
-            out = kern.predict_series(labels, 3, 3, False, np.full((1, 2), u))
+            out = kern.predict_series(labels, 3, 3, False, np.full((1, 2), u).T)
             assert out.tolist() == [[0, 1, 2, 2, 0]]
 
     def test_constant_window_is_absorbing(self):
@@ -121,7 +121,7 @@ class TestBuildWindowMatrix:
         labels = np.zeros((2, 6), np.int64)
         labels[:, 4:] = 1
         for u in (0.0, 0.5, 0.999):
-            out = kern.predict_series(labels, 2, 4, False, np.full((2, 2), u))
+            out = kern.predict_series(labels, 2, 4, False, np.full((2, 2), u).T)
             assert np.all(out[:, 4] == 0)
 
     def test_sliding_equals_rebuild_from_scratch(self):
@@ -130,7 +130,7 @@ class TestBuildWindowMatrix:
             labels = random_labels(rng, 3, 10, 3)
             w = int(rng.integers(2, 6))
             uniforms = rng.random((3, 10 - w))
-            out = kern.predict_series(labels, 3, w, False, uniforms)
+            out = kern.predict_series(labels, 3, w, False, uniforms.T)
             for t in range(w, labels.shape[1]):
                 counts = naive_counts(labels, 3, t - w, t - 1)
                 for u in range(3):
@@ -142,8 +142,8 @@ class TestBuildWindowMatrix:
         # 0's 0 -> 1 transitions, zone 0's row becomes [3, 2] and u = 0.9 leaves
         labels = np.array([[0, 1, 0, 1, 0], [0, 0, 0, 0, 0]], np.int64)
         uniforms = np.full((2, 1), 0.9)
-        assert kern.predict_series(labels, 2, 4, True, uniforms)[1, 4] == 0
-        assert kern.predict_series(labels, 2, 4, False, uniforms)[1, 4] == 1
+        assert kern.predict_series(labels, 2, 4, True, uniforms.T)[1, 4] == 0
+        assert kern.predict_series(labels, 2, 4, False, uniforms.T)[1, 4] == 1
 
 
 class TestPredictNext:
@@ -183,7 +183,7 @@ class TestPredictNext:
         w = len(row) - 1
         u = np.nextafter(1.0, 0.0)
         labels = np.array([row], np.int64)
-        out = kern.predict_series(labels, 11, w, per_user, np.full((1, 1), u))
+        out = kern.predict_series(labels, 11, w, per_user, np.full((1, 1), u).T)
         assert out[0, w] == 9
         assert interval_lookup([1] * 10 + [0], 0, u) == 9
 
@@ -302,6 +302,7 @@ class TestPredictLabelsSeeds:
                 for run, seed in zip(runs, seeds):
                     alone = predict_labels(labels, 4, cfg, [seed])[0]
                     assert run.labels_pred.tobytes() == alone.labels_pred.tobytes()
+                    assert run.labels_pred.flags.c_contiguous
                     assert run.window_size == cfg.window_size
 
     def test_repeated_seeds_give_equal_runs(self):
@@ -317,11 +318,12 @@ class TestPredictLabelsSeeds:
             predict_labels(labels, 1, WindowConfig(2, GENERAL), [])
 
     def test_filled_draws_equal_shaped_draws(self):
-        # predict_labels fills each run's rows of one buffer in place; the
-        # bits must be those of rng.random((users, instants - w))
+        # predict_labels writes each run's draws transposed into its columns
+        # of one instant-major table; the bits must be those of
+        # rng.random((users, instants - w))
         for seed in (0, 1, 2**40):
             for users, steps in ((1, 1), (7, 13), (2000, 50)):
-                buf = np.empty((3 * users, steps))
-                np.random.default_rng(seed).random(out=buf[users : 2 * users])
+                buf = np.empty((steps, 3 * users))
+                buf[:, users : 2 * users] = np.random.default_rng(seed).random((users, steps)).T
                 shaped = np.random.default_rng(seed).random((users, steps))
-                assert buf[users : 2 * users].tobytes() == shaped.tobytes()
+                assert np.ascontiguousarray(buf[:, users : 2 * users].T).tobytes() == shaped.tobytes()

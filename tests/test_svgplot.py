@@ -140,9 +140,9 @@ def test_legend_caps_entries_inside_the_canvas(tmp_path):
 def test_histogram_chart_bytes_pinned(tmp_path):
     # bin 1 is empty in run 0 and bin 2 holds the same count in both runs
     edges = np.linspace(0.0, 1.0, 6)
-    per_run_counts = [(0, np.array([3, 0, 2, 5, 1])), (1, np.array([1, 4, 2, 0, 0]))]
+    counts = np.array([[3, 0, 2, 5, 1], [1, 4, 2, 0, 0]])
     path = tmp_path / "histogram.svg"
-    svgplot.histogram_chart(path, per_run_counts, edges, "Prediction error by run")
+    svgplot.histogram_chart(path, counts, edges, "Prediction error by run")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "192493b798874a140e52c5074f0f76d77ea080b54e45462ca7ad68aad022101e"
 
