@@ -4,16 +4,30 @@ regions, plus tiered constant traffic rates.
 Waypoints are drawn by attractor weight (with an optional uniform background
 share over the precinct). Each attractor must lie within its host region: the
 precinct or one declared outside region. A leg between hosts passes through
-the midpoint of the boundary each outside host shares with the precinct, so
-every sampled position stays within the precinct or a declared outside region.
+a gate on the boundary each outside host shares with the precinct, so every
+sampled position stays within the precinct or a declared outside region.
 All users move together, one instant at a time. A seed fixes the trace: its
 ``SeedSequence`` spawns one child for the traffic tiers and one for a
 ``(users, instants, 4)`` block of uniforms, whose row ``[u, t]`` is the
 rectangle, x, y and speed of the waypoint user u picks at instant t (its
 start point at t = 0). A user picks at most one waypoint per instant, so the
 block never runs out, and user u's positions do not depend on how many users
-follow it. A pick looks the uniform up in the CDF ``Generator.choice`` builds,
-and a point or speed is ``lo + (hi - lo) * u``, the arithmetic of ``uniform``.
+follow it. A pick looks the uniform up in the CDF ``Generator.choice`` builds;
+a speed is ``lo + (hi - lo) * u``, the arithmetic of ``uniform``.
+
+Positions live on a lattice of ``1 / _LATTICE`` index units (1 mm at
+``index_scale = 1``), so every stored coordinate is ``n / _LATTICE`` for an
+integer n and a trace CSV spells it with at most 3 decimals. The walk holds
+int64 counts n:
+- a waypoint coordinate is one of its rectangle's lattice points, picked
+  uniformly by ``floor(u * points)``;
+- a gate is the middle lattice point of the shared boundary;
+- a partial step is truncated toward its origin per component, so it is
+  never longer than the exact step and stays in the box of the leg's two
+  ends. No clamp is needed for containment, and a component whose share of
+  the step is below one lattice step does not move.
+Venue coordinates must stay below 2**52 lattice steps, where count
+differences are exact in float64.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ import numpy as np
 from .core import Rect, TimeGrid, TraceSet, Venue
 
 _PRECINCT = -1  # region id of the precinct in routing
+_LATTICE = 1000  # position lattice steps per index unit; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -113,8 +128,8 @@ def assign_tiers(user_count: int, tiers: TrafficTiers, rng: np.random.Generator)
     return rates
 
 
-def _gate(venue: Venue, region_index: int) -> np.ndarray:
-    """Midpoint of the boundary shared by the precinct and an outside region."""
+def _shared_boundary(venue: Venue, region_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the boundary shared by the precinct and an outside region."""
     region = venue.outside_regions[region_index]
     lo = np.maximum(venue.precinct_min, region.lo)
     hi = np.minimum(venue.precinct_max, region.hi)
@@ -123,7 +138,24 @@ def _gate(venue: Venue, region_index: int) -> np.ndarray:
             f"outside region {region_index} does not touch the precinct; "
             "cannot route movement through it"
         )
-    return (lo + hi) / 2.0
+    return lo, hi
+
+
+def _lattice(lo: np.ndarray, hi: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """First and last lattice counts n with lo <= n / _LATTICE <= hi, per
+    component. ``lo * _LATTICE`` may round across a count, so each end is
+    moved by at most one count to the last that divides back inside."""
+    first, last = np.ceil(lo * _LATTICE), np.floor(hi * _LATTICE)
+    first[first / _LATTICE < lo] += 1
+    first[(first - 1) / _LATTICE >= lo] -= 1
+    last[last / _LATTICE > hi] -= 1
+    last[(last + 1) / _LATTICE <= hi] += 1
+    if np.any(first > last):
+        raise ValueError(
+            f"{name} {lo.tolist()}..{hi.tolist()} holds no point of the "
+            f"1/{_LATTICE} index-unit position lattice"
+        )
+    return first.astype(np.int64), last.astype(np.int64)
 
 
 def _host(venue: Venue, attractor: Attractor) -> int:
@@ -141,14 +173,16 @@ def _host(venue: Venue, attractor: Attractor) -> int:
 class _WaypointDraw:
     """Weighted choice of destination rectangles (attractors plus a uniform
     background share of the precinct), each with its host region, and the
-    gate legs that move a user between hosts."""
+    gates that move a user between hosts, all as lattice counts."""
 
     def __init__(self, venue: Venue, mobility: MobilityParams):
         rects = [a.region for a in mobility.attractors]
+        names = [f"attractor {a.label!r}" if a.label else "attractor" for a in mobility.attractors]
         hosts = [_host(venue, a) for a in mobility.attractors]
         weights = [a.weight for a in mobility.attractors]
         if mobility.background_weight > 0:
             rects.append(venue.precinct)
+            names.append("the precinct")
             hosts.append(_PRECINCT)
             weights.append(mobility.background_weight)
         w = np.asarray(weights, np.float64)
@@ -158,28 +192,47 @@ class _WaypointDraw:
             raise ValueError("the waypoint weight total and region extents must be finite in float64")
         cdf = np.cumsum(w / total)
         self.cdf = cdf / cdf[-1]  # the CDF Generator.choice builds from p
-        self.los, self.spans, self.hosts = np.array([r.lo for r in rects]), spans, np.array(hosts)
-        regions = (*venue.outside_regions, venue.precinct)  # index _PRECINCT is the precinct
-        self.boxes = np.array([np.concatenate((r.lo, r.hi)) for r in regions])
-        # gates[src, dst, first[src, dst]:] are the legs (px, py, lox, loy,
-        # hix, hiy) from a point of host src to the gate of host dst: out
-        # through src's gate, then in through dst's, each clipped to its box
-        n = len(regions)
-        self.gates, self.first = np.zeros((n, n, 2, 6)), np.full((n, n), 2)
+        self.hosts = np.array(hosts)
         in_use = set(hosts)
-        gate = {h: _gate(venue, h) for h in in_use if h != _PRECINCT}
+        shared = {h: _shared_boundary(venue, h) for h in in_use if h != _PRECINCT}
+        regions = {"the precinct": venue.precinct,
+                   **{f"outside region {i}": r for i, r in enumerate(venue.outside_regions)}}
+        for name, r in regions.items():
+            if np.abs(np.concatenate((r.lo, r.hi))).max() >= 2**52 / _LATTICE:
+                raise ValueError(
+                    f"{name} {r.lo.tolist()}..{r.hi.tolist()} reaches {2**52 / _LATTICE:g} "
+                    "index units, past which lattice count differences are not exact in float64"
+                )
+        ranges = [_lattice(r.lo, r.hi, name) for r, name in zip(rects, names)]
+        self.firsts = np.array([first for first, _ in ranges])
+        self.sizes = np.array([last - first + 1 for first, last in ranges], np.float64)
+        gate = {}
+        for h, (lo, hi) in shared.items():
+            first, last = _lattice(lo, hi, f"the boundary of outside region {h} and the precinct")
+            gate[h] = (first + last) // 2  # its middle lattice point, rounded down
+        # gates[src, dst, first[src, dst]:] are the points a user of host src
+        # passes on its way to host dst: out through src's gate, then in
+        # through dst's
+        n = len(venue.outside_regions) + 1  # index _PRECINCT is the last
+        self.gates, self.first = np.zeros((n, n, 2, 2), np.int64), np.full((n, n), 2)
         for src in in_use:
             for dst in in_use - {src}:
-                legs = [(*gate[h], *self.boxes[box]) for h, box in ((src, src), (dst, _PRECINCT))
-                        if h != _PRECINCT]
+                legs = [gate[h] for h in (src, dst) if h != _PRECINCT]
                 self.first[src, dst] = 2 - len(legs)
                 self.gates[src, dst, self.first[src, dst]:] = legs
 
-    def draw(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Destination points (n, 2) and their hosts (n,) from (n, >= 3)
-        uniforms: column 0 picks the rectangle, columns 1-2 place the point."""
+    def counts(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Destination lattice counts (n, 2) and their hosts (n,) from (n, >= 3)
+        uniforms: column 0 picks the rectangle, columns 1-2 pick one of the
+        rectangle's lattice points per component."""
         i = self.cdf.searchsorted(uniforms[:, 0], side="right")
-        return self.los[i] + self.spans[i] * uniforms[:, 1:3], self.hosts[i]
+        # a uniform below 1 times a size below 2**53 stays below the size
+        return self.firsts[i] + (self.sizes[i] * uniforms[:, 1:3]).astype(np.int64), self.hosts[i]
+
+    def draw(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points of ``counts``, in index units."""
+        counts, hosts = self.counts(uniforms)
+        return counts / _LATTICE, hosts
 
 
 def generate_scenario(
@@ -196,14 +249,16 @@ def generate_scenario(
     first ``SeedSequence`` child draws the traffic tiers, its second one
     ``(users, instants, 4)`` block of uniforms: the waypoint user u picks at
     instant t (t = 0 is its start point) reads row ``[u, t]`` as rectangle,
-    x, y and speed. Per-instant displacement never exceeds speed_max *
-    step_seconds / index_scale in index units; leftover movement budget at a
-    waypoint is dropped (the user dwells there until the next instant), so a
-    user picks at most one waypoint per instant and user u's positions do not
-    depend on ``user_count``. A leg whose length overflows float64 is not
-    walked: the user stays put. Raises ValueError when an attractor has no
-    host region, an outside host does not touch the precinct, or the weight
-    total or a drawn region's extent overflows float64.
+    x, y and speed. Every position is a lattice point ``n / _LATTICE``.
+    Per-instant displacement never exceeds speed_max * step_seconds /
+    index_scale in index units; leftover movement budget at a waypoint is
+    dropped (the user dwells there until the next instant), so a user picks
+    at most one waypoint per instant and user u's positions do not depend on
+    ``user_count``. Raises ValueError when an attractor has no host region,
+    an outside host does not touch the precinct, the weight total or a drawn
+    region's extent overflows float64, a venue coordinate reaches 2**52
+    lattice steps, or a drawn rectangle or a used shared boundary holds no
+    lattice point.
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
@@ -211,23 +266,22 @@ def generate_scenario(
     tier_seed, move_seed = np.random.SeedSequence(seed).spawn(2)
     rates = assign_tiers(user_count, traffic, np.random.default_rng(tier_seed))
     uniforms = np.random.default_rng(move_seed).random((user_count, grid.instant_count, 4))
-    step_budget = grid.step_seconds / venue.index_scale  # index units per (m/s)
+    step_budget = grid.step_seconds / venue.index_scale * _LATTICE  # lattice steps per (m/s)
     speed_span = mobility.speed_max - mobility.speed_min
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
 
-    pos, host = draw.draw(uniforms[:, 0])
-    legs = np.empty((user_count, 3, 6))  # gate legs, then the target leg
+    pos, host = draw.counts(uniforms[:, 0])
+    legs = np.empty((user_count, 3, 2), np.int64)  # gate points, then the target
     leg = np.full(user_count, 3)  # index of the current leg; 3 when none is left
     speed, pause = np.zeros(user_count), np.zeros(user_count, np.int64)
-    positions[:, 0] = pos
+    positions[:, 0] = pos / _LATTICE
     for t in range(1, grid.instant_count):
         walk = pause == 0
         pause[~walk] -= 1
         new = np.flatnonzero(walk & (leg == 3))
-        target, dst = draw.draw(uniforms[new, t])
+        target, dst = draw.counts(uniforms[new, t])
         src = host[new]
-        legs[new, :2] = draw.gates[src, dst]
-        legs[new, 2, :2], legs[new, 2, 2:] = target, draw.boxes[dst]
+        legs[new, :2], legs[new, 2] = draw.gates[src, dst], target
         leg[new], host[new] = draw.first[src, dst], dst
         speed[new] = mobility.speed_min + speed_span * uniforms[new, t, 3]
         budget = np.where(walk, speed * step_budget, 0.0)
@@ -236,19 +290,19 @@ def generate_scenario(
             if not users.size:
                 break
             p, b = legs[users, leg[users]], budget[users]
-            with np.errstate(over="ignore"):  # a leg longer than float64 has length inf
-                d = p[:, :2] - pos[users]
-                dist = np.hypot(d[:, 0], d[:, 1])
+            d = p - pos[users]
+            dist = np.hypot(d[:, 0], d[:, 1])
             reach = dist <= b
             done = users[reach]
-            pos[done] = p[reach, :2]
+            pos[done] = p[reach]
             leg[done] += 1
             end = leg[done] == 3  # waypoint reached: dwell out the instant
             budget[done] = np.where(end, 0.0, b[reach] - dist[reach])
             pause[done[end]] = mobility.pause_instants
-            budget[users[~reach]] = 0.0
-            part = ~reach & (dist < np.inf)  # a leg longer than float64 is not walked
-            moved = pos[users[part]] + d[part] * (b[part] / dist[part])[:, None]
-            pos[users[part]] = np.minimum(p[part, 4:], np.maximum(p[part, 2:4], moved))
-        positions[:, t] = pos
+            part = ~reach
+            budget[users[part]] = 0.0
+            # truncated toward the origin: never longer than the exact step,
+            # and within the box of the leg's two lattice points
+            pos[users[part]] += (d[part] * (b[part] / dist[part])[:, None]).astype(np.int64)
+        positions[:, t] = pos / _LATTICE
     return TraceSet(positions, rates)

@@ -178,8 +178,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "scope, digest",
         [
-            ("per_user", "85ed70f987d362059fe1e9a93675dcbf98e440550510441b00c6c4df1799864e"),
-            ("general", "f78f604beb50436180a21552a68a0be359704fa774eb4c4ce537b38eaa24a5ba"),
+            ("per_user", "7b80523b2fdd2c2a027ee03296024bd5a0e0310479aa51930dc314499c206e38"),
+            ("general", "3d565d4cd05ac76a69492683ad51546c9d30defc8bfbf2207aa8ca6d6c5e7152"),
         ],
         ids=["per_user", "general"],
     )
@@ -202,14 +202,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
         assert (out / "plots" / "zone_users_run0.svg").read_text().count("<polyline ") == 52
         files = json.dumps(read_manifest(out)["files"], sort_keys=True)
-        assert hashlib.sha256(files.encode()).hexdigest() == "346399d188a7b5c8dad606f66ef0e1900979f6ea225fa19f6c44f3d83d810a64"
+        assert hashlib.sha256(files.encode()).hexdigest() == "4ce5741816839145a30a1502707ff9c043e9d99176a8983b523231a7a6861b31"
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (7, "21ce35842f7beac3583034f90c4456dc0a460e62ff0e1db8b624252a57fb8c41"),
-            (3, "35444cf2a415af1041f88b9b388597fd7025f5e4bf7dafb85650b99e670b6c2f"),
+            (7, "ad71b56a941d74340e31f30cee48d75273dabcd2b92884230e70dad2dc917f79"),
+            (3, "d23fc7df7754583ca10f9a7781018a6a879617d0d0d304d9432fde3ef8c3e1cc"),
         ],
     )
     def test_paper_scale_run_pins_output_bytes(self, tmp_path, seed, digest):
@@ -329,6 +329,19 @@ class TestRun:
         assert "[input]" in capsys.readouterr().err
         assert not out.exists()
         assert hidden_siblings(out) == []
+
+    def test_boundary_off_the_position_lattice_exit_code(self, tmp_path, capsys):
+        # the precinct and the exit strip meet at x = 50.0005, between two
+        # points of the 10**-3 index-unit lattice, so no gate can be placed
+        text = FESTIVAL_INI.read_text().replace("precinct_max = 50 80", "precinct_max = 50.0005 80")
+        cfg = write_cfg(tmp_path, text.replace("    50 15 60 65", "    50.0005 15 60 65"))
+        for command in ("run", "generate"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+            err = capsys.readouterr().err
+            assert "[input]" in err and "outside region 0 and the precinct" in err
+            assert "holds no point of the 1/1000 index-unit position lattice" in err
+            assert not out.exists()
 
     def test_stage_tag_in_error_message(self, tmp_path, capsys):
         text = CONFIG.replace("plot_users = 0 1", "plot_users = 0 99")
@@ -553,6 +566,26 @@ class TestStageSubcommands:
             ])
             assert code == 3, name
             assert message in capsys.readouterr().err
+
+    def test_huge_user_id_exit_code_without_a_count_array(self, tmp_path, capsys, monkeypatch):
+        # ids 0 and 10**12 in two rows: refused as non-contiguous before any
+        # per-id count array, which would need 8 TB, is allocated
+        cfg = write_cfg(tmp_path)
+        (tmp_path / "huge.csv").write_text("user_id,t,x,y\n0,0,1,1\n1000000000000,0,2,2\n")
+        (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n0,1\n")
+        bincount = np.bincount
+
+        def bounded_bincount(x, *args, **kwargs):
+            assert np.max(x) < 10**6, "a per-id count array was sized by the largest id"
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", bounded_bincount)
+        code = main([
+            "cluster", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--trace", str(tmp_path / "huge.csv"), "--traffic", str(tmp_path / "traffic.csv"),
+        ])
+        assert code == 3
+        assert "huge.csv: user ids must be contiguous from 0, got [0, 1000000000000]" in capsys.readouterr().err
 
     def test_missing_data_file_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path)

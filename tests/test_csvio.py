@@ -123,6 +123,39 @@ class TestPredictionsRoundTrip:
         assert np.array_equal(pred, p2)
 
 
+class TestShuffledRows:
+    """Rows in any order load to the arrays of the sorted file tce writes."""
+
+    @staticmethod
+    def shuffled(path, seed):
+        head, *rows = path.read_text().splitlines(keepends=True)
+        order = np.random.default_rng(seed).permutation(len(rows))
+        shuffled = path.with_name("shuffled_" + path.name)
+        shuffled.write_text(head + "".join(rows[i] for i in order))
+        return shuffled
+
+    def test_trace(self, tmp_path, traces, grid_small):
+        csvio.write_trace(tmp_path / "trace.csv", traces)
+        csvio.write_traffic(tmp_path / "traffic.csv", traces)
+        loaded = csvio.load_trace(self.shuffled(tmp_path / "trace.csv", 1), tmp_path / "traffic.csv", grid_small)
+        assert loaded.positions.tobytes() == traces.positions.tobytes()
+
+    def test_labels(self, tmp_path):
+        rng = np.random.default_rng(44)
+        zoning = Zoning(rng.uniform(0, 50, (3, 2)), rng.uniform(50, 60, (1, 2)),
+                        rng.integers(0, 4, (9, 7)).astype(np.int64))
+        csvio.write_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", zoning)
+        loaded = csvio.load_zoning(tmp_path / "zones.csv", self.shuffled(tmp_path / "labels.csv", 2), 7)
+        assert loaded.labels.tobytes() == zoning.labels.tobytes()
+
+    def test_predictions(self, tmp_path):
+        rng = np.random.default_rng(45)
+        real, pred = rng.integers(0, 3, (2, 8, 5)).astype(np.int64)
+        csvio.write_predictions(tmp_path / "p.csv", real, pred)
+        loaded = csvio.load_predictions(self.shuffled(tmp_path / "p.csv", 3), zone_count=3, instant_count=5)
+        assert [a.tobytes() for a in loaded] == [real.tobytes(), pred.tobytes()]
+
+
 class TestErrorExports:
     def test_errors_csv_carries_instants(self, tmp_path):
         es = ErrorSeries(np.array([[0.1, 0.2]]), first_instant=4)

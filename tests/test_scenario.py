@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from tce import scenario
+from tce import csvio, scenario
 from tce.config import load_config
 from tce.core import Rect, TimeGrid, Venue, inside_mask
 from tce.scenario import (
@@ -136,7 +138,7 @@ class TestGenerateScenario:
         cfg = load_config(FESTIVAL_INI)
         traces = generate_scenario(cfg.venue, cfg.grid, 20, cfg.mobility, cfg.traffic, seed=7)
         assert hashlib.sha256(traces.positions.tobytes()).hexdigest() == (
-            "862aac8a74e36bffdf85a5d8760fbc0a1d1be316dc67f75c2ed574da2a153988"
+            "65220abd1c9a9bcd9d7c66487d4f064416022f0ba6c02488778ef1a4702bfdaa"
         )
 
     def test_seed_pins_two_outside_regions_bytes(self):
@@ -144,7 +146,7 @@ class TestGenerateScenario:
         venue, grid, mobility = two_outside_scenario()
         traces = generate_scenario(venue, grid, 30, mobility, THIRDS, seed=8)
         assert trace_digest(traces) == (
-            "fc7ef600aa9aad1e2e657df9151845ec38b5fe74a52f31cc3a0d44b0547cd369"
+            "0fc59d14e004ee744408c033bf98837adcebff5b5afd9d351bbec557c451c44f"
         )
 
     def test_seed_pins_scaled_speed_floor_bytes(self, festival_venue):
@@ -154,7 +156,7 @@ class TestGenerateScenario:
         mobility = simple_mobility(speed_min=0.02, speed_max=0.09, background_weight=0.1)
         traces = generate_scenario(venue, TimeGrid(300.0, 30), 25, mobility, THIRDS, seed=11)
         assert trace_digest(traces) == (
-            "48f9f549e1ab7db839f2d111a0a1e491f4ce4a477b0fe36d805ef7febdbdc8dc"
+            "8e65e1cf0bfa33c942edf312879edef11e3d249bbcbf1cbbdb35d500566ecd8a"
         )
 
     def test_first_users_do_not_depend_on_user_count(self):
@@ -228,6 +230,14 @@ class TestGenerateScenario:
         with pytest.raises(ValueError, match="finite in float64"):
             generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
 
+    def test_rejects_venue_whose_diagonal_overflows(self):
+        # far-corner attractors of a finite precinct whose diagonal overflows
+        assert_far_corners_refused(8e307)
+
+    def test_rejects_venue_whose_coordinate_difference_overflows(self):
+        # at +-1e308 the x difference itself is inf
+        assert_far_corners_refused(1e308)
+
     def test_rejects_detached_outside_attractor(self):
         # outside region not touching the precinct cannot host waypoints
         venue = Venue((0, 0), (50, 80), (Rect((60, 15), (70, 65)),))
@@ -240,6 +250,19 @@ class TestGenerateScenario:
         )
         with pytest.raises(ValueError):
             generate_scenario(venue, grid, 3, mobility, THIRDS, seed=0)
+
+
+def assert_far_corners_refused(far_x):
+    # past 2**52 lattice steps a count difference is not exact in float64
+    venue = Venue((-far_x, -8e307), (far_x, 8e307))
+    mobility = simple_mobility(speed_min=0.05, speed_max=0.08, attractors=(
+        Attractor(Rect((-far_x, -8e307), (-7e307, -7e307)), 1.0, "south_west"),
+        Attractor(Rect((7e307, 7e307), (far_x, 8e307)), 1.0, "north_east"),
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the precinct .* not exact in float64"):
+            generate_scenario(venue, TimeGrid(300.0, 20), 30, mobility, THIRDS, seed=5)
 
 
 class TestValidation:
@@ -318,40 +341,55 @@ class TestDrawOracle:
         assert hosts.tolist() == [draw.hosts[2]]
 
 
+def lattice_range(lo, hi):
+    """First and last integer n with lo <= n / _LATTICE <= hi, found by
+    stepping Python ints from the rounded products."""
+    first, last = math.ceil(lo * scenario._LATTICE), math.floor(hi * scenario._LATTICE)
+    while first / scenario._LATTICE < lo:
+        first += 1
+    while (first - 1) / scenario._LATTICE >= lo:
+        first -= 1
+    while last / scenario._LATTICE > hi:
+        last -= 1
+    while (last + 1) / scenario._LATTICE <= hi:
+        last += 1
+    return first, last
+
+
 def reference_generate(venue, grid, user_count, mobility, traffic, seed):
-    """``generate_scenario`` as a plain loop over users and instants: each
-    user reads its rows of the same uniform block one at a time, routes with
-    a list of legs, measures a leg with ``np.hypot`` on scalars and clips a
-    partial step as the generator does."""
+    """``generate_scenario`` as a plain loop over users and instants on Python
+    int lattice counts: each user reads its rows of the same uniform block
+    one at a time, routes with a list of gate and target points, measures a
+    leg with ``np.hypot`` on scalars and truncates a partial step toward its
+    origin with ``int``."""
     draw = _WaypointDraw(venue, mobility)
     tier_seed, move_seed = np.random.SeedSequence(seed).spawn(2)
     rates = assign_tiers(user_count, traffic, np.random.default_rng(tier_seed))
     uniforms = np.random.default_rng(move_seed).random((user_count, grid.instant_count, 4))
     rects = [a.region for a in mobility.attractors] + [venue.precinct] * (mobility.background_weight > 0)
-    boxes = {h: (*r.lo, *r.hi) for h, r in enumerate(venue.outside_regions)}
-    boxes[-1] = (*venue.precinct.lo, *venue.precinct.hi)
+    ranges = [[lattice_range(r.lo[c], r.hi[c]) for c in range(2)] for r in rects]
+    gates = {}
+    for h, region in enumerate(venue.outside_regions):
+        lo = np.maximum(venue.precinct_min, region.lo)
+        hi = np.minimum(venue.precinct_max, region.hi)
+        if np.all(lo <= hi):
+            gates[h] = [sum(lattice_range(lo[c], hi[c])) // 2 for c in range(2)]
 
     def pick(row):
         i = int(draw.cdf.searchsorted(row[0], side="right"))
-        point = rects[i].lo + (rects[i].hi - rects[i].lo) * row[1:3]
-        return point.tolist(), int(draw.hosts[i])
+        point = [first + int((last - first + 1) * row[1 + c]) for c, (first, last) in enumerate(ranges[i])]
+        return point, int(draw.hosts[i])
 
     def route(src, target, dst):
-        if src == dst:
-            return [(*target, *boxes[dst])]
-        legs = []
-        if src != -1:
-            legs.append((*scenario._gate(venue, src), *boxes[src]))
-        if dst != -1:
-            legs.append((*scenario._gate(venue, dst), *boxes[-1]))
-        return legs + [(*target, *boxes[dst])]
+        legs = [gates[h] for h in (src, dst) if h != -1] if src != dst else []
+        return legs + [target]
 
-    step_budget = grid.step_seconds / venue.index_scale
+    step_budget = grid.step_seconds / venue.index_scale * scenario._LATTICE
     speed_span = mobility.speed_max - mobility.speed_min
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
     for u in range(user_count):
         (x, y), region = pick(uniforms[u, 0])
-        positions[u, 0] = x, y
+        positions[u, 0] = x / scenario._LATTICE, y / scenario._LATTICE
         legs, pause_left = [], 0
         for t in range(1, grid.instant_count):
             if pause_left > 0:
@@ -364,10 +402,9 @@ def reference_generate(venue, grid, user_count, mobility, traffic, seed):
                     speed = mobility.speed_min + speed_span * uniforms[u, t, 3]
                 budget = speed * step_budget
                 while budget > 0 and legs:
-                    px, py, lox, loy, hix, hiy = legs[0]
-                    with np.errstate(over="ignore"):
-                        dx, dy = np.subtract(px, x), np.subtract(py, y)
-                        dist = np.hypot(dx, dy)
+                    px, py = legs[0]
+                    dx, dy = px - x, py - y
+                    dist = np.hypot(dx, dy)
                     if dist <= budget:
                         x, y = px, py
                         budget -= dist
@@ -376,12 +413,10 @@ def reference_generate(venue, grid, user_count, mobility, traffic, seed):
                             pause_left = mobility.pause_instants
                             budget = 0.0
                     else:
-                        if np.isfinite(dist):  # a leg longer than float64 is not walked
-                            step = budget / dist
-                            x = np.minimum(hix, np.maximum(lox, x + dx * step))
-                            y = np.minimum(hiy, np.maximum(loy, y + dy * step))
+                        step = budget / dist
+                        x, y = x + int(dx * step), y + int(dy * step)
                         budget = 0.0
-            positions[u, t] = x, y
+            positions[u, t] = x / scenario._LATTICE, y / scenario._LATTICE
     return positions, rates
 
 
@@ -432,29 +467,83 @@ class TestGeneratorOracle:
         assert traces.positions.tobytes() == positions.tobytes()
         assert traces.mean_traffic.tobytes() == rates.tobytes()
 
-    def test_leg_longer_than_float64_stays_put_without_warning(self):
-        # far-corner attractors of a finite precinct whose diagonal overflows:
-        # np.hypot gives inf, so a user never leaves its first point
-        assert_far_corners_stay_put(8e307)
 
-    def test_leg_whose_coordinate_difference_overflows_stays_put(self):
-        # at +-1e308 the x difference itself is inf, and a step of inf * 0
-        # would be nan: the user still stays put
-        assert_far_corners_stay_put(1e308)
+OFF_LATTICE_WEST = Rect((-10.0003, 20.0002), (0, 60.0008))
 
 
-def assert_far_corners_stay_put(far_x):
-    venue = Venue((-far_x, -8e307), (far_x, 8e307))
-    mobility = simple_mobility(speed_min=0.05, speed_max=0.08, attractors=(
-        Attractor(Rect((-far_x, -8e307), (-7e307, -7e307)), 1.0, "south_west"),
-        Attractor(Rect((7e307, 7e307), (far_x, 8e307)), 1.0, "north_east"),
-    ))
-    args = venue, TimeGrid(300.0, 20), 30, mobility, THIRDS, 5
-    positions, rates = reference_generate(*args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        traces = generate_scenario(*args)
-    assert traces.positions.tobytes() == positions.tobytes()
-    assert traces.mean_traffic.tobytes() == rates.tobytes()
-    assert np.isfinite(traces.positions).all()
-    assert (traces.positions == traces.positions[:, :1]).all()
+def off_lattice_scenario():
+    """A precinct maximum, attractor edges and the outside region's far edges
+    that all fall between lattice points; only the shared boundary x = 0 is
+    on the lattice. Every user walks at speed_max, so each partial step
+    spends the whole budget and the speed bound is tight."""
+    venue = Venue((0, 0), (50.0004, 80.0007), (OFF_LATTICE_WEST,), 1.0)
+    mobility = simple_mobility(
+        speed_min=0.1,
+        speed_max=0.1,
+        attractors=(
+            Attractor(Rect((2.0004, 28.0007), (14.0002, 52.0009)), 0.4, "stage"),
+            Attractor(Rect((49.0001, 79.0003), (50.0004, 80.0007)), 0.2, "far_corner"),
+            Attractor(Rect((-10.0003, 20.0002), (-9.9991, 60.0008)), 0.3, "west_edge"),
+        ),
+        background_weight=0.1,
+    )
+    return venue, TimeGrid(300.0, 40), mobility
+
+
+class TestLattice:
+    """Every generated position is n / _LATTICE for an integer n."""
+
+    @pytest.mark.parametrize("name", list(GENERATOR_CASES))
+    def test_positions_are_lattice_points(self, name):
+        positions = generate_scenario(*GENERATOR_CASES[name]()).positions
+        # (n / 1000) * 1000 need not be n in float64 (0.007 * 1000 is
+        # 7.000000000000001), so the check divides the nearest integer back
+        counts = np.rint(positions * scenario._LATTICE)
+        assert (counts / scenario._LATTICE).tobytes() == positions.tobytes()
+        assert np.abs(counts).max() < 2**52
+
+    def test_festival_trace_cells_have_at_most_three_decimals(self, tmp_path):
+        cfg = load_config(FESTIVAL_INI)
+        traces = generate_scenario(cfg.venue, cfg.grid, cfg.user_count, cfg.mobility, cfg.traffic, seed=7)
+        csvio.write_trace(tmp_path / "trace.csv", traces)
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        cells = [cell for row in rows for cell in row.split(",")[2:]]
+        assert len(cells) == 2 * traces.positions[..., 0].size
+        assert all(re.fullmatch(r"-?\d+\.\d{1,3}", cell) for cell in cells)
+
+    def test_off_lattice_edges_keep_containment_and_speed_bound(self):
+        venue, grid, mobility = off_lattice_scenario()
+        traces = generate_scenario(venue, grid, 60, mobility, THIRDS, seed=12)
+        assert traces.positions[..., 0].size >= 2000
+        pts = traces.all_points()
+        in_west = OFF_LATTICE_WEST.contains_many(pts)
+        assert np.all(inside_mask(pts, venue) | in_west)
+        assert in_west.any() and (pts[:, 0] > 49.0001).any()
+        steps = np.linalg.norm(np.diff(traces.positions, axis=1), axis=2)
+        assert steps.max() <= mobility.speed_max * grid.step_seconds / venue.index_scale + 1e-9
+        positions, _ = reference_generate(venue, grid, 60, mobility, THIRDS, 12)
+        assert traces.positions.tobytes() == positions.tobytes()
+
+    def test_rejects_rectangle_without_a_lattice_point(self, festival_venue):
+        # x spans 2.0001..2.0009, between the lattice points 2.000 and 2.001
+        sliver = simple_mobility(attractors=(Attractor(Rect((2.0001, 28), (2.0009, 52)), 1.0, "sliver"),))
+        with pytest.raises(ValueError, match=r"attractor 'sliver' \[2\.0001, 28\.0\]\.\.\[2\.0009, 52\.0\] "
+                                             r"holds no point of the 1/1000 index-unit position lattice"):
+            generate_scenario(festival_venue, TimeGrid(300.0, 4), 3, sliver, THIRDS, seed=0)
+
+    def test_rejects_shared_boundary_without_a_lattice_point(self):
+        venue = Venue((0, 0), (50.0005, 80), (Rect((50.0005, 15), (60, 65)),))
+        mobility = simple_mobility(attractors=(
+            Attractor(Rect((2, 28), (14, 52)), 0.5, "stage"),
+            Attractor(Rect((51, 30), (59, 50)), 0.5, "exit"),
+        ))
+        with pytest.raises(ValueError, match=r"the boundary of outside region 0 and the precinct "
+                                             r"\[50\.0005, 15\.0\]\.\.\[50\.0005, 65\.0\] holds no point"):
+            generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
+
+    def test_rejects_precinct_edge_past_the_exact_count_range(self):
+        venue = Venue((0, 0), (5e12, 80))
+        mobility = simple_mobility(attractors=(Attractor(Rect((2, 28), (14, 52)), 1.0, "stage"),))
+        with pytest.raises(ValueError, match=r"the precinct \[0\.0, 0\.0\]\.\.\[5000000000000\.0, 80\.0\] "
+                                             r"reaches 4\.5036e\+12 index units"):
+            generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
