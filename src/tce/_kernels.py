@@ -109,12 +109,9 @@ def count_transitions(labels, k):
 # Every table the steps read or write (pairs, draws and the predictions) is
 # instant-major, so a step reads and writes contiguous rows; reading a
 # column of a (user, instant) table costs about one cache miss per element
-# at event scale. The keys are held in the narrowest unsigned type that
-# holds k*width - 1, the largest index into the (k, width) table: 2.4 MB
-# at event scale per_user, against 4.7 MB of int64. They are cast from the
-# labels straight into that type, after the predictions are allocated:
-# allocating the keys first left a heap hole that raised the benchmark's
-# peak RSS by 2.8 MB.
+# at event scale. The keys are computed straight into their int64 table
+# after the predictions are allocated: allocating the keys first left a
+# heap hole that raised the benchmark's peak RSS by 2.8 MB.
 #
 # Scoring works on (k, columns) float64 arrays whose probabilities are summed by k-1
 # in-place row adds, the sequential order of np.cumsum. A narrow table, with
@@ -150,13 +147,12 @@ def predict_series(labels, k, w, per_user, draws):
     narrow = width < runs * U
     user_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
     first_row = np.tile(user_row, runs)
-    key = np.min_scalar_type(k * width - 1)  # the largest table index
     pred = np.empty((T, runs * U), np.int64)
     pred[:w] = np.tile(labels[:, :w].T, runs)
-    pairs = np.empty((T - 1, U), key)  # row t: each user's pair (t -> t+1)
-    np.multiply(labels[:, 1:].T, width, out=pairs, casting="unsafe")
-    np.add(pairs, labels[:, :-1].T, out=pairs, casting="unsafe")
-    pairs += user_row.astype(key)
+    pairs = np.empty((T - 1, U), np.int64)  # row t: each user's pair (t -> t+1)
+    np.multiply(labels[:, 1:].T, width, out=pairs)
+    np.add(pairs, labels[:, :-1].T, out=pairs)
+    pairs += user_row
     dtype = np.min_scalar_type((1 if per_user else U) * (w - 1))  # a full column's total
     one = dtype.type(1)
     table = np.zeros((k, width), dtype)

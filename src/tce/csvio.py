@@ -366,8 +366,7 @@ def load_zoning(zones_path, labels_path, instant_count: int) -> Zoning:
 
 def write_matrix(path, table: np.ndarray) -> None:
     k = table.shape[0]
-    dtype = np.int64 if np.issubdtype(table.dtype, np.integer) else np.float64
-    rows = ([z] + values for z, values in enumerate(np.asarray(table).astype(dtype).tolist()))
+    rows = ([z] + values for z, values in enumerate(table.tolist()))
     _write_rows(path, ["zone"] + [str(z) for z in range(k)], rows)
 
 

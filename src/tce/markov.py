@@ -10,7 +10,7 @@ general matrix cannot leak into the forecast path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,25 +25,25 @@ PER_USER = "per_user"
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic zone transition matrix with its raw-count backing store.
+    """Row-stochastic zone transition matrix derived from raw counts.
 
-    Rows with no observed transition stay all-zero in ``probs``.
+    ``counts`` is copied as int64; ``probs`` is each row over its sum, and
+    rows with no observed transition stay all-zero. Both are read-only.
     """
 
     counts: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_counts(cls, counts) -> "TransitionMatrix":
-        counts = np.array(counts, dtype=np.int64)
+    def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"counts must be square, got shape {counts.shape}")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         row_sums = counts.sum(axis=1)
         safe = np.where(row_sums == 0, 1, row_sums)
-        probs = counts / safe[:, None]
-        return cls(_frozen(counts), _frozen(probs))
+        object.__setattr__(self, "counts", _frozen(counts))
+        object.__setattr__(self, "probs", _frozen(counts / safe[:, None]))
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class WindowConfig:
 def build_general_matrix(labels, zone_count: int) -> TransitionMatrix:
     """Tally every (user, t -> t+1) transition over all users and instants."""
     counts = kern.count_transitions(_zone_table(labels, zone_count, "labels"), zone_count)
-    return TransitionMatrix.from_counts(counts)
+    return TransitionMatrix(counts)
 
 
 @dataclass(frozen=True)

@@ -61,20 +61,23 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
     return ErrorSeries(table[real, pred], first)
 
 
-def error_histogram(errors, bin_count: int) -> np.ndarray:
-    """Counts of an array of errors over the ``bin_count`` bins of
-    ``histogram_edges(bin_count)``, each value in the bin whose edges hold it.
+def error_histogram(errors, edges) -> np.ndarray:
+    """Counts of an array of errors over the bins between consecutive
+    ``edges`` (``histogram_edges(bin_count)``, built once per report), each
+    value in the bin whose edges hold it.
 
     The last bin is closed on the right, so an error of exactly 1 is counted.
-    A value outside [0, 1], with the tolerance ``ErrorSeries`` allows, or NaN
-    is refused.
+    Fewer than two edges, or a value outside [0, 1], with the tolerance
+    ``ErrorSeries`` allows, or NaN is refused.
     """
-    if bin_count < 1:
-        raise ValueError(f"bin_count must be >= 1, got {bin_count}")
+    edges = np.asarray(edges, np.float64)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError(f"edges must be one row of at least two values, got shape {edges.shape}")
+    bin_count = edges.size - 1
     values = np.asarray(errors, np.float64).ravel()
     if values.size and not (values.min() >= 0.0 and values.max() <= _ERROR_MAX):
         raise ValueError("error values must lie in [0, 1]")
-    idx = np.searchsorted(histogram_edges(bin_count), values, side="right") - 1
+    idx = np.searchsorted(edges, values, side="right") - 1
     return np.bincount(np.minimum(idx, bin_count - 1), minlength=bin_count)
 
 

@@ -39,7 +39,6 @@ class StageError(ToolError):
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
-        self.stage = stage
         self.exit_code = cause.exit_code if isinstance(cause, ToolError) else 4
 
 
@@ -145,7 +144,7 @@ def report_stage(cfg: RunConfig, traces: TraceSet, zoning: Zoning, runs, out_dir
         for r, es in enumerate(errors):
             csvio.write_errors(out_dir / f"errors_run{r}.csv", es)
         edges = histogram_edges(cfg.bin_count)
-        hist = np.array([error_histogram(es.e, cfg.bin_count) for es in errors])
+        hist = np.array([error_histogram(es.e, edges) for es in errors])
         csvio.write_histogram(out_dir / "histogram.csv", hist, edges)
 
     with _stage("report"):

@@ -187,9 +187,9 @@ class _WaypointDraw:
             weights.append(mobility.background_weight)
         w = np.asarray(weights, np.float64)
         with np.errstate(over="ignore"):  # refused just below, not warned
-            spans, total = np.array([r.hi - r.lo for r in rects]), w.sum()
-        if not (np.isfinite(total) and np.isfinite(spans).all()):
-            raise ValueError("the waypoint weight total and region extents must be finite in float64")
+            total = w.sum()
+        if not np.isfinite(total):
+            raise ValueError("the waypoint weight total must be finite in float64")
         cdf = np.cumsum(w / total)
         self.cdf = cdf / cdf[-1]  # the CDF Generator.choice builds from p
         self.hosts = np.array(hosts)
@@ -229,11 +229,6 @@ class _WaypointDraw:
         # a uniform below 1 times a size below 2**53 stays below the size
         return self.firsts[i] + (self.sizes[i] * uniforms[:, 1:3]).astype(np.int64), self.hosts[i]
 
-    def draw(self, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The points of ``counts``, in index units."""
-        counts, hosts = self.counts(uniforms)
-        return counts / _LATTICE, hosts
-
 
 def generate_scenario(
     venue: Venue,
@@ -255,10 +250,10 @@ def generate_scenario(
     dropped (the user dwells there until the next instant), so a user picks
     at most one waypoint per instant and user u's positions do not depend on
     ``user_count``. Raises ValueError when an attractor has no host region,
-    an outside host does not touch the precinct, the weight total or a drawn
-    region's extent overflows float64, a venue coordinate reaches 2**52
-    lattice steps, or a drawn rectangle or a used shared boundary holds no
-    lattice point.
+    an outside host does not touch the precinct, the weight total overflows
+    float64, a venue coordinate reaches 2**52 lattice steps (which also
+    bounds every drawn rectangle, as each lies in a venue region), or a
+    drawn rectangle or a used shared boundary holds no lattice point.
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")

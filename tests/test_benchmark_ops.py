@@ -3,6 +3,7 @@ the way ``perfbench/worker.py`` runs and checks it, so a change to tce that
 breaks what the benchmark calls or checks fails here too."""
 
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 import tce
 from tce.markov import predict_labels
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 
@@ -44,3 +46,12 @@ def test_forecast_bytes_pinned():
         digest.update(run.labels_pred.tobytes())
         digest.update(tce.error_series(zoning, run, *extent).e.tobytes())
     assert digest.hexdigest() == "fd2ea58c65ffb0d2d15782c0c7d23cb5f3f6128207ac6a5b007a9cc1df0efe75"
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py runs the benchmark driver itself (provenance,
+    tracer, checks) on every workload at tiny scale; it takes about 40 s."""
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")], cwd=ROOT,
+                          capture_output=True, text=True, timeout=900)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]

@@ -192,6 +192,36 @@ class TestRun:
         files = json.dumps(read_manifest(out)["files"], sort_keys=True)
         assert hashlib.sha256(files.encode()).hexdigest() == digest
 
+    def test_festival_summary_and_histogram_follow_from_error_files(self, tmp_path):
+        # the manifest summary and histogram.csv, recomputed from the
+        # per-user errors_run<r>.csv files alone, match to the last bit
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(FESTIVAL_INI), "--seed", "7", "--out", str(out)]) == 0
+        summary = read_manifest(out)["summary"]
+        run_count = len(summary["per_run_mean_error"])
+        tables = []
+        for r in range(run_count):
+            rows = np.loadtxt(out / f"errors_run{r}.csv", delimiter=",", skiprows=1)
+            rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]  # user-major, as the runs hold them
+            tables.append(rows[:, 2].reshape(summary["user_count"], -1))
+        assert summary["per_run_mean_error"] == [float(e.mean()) for e in tables]
+        assert summary["per_run_median_error"] == [float(np.median(e)) for e in tables]
+        pooled = np.concatenate([e.ravel() for e in tables])
+        assert summary["mean_error"] == float(pooled.mean())
+        assert summary["median_error"] == float(np.median(pooled))
+
+        hist = np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1).reshape(run_count, -1, 4)
+        bins = hist.shape[1]
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        # [bin_lo, bin_hi) holds an error; the last bin takes everything from its bin_lo up
+        lo, hi = edges[:-1], np.append(edges[1:-1], np.inf)
+        for r, e in enumerate(tables):
+            assert hist[r, :, :3].tolist() == np.column_stack(([r] * bins, edges[:-1], edges[1:])).tolist()
+            v = e.ravel()[:, None]
+            inside = (v >= lo) & (v < hi)
+            assert inside.sum(axis=1).tolist() == [1] * e.size
+            assert hist[r, :, 3].tolist() == inside.sum(axis=0).tolist()
+
     def test_fine_zones_run_pins_output_bytes(self, tmp_path):
         # 24 + 2 zones: each zone_*_run<r>.svg draws 52 polylines of 60
         # points, so the palette wraps and y values repeat across zones

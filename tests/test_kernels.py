@@ -280,11 +280,10 @@ def test_predict_series_count_dtype_edges_match_loop():
     # moves. The (users, zones, w, scopes) cases put a full column at 255 and
     # 256 per user, at 255 and 260 in general, and at 65 535 and 65 792 in
     # general (257 users), where the per_user columns also cross 255.
-    # The pair keys are held in the narrowest unsigned type that holds
-    # k*width - 1, the largest table index, which a stay in the last zone
-    # reaches for the last user. The last four cases put it at 255 and 288
-    # in general (k = 16 and 17) and at 65 535 and 65 599 per user (k = 8,
-    # 1024 and 1025 users).
+    # A stay in the last zone reaches k*width - 1, the largest table index,
+    # for the last user. The last four cases put it at 255 and 288 in
+    # general (k = 16 and 17) and at 65 535 and 65 599 per user (k = 8,
+    # 1024 and 1025 users), either side of a one- and a two-byte index.
     rng = np.random.default_rng(18)
     steps, runs = 3, 2
     cases = [(3, 3, 256, (True,)), (3, 3, 257, (True,)), (5, 3, 52, (False,)), (5, 3, 53, (False,))]

@@ -43,19 +43,30 @@ def naive_counts(labels, zone_count, t0, t1):
 class TestTransitionMatrix:
     def test_count_row_normalization_worked_example(self):
         # raw counts [1, 1, 2] over a row sum of 4 -> [0.25, 0.25, 0.5]
-        m = TransitionMatrix.from_counts([[1, 1, 2], [0, 0, 0], [0, 0, 0]])
+        m = TransitionMatrix([[1, 1, 2], [0, 0, 0], [0, 0, 0]])
         assert list(m.probs[0]) == [0.25, 0.25, 0.5]
 
     def test_zero_rows_stay_zero(self):
-        m = TransitionMatrix.from_counts([[0, 0], [3, 1]])
+        m = TransitionMatrix([[0, 0], [3, 1]])
         assert list(m.probs[0]) == [0.0, 0.0]
         assert list(m.probs[1]) == [0.75, 0.25]
 
     def test_rejects_non_square_or_negative(self):
         with pytest.raises(ValueError):
-            TransitionMatrix.from_counts([[1, 2, 3], [4, 5, 6]])
+            TransitionMatrix([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
-            TransitionMatrix.from_counts([[1, -1], [0, 0]])
+            TransitionMatrix([[1, -1], [0, 0]])
+
+    def test_probs_derived_from_counts_alone_and_read_only(self):
+        counts = np.array([[2, 6], [0, 0]])
+        m = TransitionMatrix(counts)
+        assert m.probs.tolist() == [[0.25, 0.75], [0.0, 0.0]]
+        assert m.counts.dtype == np.int64 and m.counts.tolist() == [[2, 6], [0, 0]]
+        assert not m.counts.flags.writeable and not m.probs.flags.writeable
+        counts[0, 0] = 5  # the caller's array stays writable and is not shared
+        assert m.counts[0, 0] == 2
+        with pytest.raises(TypeError):
+            TransitionMatrix(counts, np.eye(2))  # probs cannot contradict counts
 
 
 class TestBuildGeneralMatrix:

@@ -145,18 +145,18 @@ class TestErrorSeries:
 
 class TestErrorHistogram:
     def test_point_mass_in_first_bin(self):
-        counts = error_histogram(np.zeros(25), 10)
+        counts = error_histogram(np.zeros(25), histogram_edges(10))
         assert counts[0] == 25
         assert counts[1:].sum() == 0
 
     def test_hand_binned_examples(self):
-        counts = error_histogram(np.array([0.05, 0.15, 0.95]), 10)
+        counts = error_histogram(np.array([0.05, 0.15, 0.95]), histogram_edges(10))
         expected = np.zeros(10, np.int64)
         expected[[0, 1, 9]] = 1
         assert np.array_equal(counts, expected)
 
     def test_last_bin_right_closed(self):
-        counts = error_histogram(np.array([1.0, 0.999999]), 10)
+        counts = error_histogram(np.array([1.0, 0.999999]), histogram_edges(10))
         assert counts[9] == 2
 
     def test_total_count_conserved(self):
@@ -164,11 +164,16 @@ class TestErrorHistogram:
         for _ in range(100):
             values = rng.random(int(rng.integers(1, 200)))
             bins = int(rng.integers(1, 20))
-            assert error_histogram(values, bins).sum() == len(values)
+            assert error_histogram(values, histogram_edges(bins)).sum() == len(values)
 
     def test_rejects_bad_bin_count(self):
         with pytest.raises(ValueError):
-            error_histogram(np.zeros(3), 0)
+            error_histogram(np.zeros(3), histogram_edges(0))
+
+    @pytest.mark.parametrize("edges", [[], [0.5], [[0.0, 1.0]]])
+    def test_rejects_fewer_than_two_edges(self, edges):
+        with pytest.raises(ValueError, match="at least two values"):
+            error_histogram(np.zeros(3), edges)
 
     @pytest.mark.parametrize("bins", range(1, 51))
     def test_counts_each_value_in_the_bin_whose_edges_hold_it(self, bins):
@@ -177,12 +182,12 @@ class TestErrorHistogram:
         edges = histogram_edges(bins)
         for b in range(bins):
             for value in (edges[b], np.nextafter(edges[b + 1], 0.0)):
-                assert np.flatnonzero(error_histogram(np.array([value]), bins)).tolist() == [b], (value, b)
+                assert np.flatnonzero(error_histogram(np.array([value]), edges)).tolist() == [b], (value, b)
 
     @pytest.mark.parametrize("value", [np.nan, -1e-300, -0.05, 1.0 + 1e-11, np.inf])
     def test_rejects_values_outside_unit_interval(self, value):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            error_histogram(np.array([0.5, value]), 10)
+            error_histogram(np.array([0.5, value]), histogram_edges(10))
 
     def test_tolerance_of_error_series_lands_in_last_bin(self):
-        assert error_histogram(np.array([1.0 + 1e-13, -0.0]), 4).tolist() == [1, 0, 0, 1]
+        assert error_histogram(np.array([1.0 + 1e-13, -0.0]), histogram_edges(4)).tolist() == [1, 0, 0, 1]

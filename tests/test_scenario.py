@@ -174,7 +174,8 @@ class TestGenerateScenario:
         traces = generate_scenario(venue, grid, 40, fast, THIRDS, seed=9)
         _, move_seed = np.random.SeedSequence(9).spawn(2)
         uniforms = np.random.default_rng(move_seed).random((40, grid.instant_count, 4))
-        points, hosts = _WaypointDraw(venue, fast).draw(uniforms.reshape(-1, 4))
+        counts, hosts = _WaypointDraw(venue, fast).counts(uniforms.reshape(-1, 4))
+        points = counts / scenario._LATTICE
         assert traces.positions.tobytes() == points.tobytes()
         hosts = hosts.reshape(40, grid.instant_count)
         gate_to_gate = (hosts[:, :-1] != hosts[:, 1:]) & (hosts[:, :-1] >= 0) & (hosts[:, 1:] >= 0)
@@ -227,7 +228,7 @@ class TestGenerateScenario:
         venue = Venue((-1e308, 0), (1e308, 80))
         mobility = simple_mobility(attractors=(Attractor(Rect((2, 28), (14, 52)), 1.0),),
                                    background_weight=0.5)
-        with pytest.raises(ValueError, match="finite in float64"):
+        with pytest.raises(ValueError, match="the precinct .* not exact in float64"):
             generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
 
     def test_rejects_venue_whose_diagonal_overflows(self):
@@ -336,7 +337,8 @@ class TestDrawOracle:
     def test_draw_on_a_cdf_step_picks_the_next_rect(self):
         # a uniform equal to cdf[k] is past rect k, as choice's side="right" has it
         draw, rects, _ = festival_draw(*WEIGHT_SETS["festival"])
-        points, hosts = draw.draw(np.array([[draw.cdf[1], 0.0, 0.0, 0.5]]))
+        counts, hosts = draw.counts(np.array([[draw.cdf[1], 0.0, 0.0, 0.5]]))
+        points = counts / scenario._LATTICE
         assert points.tolist() == [rects[2].lo.tolist()]
         assert hosts.tolist() == [draw.hosts[2]]
 
