@@ -11,7 +11,6 @@ from .core import (
     TimeGrid,
     TraceSet,
     Venue,
-    inside_mask,
     real_distance,
 )
 from .errors import ConfigError, DataError, InfeasibleError, ToolError
@@ -71,7 +70,6 @@ __all__ = [
     "error_series",
     "generate_scenario",
     "histogram_edges",
-    "inside_mask",
     "load_trace",
     "load_waypoint_lines",
     "position_extent",

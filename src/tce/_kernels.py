@@ -32,9 +32,8 @@ import numpy as np
 
 
 def backend() -> str:
-    """Name of the kernel implementation. Runs no longer record it; it stays
-    because the benchmark (``perfbench/run.py``) writes it into each bench
-    point."""
+    """Name of the kernel implementation, which the benchmark
+    (``perfbench/run.py``) writes into each bench point."""
     return "numpy"
 
 

@@ -25,8 +25,8 @@ config file sections (INI format):
                 its first line has no comma, and its traffic CSV; without
                 them [scenario] and [traffic] generate the trace)
   [scenario]    user_count, speed_min, speed_max (m/s), pause_instants,
-                background_weight, attractors (one "name weight x0 y0 x1 y1"
-                per line)
+                attractors (one "name weight x0 y0 x1 y1" per line; a
+                precinct-wide attractor gives a uniform background share)
   [traffic]     tiers (one "fraction rate_mbps" per line; fractions sum to 1)
   [clustering]  k_inside, k_outside
   [prediction]  window_size, scope = per_user | general, run_count,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import Rect, TimeGrid, Venue
 from .errors import ConfigError, open_input
@@ -49,7 +49,7 @@ SECTIONS = {
     "venue": ("precinct_min", "precinct_max", "outside_regions", "index_scale"),
     "time": ("step_seconds", "instant_count"),
     "input": ("trace_file", "traffic_file"),
-    "scenario": ("user_count", "speed_min", "speed_max", "pause_instants", "background_weight", "attractors"),
+    "scenario": ("user_count", "speed_min", "speed_max", "pause_instants", "attractors"),
     "traffic": ("tiers",),
     "clustering": ("k_inside", "k_outside"),
     "prediction": ("window_size", "scope", "run_count", "base_seed"),
@@ -191,7 +191,6 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
                 speed_max=_get(scen, "speed_max", float),
                 attractors=tuple(attractors),
                 pause_instants=_get(scen, "pause_instants", int, 0),
-                background_weight=_get(scen, "background_weight", float, 0.0),
             ),
             traffic=_make("[traffic] tiers:", TrafficTiers, tuple(tiers)),
         )
@@ -227,12 +226,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Stable content hash of a configuration."""
-
-    def plain(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
-        return obj.tolist() if hasattr(obj, "tolist") else repr(obj)
-
-    blob = json.dumps(cfg, sort_keys=True, default=plain).encode()
+    """Stable content hash of a configuration: its fields as JSON, arrays as
+    lists."""
+    blob = json.dumps(asdict(cfg), sort_keys=True, default=lambda array: array.tolist()).encode()
     return hashlib.sha256(blob).hexdigest()

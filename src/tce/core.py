@@ -147,12 +147,3 @@ class TraceSet:
 def real_distance(system_distance: float, venue: Venue) -> float:
     """Convert a distance in index units to meters via the venue scale."""
     return venue.index_scale * float(system_distance)
-
-
-def inside_mask(points: np.ndarray, venue: Venue) -> np.ndarray:
-    """Boolean mask over an (n, 2) array: True where the point lies in the
-    precinct, boundary included."""
-    points = np.asarray(points, dtype=np.float64)
-    if not np.all(np.isfinite(points)):
-        raise ValueError("positions must be finite")
-    return venue.precinct.contains_many(points)

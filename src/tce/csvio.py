@@ -255,25 +255,23 @@ def write_traffic(path, traces: TraceSet) -> None:
 
 
 def load_trace(trace_path, traffic_path, grid: TimeGrid) -> TraceSet:
-    """Load and validate a trace/traffic CSV pair against the time grid.
+    """Load and validate a trace file and its traffic CSV against the time
+    grid. A trace whose first line holds a comma is a trace CSV; any other is
+    waypoint lines (``load_waypoint_lines``).
 
-    Every user must cover every instant exactly once and appear in both
-    files; violations name the user, instant, or file row.
+    A trace CSV must cover every instant of every user exactly once; every
+    user must appear in the traffic CSV. Violations name the user, instant,
+    or file row.
     """
-    row, (u, t, x, y) = _columns(trace_path, TRACE_HEADER, (int, int, float, float))
-    _finite(trace_path, row, x, y, "position")
-    order = _grid(trace_path, row, u, t, grid.instant_count)
-    traffic = load_traffic(traffic_path, order.shape[0])
-    return TraceSet(np.stack([x[order], y[order]], axis=-1), traffic)
-
-
-def load_trace_pair(trace_path, traffic_path, grid: TimeGrid) -> TraceSet:
-    """A trace file and its traffic CSV. A trace whose first line holds a
-    comma is a trace CSV (``load_trace``); any other is waypoint lines."""
     with open_input(trace_path, DataError, mode="rb") as fh:
-        if b"," in fh.readline():
-            return load_trace(trace_path, traffic_path, grid)
-    positions = load_waypoint_lines(trace_path, grid)
+        csv_trace = b"," in fh.readline()
+    if csv_trace:
+        row, (u, t, x, y) = _columns(trace_path, TRACE_HEADER, (int, int, float, float))
+        _finite(trace_path, row, x, y, "position")
+        order = _grid(trace_path, row, u, t, grid.instant_count)
+        positions = np.stack([x[order], y[order]], axis=-1)
+    else:
+        positions = load_waypoint_lines(trace_path, grid)
     return TraceSet(positions, load_traffic(traffic_path, positions.shape[0]))
 
 

@@ -38,7 +38,7 @@ class StageError(ToolError):
     """Wraps a failure with the pipeline stage it happened in."""
 
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[{stage}] {cause}")
+        super().__init__(f"[{stage}] {str(cause) or type(cause).__name__}")
         self.exit_code = cause.exit_code if isinstance(cause, ToolError) else 4
 
 
@@ -93,7 +93,7 @@ def input_stage(cfg: RunConfig, seed: int, out_dir: Path) -> TraceSet:
                 cfg.venue, cfg.grid, cfg.user_count, cfg.mobility, cfg.traffic, seed
             )
         else:
-            traces = csvio.load_trace_pair(cfg.trace_file, cfg.traffic_file, cfg.grid)
+            traces = csvio.load_trace(cfg.trace_file, cfg.traffic_file, cfg.grid)
         csvio.write_trace(out_dir / "trace.csv", traces)
         csvio.write_traffic(out_dir / "traffic.csv", traces)
     return traces
@@ -165,7 +165,7 @@ def load_traces(cfg: RunConfig, trace_file, traffic_file) -> TraceSet:
     """Read a trace file (CSV or waypoint lines, as ``input_stage`` reads
     them) and its traffic CSV as the input of a stage subcommand."""
     with _stage("input"):
-        return csvio.load_trace_pair(trace_file, traffic_file, cfg.grid)
+        return csvio.load_trace(trace_file, traffic_file, cfg.grid)
 
 
 def load_zoning(cfg: RunConfig, zones_file, labels_file) -> Zoning:

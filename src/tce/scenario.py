@@ -1,11 +1,12 @@
 """Synthetic crowd traces: random-waypoint movement over weighted attractor
 regions, plus tiered constant traffic rates.
 
-Waypoints are drawn by attractor weight (with an optional uniform background
-share over the precinct). Each attractor must lie within its host region: the
-precinct or one declared outside region. A leg between hosts passes through
-a gate on the boundary each outside host shares with the precinct, so every
-sampled position stays within the precinct or a declared outside region.
+Waypoints are drawn by attractor weight; a uniform background share is an
+attractor whose rectangle is the precinct. Each attractor must lie within its
+host region: the precinct or one declared outside region. A leg between
+hosts passes through a gate on the boundary each outside host shares with
+the precinct, so every sampled position stays within the precinct or a
+declared outside region.
 All users move together, one instant at a time. A seed fixes the trace: its
 ``SeedSequence`` spawns one child for the traffic tiers and one for a
 ``(users, instants, 4)`` block of uniforms, whose row ``[u, t]`` is the
@@ -62,14 +63,12 @@ class MobilityParams:
     speed_max: float
     attractors: tuple[Attractor, ...]
     pause_instants: int = 0
-    background_weight: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "speed_min", float(self.speed_min))
         object.__setattr__(self, "speed_max", float(self.speed_max))
         object.__setattr__(self, "attractors", tuple(self.attractors))
         object.__setattr__(self, "pause_instants", int(self.pause_instants))
-        object.__setattr__(self, "background_weight", float(self.background_weight))
         if not (0 <= self.speed_min <= self.speed_max and np.isfinite(self.speed_max)):
             raise ValueError(
                 f"need finite 0 <= speed_min <= speed_max, got {self.speed_min}/{self.speed_max}"
@@ -78,8 +77,8 @@ class MobilityParams:
             raise ValueError("at least one attractor is required")
         if self.pause_instants < 0:
             raise ValueError("pause_instants must be >= 0")
-        if not (np.isfinite(self.background_weight) and self.background_weight >= 0):
-            raise ValueError(f"need finite background_weight >= 0, got {self.background_weight}")
+        if self.pause_instants > np.iinfo(np.int64).max:  # the walk counts pauses in int64
+            raise ValueError(f"pause_instants must be below 2**63, got {self.pause_instants}")
 
 
 @dataclass(frozen=True)
@@ -171,21 +170,15 @@ def _host(venue: Venue, attractor: Attractor) -> int:
 
 
 class _WaypointDraw:
-    """Weighted choice of destination rectangles (attractors plus a uniform
-    background share of the precinct), each with its host region, and the
-    gates that move a user between hosts, all as lattice counts."""
+    """Weighted choice of destination rectangles (the attractors), each with
+    its host region, and the gates that move a user between hosts, all as
+    lattice counts."""
 
     def __init__(self, venue: Venue, mobility: MobilityParams):
         rects = [a.region for a in mobility.attractors]
         names = [f"attractor {a.label!r}" if a.label else "attractor" for a in mobility.attractors]
         hosts = [_host(venue, a) for a in mobility.attractors]
-        weights = [a.weight for a in mobility.attractors]
-        if mobility.background_weight > 0:
-            rects.append(venue.precinct)
-            names.append("the precinct")
-            hosts.append(_PRECINCT)
-            weights.append(mobility.background_weight)
-        w = np.asarray(weights, np.float64)
+        w = np.array([a.weight for a in mobility.attractors], np.float64)
         with np.errstate(over="ignore"):  # refused just below, not warned
             total = w.sum()
         if not np.isfinite(total):

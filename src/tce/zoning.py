@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kern
-from .core import TraceSet, Venue, _frozen, inside_mask
+from .core import TraceSet, Venue, _frozen
 from .errors import InfeasibleError
 
 MAX_ITER = 300
@@ -168,7 +168,7 @@ def cluster(traces: TraceSet, venue: Venue, k_inside: int, k_outside: int, seed:
     if k_inside < 1 or k_outside < 1:
         raise ValueError("k_inside and k_outside must be >= 1")
     points = traces.all_points()
-    mask = inside_mask(points, venue)
+    mask = venue.precinct.contains_many(points)
     in_pts = np.ascontiguousarray(points[mask])
     out_pts = np.ascontiguousarray(points[~mask])
 

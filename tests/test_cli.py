@@ -349,6 +349,16 @@ class TestRun:
         assert "[report] plot user id 999 out of range [0, 6)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pause_past_int64_exit_code(self, tmp_path, capsys):
+        # the walk counts pauses in int64, so the config refuses a longer one
+        text = FESTIVAL_INI.read_text().replace("pause_instants = 8", "pause_instants = 10000000000000000000")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [scenario] pause_instants must be below 2**63, got 10000000000000000000\n"
+        )
+        assert not out.exists()
+
     def test_oversized_grid_exit_code(self, tmp_path, capsys):
         # numpy refuses the (1, 10**15, 2) position array outright
         text = FESTIVAL_INI.read_text().replace("user_count = 200", "user_count = 1")
@@ -617,6 +627,14 @@ class TestStageSubcommands:
         assert code == 3
         assert "huge.csv: user ids must be contiguous from 0, got [0, 1000000000000]" in capsys.readouterr().err
 
+    def test_empty_zones_file_exit_code(self, tmp_path, capsys, full):
+        empty = tmp_path / "zones.csv"
+        empty.write_text("")
+        out = tmp_path / "out"
+        assert main(command_argv("predict", write_cfg(tmp_path), full, out, zones=empty)) == 3
+        assert capsys.readouterr().err == f"error: [input] {empty}: empty file\n"
+        assert not out.exists()
+
     def test_missing_data_file_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path)
         code = main([
@@ -876,6 +894,18 @@ class TestInputsAgainstLabels:
             "before the learning/prediction boundary at instant 4"
         ) in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cause, message",
+    [(MemoryError(), "[prediction] MemoryError"), (MemoryError("out of memory"), "[prediction] out of memory")],
+    ids=["no_text", "text"],
+)
+def test_stage_error_names_a_cause_without_text(cause, message):
+    with pytest.raises(pipeline.StageError) as failure:
+        with pipeline._stage("prediction"):
+            raise cause
+    assert (str(failure.value), failure.value.exit_code) == (message, 4)
 
 
 def test_help_epilog_names_exactly_the_accepted_keys():

@@ -154,11 +154,11 @@ user_count = {users}
 speed_min = 0
 speed_max = 0.05
 pause_instants = 1
-background_weight = 0.1
 attractors =
     a 0.4 1 1 5 5
     b 0.4 6 6 9 9
     c 0.2 10.5 3 11.5 7
+    background 0.1 0 0 10 10
 
 [traffic]
 tiers =

@@ -61,6 +61,14 @@ def test_fraction_syntax(tmp_path):
     assert cfg.traffic.tiers[0][0] == pytest.approx(0.5)
 
 
+def test_blank_line_inside_a_table_is_skipped(tmp_path):
+    # configparser keeps a blank line inside an indented value; no row reads it
+    plain = load_config(write_cfg(tmp_path, MINIMAL.replace("1.0 5", "1/2 5\n    1/2 9")))
+    blank = load_config(write_cfg(tmp_path, MINIMAL.replace("1.0 5", "1/2 5\n\n    1/2 9")))
+    assert len(blank.traffic.tiers) == 2
+    assert config_digest(blank) == config_digest(plain)
+
+
 def test_missing_section_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"\[time\]"):
         load_config(write_cfg(tmp_path, MINIMAL.replace("[time]", "[tim]")))
@@ -110,7 +118,6 @@ SECOND_VALUES = {
     ("scenario", "speed_min"): "0.1",
     ("scenario", "speed_max"): "0.4",
     ("scenario", "pause_instants"): "1",
-    ("scenario", "background_weight"): "0.5",
     ("scenario", "attractors"): "a 1.0 1 1 8 8",
     ("traffic", "tiers"): "1.0 6",
     ("clustering", "k_inside"): "2",
@@ -183,7 +190,7 @@ def test_digest_stable_and_sensitive(tmp_path):
 
 def test_festival_digest_pinned():
     # the manifest's config_digest of the demo; a parser change must keep it
-    digest = "e5c69dacc5780459c138f399b85c30d09b21b630737f1e1a2a9254666ac322c0"
+    digest = "fe8843c70fe3556f8a24e30dc5b5620172e7ba9aea927bc06adf19f262a0e86d"
     assert config_digest(load_config(FESTIVAL_INI)) == digest
 
 
@@ -220,6 +227,8 @@ def test_festival_digest_pinned():
         ("window_size = 1", "window_size = 0", r"\[prediction\] window_size must be >= 1, got 0$"),
         ("tiers =\n    1.0 5", "tiers =", r"\[traffic\] tiers: at least one traffic tier is required"),
         ("1.0 5", "0 10", r"\[traffic\] tiers: tier fraction must lie in \(0, 1\], got 0.0"),
+        ("speed_max = 0.5", "speed_max = 0.5\npause_instants = 10000000000000000000",
+         r"\[scenario\] pause_instants must be below 2\*\*63, got 10000000000000000000$"),
     ],
     ids=[
         "tier_div_zero", "tier_field_count", "attractor_weight", "region_number",
@@ -227,7 +236,7 @@ def test_festival_digest_pinned():
         "no_attractors", "attractor_reversed", "region_reversed", "speed_min_above_max",
         "tier_rate_negative", "tier_fractions_sum", "step_seconds_zero", "scope_unknown",
         "precinct_empty", "region_overlaps_precinct", "precinct_min_shape", "window_size_zero",
-        "tiers_empty", "tier_fraction_zero",
+        "tiers_empty", "tier_fraction_zero", "pause_past_int64",
     ],
 )
 def test_malformed_value_names_key(tmp_path, old, new, message):
@@ -240,10 +249,9 @@ def test_malformed_value_names_key(tmp_path, old, new, message):
     [
         ("speed_min = 0\nspeed_max = 0.5", "speed_min = inf\nspeed_max = inf"),
         ("speed_max = 0.5", "speed_max = inf"),
-        ("speed_max = 0.5", "speed_max = 0.5\nbackground_weight = inf"),
         ("1.0 5", "1.0 nan"),
     ],
-    ids=["speeds_inf", "speed_max_inf", "background_inf", "rate_nan"],
+    ids=["speeds_inf", "speed_max_inf", "rate_nan"],
 )
 def test_non_finite_mobility_and_traffic_rejected(tmp_path, old, new):
     with pytest.raises(ConfigError, match="finite"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tce.core import Rect, TimeGrid, TraceSet, Venue, inside_mask, real_distance
+from tce.core import Rect, TimeGrid, TraceSet, Venue, real_distance
 
 
 class TestRealDistance:
@@ -27,31 +27,25 @@ class TestRealDistance:
 
 
 class TestClassifyPosition:
-    """Precinct membership, through ``inside_mask``."""
+    """Precinct membership, through ``venue.precinct.contains_many``."""
 
     def test_boundary_is_inside(self, festival_venue):
         corners = np.array([festival_venue.precinct_min, festival_venue.precinct_max])
-        assert inside_mask(corners, festival_venue).tolist() == [True, True]
+        assert festival_venue.precinct.contains_many(corners).tolist() == [True, True]
 
     def test_beyond_max_is_outside(self, festival_venue):
         p = festival_venue.precinct_max + np.array([1.0, 1.0])
-        assert inside_mask(p[None, :], festival_venue).tolist() == [False]
+        assert festival_venue.precinct.contains_many(p[None, :]).tolist() == [False]
 
     def test_point_in_outside_strip(self, festival_venue):
-        assert inside_mask(np.array([[55.0, 40.0]]), festival_venue).tolist() == [False]
-
-    def test_non_finite_rejected(self, festival_venue):
-        with pytest.raises(ValueError):
-            inside_mask(np.array([[np.nan, 1.0]]), festival_venue)
-        with pytest.raises(ValueError):
-            inside_mask(np.array([[1.0, 2.0], [np.inf, 1.0]]), festival_venue)
+        assert festival_venue.precinct.contains_many(np.array([[55.0, 40.0]])).tolist() == [False]
 
     def test_deterministic_and_total(self, festival_venue):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-20, 100, size=(500, 2))
-        mask = inside_mask(pts, festival_venue)
+        mask = festival_venue.precinct.contains_many(pts)
         assert mask.dtype == bool and mask.shape == (500,)
-        assert np.array_equal(mask, inside_mask(pts, festival_venue))
+        assert np.array_equal(mask, festival_venue.precinct.contains_many(pts))
         expected = [0 <= x <= 50 and 0 <= y <= 80 for x, y in pts.tolist()]
         assert mask.tolist() == expected
 
@@ -71,6 +65,11 @@ class TestVenue:
     def test_rejects_non_positive_scale(self):
         with pytest.raises(ValueError):
             Venue((0, 0), (1, 1), (), index_scale=0.0)
+
+    def test_rejects_outside_region_that_is_not_a_rect(self):
+        # a corner pair is not a region; only a Rect is
+        with pytest.raises(ValueError, match=r"outside_regions\[1\] must be a Rect"):
+            Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)), ((60, 15), (70, 65))))
 
     def test_precinct_built_once(self, festival_venue):
         # the generator asks for it once per waypoint
@@ -109,3 +108,13 @@ class TestTraceSet:
         pos[0, 1, 0] = np.nan
         with pytest.raises(ValueError):
             TraceSet(pos, np.zeros(1))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 3), (2, 3, 2, 1)])
+    def test_rejects_positions_not_users_by_instants_by_two(self, shape):
+        with pytest.raises(ValueError, match=r"positions must have shape \(users, instants, 2\)"):
+            TraceSet(np.zeros(shape), np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2)])
+    def test_rejects_positions_without_a_user_or_an_instant(self, shape):
+        with pytest.raises(ValueError, match="at least one user and one instant"):
+            TraceSet(np.zeros(shape), np.zeros(shape[0]))

@@ -96,6 +96,23 @@ class TestWaypointImport:
         with pytest.raises(DataError, match="non-decreasing"):
             csvio.load_waypoint_lines(tmp_path / "wp.txt", grid)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        grid = TimeGrid(10.0, 3)
+        (tmp_path / "wp.txt").write_text(f"0 1 1 10 2 2\n0 1 1 10 {value} 2\n")
+        with pytest.raises(DataError, match=r"wp.txt, line 2: non-finite waypoint value"):
+            csvio.load_waypoint_lines(tmp_path / "wp.txt", grid)
+
+    def test_load_trace_reads_waypoint_lines(self, tmp_path):
+        # a first line without a comma makes load_trace read waypoint lines
+        grid = TimeGrid(10.0, 5)
+        (tmp_path / "wp.txt").write_text("0 0 0 40 40 80\n0 10 10 20 10 10 40 30 10\n")
+        (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n1,2.5\n0,0\n")
+        loaded = csvio.load_trace(tmp_path / "wp.txt", tmp_path / "traffic.csv", grid)
+        expected = csvio.load_waypoint_lines(tmp_path / "wp.txt", grid)
+        assert loaded.positions.tobytes() == expected.tobytes()
+        assert loaded.mean_traffic.tolist() == [0.0, 2.5]
+
 
 class TestZoningRoundTrip:
     def test_write_load_identity(self, tmp_path):

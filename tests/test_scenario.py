@@ -9,7 +9,7 @@ import pytest
 
 from tce import csvio, scenario
 from tce.config import load_config
-from tce.core import Rect, TimeGrid, Venue, inside_mask
+from tce.core import Rect, TimeGrid, Venue
 from tce.scenario import (
     Attractor,
     MobilityParams,
@@ -38,6 +38,13 @@ def simple_mobility(**overrides):
     return MobilityParams(**params)
 
 
+def with_background(mobility, venue, weight):
+    """``mobility`` plus a uniform background share of weight ``weight``: an
+    attractor whose rectangle is the precinct, listed last."""
+    background = Attractor(venue.precinct, weight, "background")
+    return dataclasses.replace(mobility, attractors=(*mobility.attractors, background))
+
+
 THIRDS = TrafficTiers(((1 / 3, 0.0), (1 / 3, 5.0), (1 / 3, 10.0)))
 
 EAST, WEST = Rect((50, 15), (60, 65)), Rect((-10, 20), (0, 60))
@@ -54,9 +61,8 @@ def two_outside_scenario():
             Attractor(Rect((51, 30), (59, 50)), 0.3, "east"),
             Attractor(Rect((-9, 25), (-1, 55)), 0.3, "west"),
         ),
-        background_weight=0.2,
     )
-    return venue, TimeGrid(300.0, 40), mobility
+    return venue, TimeGrid(300.0, 40), with_background(mobility, venue, 0.2)
 
 
 def trace_digest(traces):
@@ -119,7 +125,7 @@ class TestGenerateScenario:
         grid = TimeGrid(300.0, 30)
         traces = generate_scenario(festival_venue, grid, 30, simple_mobility(), THIRDS, seed=5)
         pts = traces.all_points()
-        inside = inside_mask(pts, festival_venue)
+        inside = festival_venue.precinct.contains_many(pts)
         in_strip = festival_venue.outside_regions[0].contains_many(pts)
         assert np.all(inside | in_strip)
 
@@ -128,7 +134,7 @@ class TestGenerateScenario:
         traces = generate_scenario(venue, grid, 30, mobility, THIRDS, seed=8)
         pts = traces.all_points()
         in_east, in_west = EAST.contains_many(pts), WEST.contains_many(pts)
-        assert np.all(inside_mask(pts, venue) | in_east | in_west)
+        assert np.all(venue.precinct.contains_many(pts) | in_east | in_west)
         assert in_east.any() and in_west.any()
         steps = np.linalg.norm(np.diff(traces.positions, axis=1), axis=2)
         assert steps.max() <= mobility.speed_max * grid.step_seconds + 1e-9
@@ -153,7 +159,7 @@ class TestGenerateScenario:
         # speed_min > 0, no dwell at waypoints and index units of 0.37 m
         venue = Venue(festival_venue.precinct_min, festival_venue.precinct_max,
                       festival_venue.outside_regions, 0.37)
-        mobility = simple_mobility(speed_min=0.02, speed_max=0.09, background_weight=0.1)
+        mobility = with_background(simple_mobility(speed_min=0.02, speed_max=0.09), venue, 0.1)
         traces = generate_scenario(venue, TimeGrid(300.0, 30), 25, mobility, THIRDS, seed=11)
         assert trace_digest(traces) == (
             "8e65e1cf0bfa33c942edf312879edef11e3d249bbcbf1cbbdb35d500566ecd8a"
@@ -181,7 +187,7 @@ class TestGenerateScenario:
         gate_to_gate = (hosts[:, :-1] != hosts[:, 1:]) & (hosts[:, :-1] >= 0) & (hosts[:, 1:] >= 0)
         assert gate_to_gate.any()  # some routes run east <-> west through both gates
         pts = traces.all_points()
-        assert np.all(inside_mask(pts, venue) | EAST.contains_many(pts) | WEST.contains_many(pts))
+        assert np.all(venue.precinct.contains_many(pts) | EAST.contains_many(pts) | WEST.contains_many(pts))
         steps = np.linalg.norm(np.diff(traces.positions, axis=1), axis=2)
         assert steps.max() <= fast.speed_max * grid.step_seconds / venue.index_scale + 1e-9
 
@@ -205,7 +211,7 @@ class TestGenerateScenario:
         with pytest.raises(ValueError):
             generate_scenario(
                 festival_venue, grid, 3,
-                MobilityParams(0.0, 0.1, (), background_weight=1.0),
+                MobilityParams(0.0, 0.1, ()),
                 THIRDS, seed=0,
             )
 
@@ -226,8 +232,9 @@ class TestGenerateScenario:
     def test_rejects_region_wider_than_float64(self):
         # hi - lo overflows, so a uniform point in it would be inf or nan
         venue = Venue((-1e308, 0), (1e308, 80))
-        mobility = simple_mobility(attractors=(Attractor(Rect((2, 28), (14, 52)), 1.0),),
-                                   background_weight=0.5)
+        mobility = with_background(
+            simple_mobility(attractors=(Attractor(Rect((2, 28), (14, 52)), 1.0),)), venue, 0.5
+        )
         with pytest.raises(ValueError, match="the precinct .* not exact in float64"):
             generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
 
@@ -283,6 +290,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             Attractor(Rect((0, 0), (1, 1)), 0.0)
 
+    def test_pause_must_fit_int64(self, festival_venue):
+        # the walk counts a user's pause down in int64
+        with pytest.raises(ValueError, match=r"pause_instants must be below 2\*\*63, got 9223372036854775808"):
+            simple_mobility(pause_instants=2**63)
+        longest = simple_mobility(pause_instants=2**63 - 1)
+        traces = generate_scenario(festival_venue, TimeGrid(300.0, 6), 4, longest, THIRDS, seed=0)
+        # a user that reaches a waypoint dwells there for the rest of the grid
+        steps = np.abs(np.diff(traces.positions, axis=1)).sum(axis=2) > 0
+        moved_after_stop = steps[:, 1:] & ~steps[:, :-1]
+        assert not moved_after_stop.any()
+
 
 # The numpy call the generator's pick replaces, kept as the reference its
 # picks must equal.
@@ -300,15 +318,17 @@ def reference_cdf(probs):
 ORACLE_SEEDS, ORACLE_DRAWS = range(200), 50
 
 
-def festival_draw(weights, background_weight=0.0):
+def festival_draw(weights, background=0.0):
     cfg = load_config(FESTIVAL_INI)
     attractors = tuple(
         Attractor(a.region, w, a.label) for a, w in zip(cfg.mobility.attractors, weights)
     )
-    mobility = MobilityParams(0.0, 0.08, attractors, background_weight=background_weight)
+    mobility = MobilityParams(0.0, 0.08, attractors)
+    if background > 0:
+        mobility = with_background(mobility, cfg.venue, background)
     draw = _WaypointDraw(cfg.venue, mobility)
-    rects = [a.region for a in attractors] + [cfg.venue.precinct] * (background_weight > 0)
-    w = np.array(list(weights) + [background_weight] * (background_weight > 0))
+    rects = [a.region for a in mobility.attractors]
+    w = np.array([a.weight for a in mobility.attractors])
     return draw, rects, w / w.sum()  # probs exactly as choice(p=...) was given them
 
 
@@ -368,7 +388,7 @@ def reference_generate(venue, grid, user_count, mobility, traffic, seed):
     tier_seed, move_seed = np.random.SeedSequence(seed).spawn(2)
     rates = assign_tiers(user_count, traffic, np.random.default_rng(tier_seed))
     uniforms = np.random.default_rng(move_seed).random((user_count, grid.instant_count, 4))
-    rects = [a.region for a in mobility.attractors] + [venue.precinct] * (mobility.background_weight > 0)
+    rects = [a.region for a in mobility.attractors]
     ranges = [[lattice_range(r.lo[c], r.hi[c]) for c in range(2)] for r in rects]
     gates = {}
     for h, region in enumerate(venue.outside_regions):
@@ -426,8 +446,7 @@ def festival_case(pause_instants=None):
     cfg = load_config(FESTIVAL_INI)
     mobility = cfg.mobility
     if pause_instants is not None:
-        mobility = MobilityParams(mobility.speed_min, mobility.speed_max, mobility.attractors,
-                                  pause_instants, mobility.background_weight)
+        mobility = dataclasses.replace(mobility, pause_instants=pause_instants)
     return cfg.venue, cfg.grid, 200, mobility, cfg.traffic, 7
 
 
@@ -439,7 +458,7 @@ def two_outside_case():
 def scaled_speed_floor_case():
     festival = Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)),), 1.0)
     venue = Venue(festival.precinct_min, festival.precinct_max, festival.outside_regions, 0.37)
-    mobility = simple_mobility(speed_min=0.02, speed_max=0.09, background_weight=0.1)
+    mobility = with_background(simple_mobility(speed_min=0.02, speed_max=0.09), venue, 0.1)
     return venue, TimeGrid(300.0, 30), 60, mobility, THIRDS, 11
 
 
@@ -487,9 +506,8 @@ def off_lattice_scenario():
             Attractor(Rect((49.0001, 79.0003), (50.0004, 80.0007)), 0.2, "far_corner"),
             Attractor(Rect((-10.0003, 20.0002), (-9.9991, 60.0008)), 0.3, "west_edge"),
         ),
-        background_weight=0.1,
     )
-    return venue, TimeGrid(300.0, 40), mobility
+    return venue, TimeGrid(300.0, 40), with_background(mobility, venue, 0.1)
 
 
 class TestLattice:
@@ -519,7 +537,7 @@ class TestLattice:
         assert traces.positions[..., 0].size >= 2000
         pts = traces.all_points()
         in_west = OFF_LATTICE_WEST.contains_many(pts)
-        assert np.all(inside_mask(pts, venue) | in_west)
+        assert np.all(venue.precinct.contains_many(pts) | in_west)
         assert in_west.any() and (pts[:, 0] > 49.0001).any()
         steps = np.linalg.norm(np.diff(traces.positions, axis=1), axis=2)
         assert steps.max() <= mobility.speed_max * grid.step_seconds / venue.index_scale + 1e-9

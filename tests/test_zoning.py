@@ -9,7 +9,7 @@ import pytest
 from tce import _kernels as kern
 from tce import zoning as zoning_module
 from tce.config import load_config
-from tce.core import Venue, inside_mask
+from tce.core import Venue
 from tce.errors import InfeasibleError
 from tce.scenario import generate_scenario
 from tce.zoning import Zoning, _lloyd, cluster
@@ -63,6 +63,12 @@ class TestCluster:
         assert zoning.outside_centroids.shape == (0, 2)
         assert zoning.labels.max() < zoning.inside_count
 
+    @pytest.mark.parametrize("k_inside, k_outside", [(0, 1), (2, 0), (-1, -1)])
+    def test_rejects_fewer_than_one_zone(self, festival_venue, k_inside, k_outside):
+        traces = make_traces(np.random.default_rng(4).uniform(5, 45, size=(4, 5, 2)))
+        with pytest.raises(ValueError, match="k_inside and k_outside must be >= 1"):
+            cluster(traces, festival_venue, k_inside=k_inside, k_outside=k_outside, seed=0)
+
     def test_three_blobs_match_exhaustive_partition(self, festival_venue):
         # 12 points in 3 well-separated blobs; oracle enumerates all 3^12 labelings
         rng = np.random.default_rng(5)
@@ -84,9 +90,7 @@ class TestCluster:
         positions = np.concatenate([inside, outside]).reshape(8, 5, 2)
         traces = make_traces(positions)
         zoning = cluster(traces, festival_venue, k_inside=3, k_outside=2, seed=1)
-        from tce.core import inside_mask
-
-        mask = inside_mask(traces.all_points(), festival_venue)
+        mask = festival_venue.precinct.contains_many(traces.all_points())
         labels = zoning.labels.ravel()
         assert np.all(labels[mask] < zoning.inside_count)
         assert np.all(labels[~mask] >= zoning.inside_count)
@@ -331,7 +335,7 @@ class TestLloydOracle:
     def test_festival_traces(self, seed, k):
         traces, venue = festival_points(seed)
         points = traces.all_points()
-        mask = inside_mask(points, venue)
+        mask = venue.precinct.contains_many(points)
         assert_lloyd_matches_reference(points[mask], k, seed)
         assert_cluster_matches_reference(traces, venue, k, 2, seed)
 
@@ -386,7 +390,7 @@ class TestLloydOracle:
             rows[-1][0] = rows[-2][-1] if u else a
         positions = np.array(rows) + (rng.random((6, 8, 1)) < 0.2) * rng.uniform(-1, 1, size=(6, 8, 2))
         traces = make_traces(positions)
-        in_pts = traces.all_points()[inside_mask(traces.all_points(), festival_venue)]
+        in_pts = traces.all_points()[festival_venue.precinct.contains_many(traces.all_points())]
         assert np.any(np.all(in_pts[1:] == in_pts[:-1], axis=1))
         for k_inside in (4, 2):
             assert_cluster_matches_reference(traces, festival_venue, k_inside, 2, seed)
