@@ -2,8 +2,8 @@
 
 ``tce run`` executes the whole pipeline from a config file; ``generate``,
 ``cluster``, ``predict`` and ``report`` run single stages over the CSV
-interchange files. Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric or infeasibility error.
+interchange files. Exit codes: 0 success, 2 config error or an output that
+cannot be written, 3 data error, 4 numeric or infeasibility error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ config file sections (INI format):
 A missing or malformed config value, or an unknown key, exits 2 naming its
 [section] key (and the line, for outside_regions, attractors and tiers); an
 unknown section or an unreadable config file exits 2 and an unreadable input
-file exits 3, each naming the section or file.
+file exits 3, each naming the section or file; an output file that cannot be
+written exits 2 naming it.
 """
 
 
@@ -53,7 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="path to the INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config base seed")
+        seed_help = (
+            "accepted and unused: a report draws nothing at random" if name == "report"
+            else "override the config base seed"
+        )
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
         p.add_argument("--out", default=None, help="output directory (required)")
         return p
 

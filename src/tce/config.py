@@ -208,8 +208,10 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     return RunConfig(
         venue=_make(
             "[venue]", Venue,
-            _get(venue, "precinct_min", _numbers),
-            _get(venue, "precinct_max", _numbers),
+            _make(
+                "[venue] precinct_min, precinct_max:", Rect,
+                _get(venue, "precinct_min", _numbers), _get(venue, "precinct_max", _numbers),
+            ),
             tuple(regions),
             _get(venue, "index_scale", float, 1.0),
         ),

@@ -8,7 +8,6 @@ are marked read-only), so instances can be shared across workers freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,30 +56,22 @@ class Venue:
     ``index_scale`` is the length of one index unit in meters.
     """
 
-    precinct_min: np.ndarray
-    precinct_max: np.ndarray
+    precinct: Rect
     outside_regions: tuple[Rect, ...] = ()
     index_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "precinct_min", _vec2(self.precinct_min, "precinct_min"))
-        object.__setattr__(self, "precinct_max", _vec2(self.precinct_max, "precinct_max"))
         object.__setattr__(self, "outside_regions", tuple(self.outside_regions))
         object.__setattr__(self, "index_scale", float(self.index_scale))
-        if not np.all(self.precinct_min < self.precinct_max):
-            raise ValueError("precinct_min must be < precinct_max component-wise")
+        if not isinstance(self.precinct, Rect):
+            raise ValueError("precinct must be a Rect")
         if not (np.isfinite(self.index_scale) and self.index_scale > 0):
             raise ValueError(f"index_scale must be positive, got {self.index_scale}")
-        precinct = self.precinct
         for i, region in enumerate(self.outside_regions):
             if not isinstance(region, Rect):
                 raise ValueError(f"outside_regions[{i}] must be a Rect")
-            if region.overlaps_interior(precinct):
+            if region.overlaps_interior(self.precinct):
                 raise ValueError(f"outside_regions[{i}] overlaps the precinct")
-
-    @cached_property
-    def precinct(self) -> Rect:
-        return Rect(self.precinct_min, self.precinct_max)
 
 
 @dataclass(frozen=True)
@@ -126,8 +117,10 @@ class TraceSet:
             raise ValueError(
                 f"mean_traffic must have one entry per user, got {traffic.shape} for {pos.shape[0]} users"
             )
-        if not np.all(np.isfinite(traffic)) or np.any(traffic < 0):
-            raise ValueError("mean_traffic entries must be finite and >= 0")
+        with np.errstate(over="ignore"):  # an overflowing total is refused below
+            total = traffic.sum()
+        if not np.isfinite(total) or np.any(traffic < 0):
+            raise ValueError(f"mean_traffic entries must be >= 0 with a finite total, got total {total}")
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "mean_traffic", _frozen(traffic))
 

@@ -25,7 +25,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .core import TimeGrid, TraceSet
-from .errors import DataError, open_input
+from .errors import ConfigError, DataError, open_input
 from .zoning import Zoning
 
 TRACE_HEADER = ["user_id", "t", "x", "y"]
@@ -39,7 +39,7 @@ HISTOGRAM_HEADER = ["run_id", "bin_lo", "bin_hi", "count"]
 
 
 def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_input(path, ConfigError, mode="w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -73,7 +73,7 @@ def _write_table(path, header, *tables, first=0) -> None:
     columns = [_formatted(table.ravel(), end) for table, end in zip(tables, ends)]
     instants = np.array([f"{t}," for t in range(first, first + inner)], object)
     ids = max(1, _BLOCK_CELLS // (n * inner or 1))  # ids per block
-    with open(path, "w", newline="") as fh:
+    with open_input(path, ConfigError, mode="w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, outer, ids):
             hi = min(outer, lo + ids)
@@ -297,6 +297,10 @@ def load_traffic(path, user_count: int) -> np.ndarray:
     missing = np.flatnonzero(np.isnan(traffic))
     if missing.size:
         raise DataError(f"{path}: missing traffic for user {missing[0]}")
+    with np.errstate(over="ignore"):
+        total = traffic.sum()
+    if not np.isfinite(total):
+        raise DataError(f"{path}: the mean_traffic total overflows float64")
     return traffic
 
 

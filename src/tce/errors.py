@@ -29,13 +29,15 @@ class InfeasibleError(ToolError):
 
 @contextmanager
 def open_input(path, error: type[ToolError], **kwargs):
-    """``open(path, **kwargs)`` for reading; failing to open or decode the
-    file raises ``error`` naming it."""
+    """``open(path, **kwargs)``, for reading or, with a writing ``mode``, for
+    writing; failing to open, read, decode or write the file raises ``error``
+    naming it."""
+    verb = "read" if kwargs.get("mode", "r").startswith("r") else "write"
     try:
         with open(path, **kwargs) as fh:
             yield fh
-    except FileNotFoundError:
-        raise error(f"{path}: file not found") from None
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, FileNotFoundError) and verb == "read":
+            raise error(f"{path}: file not found") from None
         reason = getattr(exc, "strerror", None) or exc
-        raise error(f"{path}: cannot read ({reason})") from None
+        raise error(f"{path}: cannot {verb} ({reason})") from None

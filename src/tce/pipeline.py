@@ -27,7 +27,7 @@ from . import csvio, svgplot
 from .aggregation import aggregate_runs
 from .config import RunConfig, config_digest
 from .core import TraceSet
-from .errors import ConfigError, DataError, ToolError
+from .errors import ConfigError, DataError, ToolError, open_input
 from .markov import PredictionRun, build_general_matrix, predict_labels
 from .metrics import error_histogram, error_series, histogram_edges, position_extent
 from .scenario import generate_scenario
@@ -214,14 +214,13 @@ def load_runs(cfg: RunConfig, zoning: Zoning, paths) -> list[PredictionRun]:
     return runs
 
 
-def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
+def run(cfg: RunConfig, out_dir, base_seed: int) -> dict:
     """Execute the full pipeline into ``out_dir`` and return the manifest.
 
     Generation and clustering use the base seed; prediction run r uses
     base_seed + r. Outputs are byte-stable for a fixed config and seed
     (the manifest carries the only timestamp).
     """
-    base_seed = cfg.base_seed if base_seed is None else int(base_seed)
     started = time.perf_counter()
     with atomic_dir(out_dir) as tmp:
         traces = input_stage(cfg, base_seed, tmp)
@@ -245,7 +244,8 @@ def run(cfg: RunConfig, out_dir, base_seed: int | None = None) -> dict:
         }
         files = sorted(p for p in tmp.rglob("*") if p.is_file())
         manifest["files"] = {str(p.relative_to(tmp)): _sha256(p) for p in files}
-        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        with open_input(tmp / "manifest.json", ConfigError, mode="w", newline="") as fh:
+            fh.write(json.dumps(manifest, indent=2) + "\n")
     return manifest
 
 

@@ -130,8 +130,8 @@ def assign_tiers(user_count: int, tiers: TrafficTiers, rng: np.random.Generator)
 def _shared_boundary(venue: Venue, region_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Corners of the boundary shared by the precinct and an outside region."""
     region = venue.outside_regions[region_index]
-    lo = np.maximum(venue.precinct_min, region.lo)
-    hi = np.minimum(venue.precinct_max, region.hi)
+    lo = np.maximum(venue.precinct.lo, region.lo)
+    hi = np.minimum(venue.precinct.hi, region.hi)
     if np.any(lo > hi):
         raise ValueError(
             f"outside region {region_index} does not touch the precinct; "

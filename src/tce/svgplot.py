@@ -8,7 +8,11 @@ A legend lists only the entries that fit above the bottom margin."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+from .errors import ConfigError, open_input
 
 PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f"]
 
@@ -24,14 +28,25 @@ class _Canvas:
     """A chart's SVG file, used as ``with _Canvas(path, ...) as canvas``.
 
     Each element is written to the open file, one per line, as it is drawn;
-    a clean exit closes the ``<svg>`` element."""
+    a clean exit closes the ``<svg>`` element. A failed write raises
+    ConfigError naming the file."""
 
     def __init__(self, path, title, x_label, y_label, x_range, y_range):
         (x0, x1), (y0, y1) = x_range, y_range
         self.x0, self.xs = x0, (_W - _ML - _MR) / ((x1 - x0) or 1.0)
         self.y0, self.ys = y0, (_H - _MT - _MB) / ((y1 - y0) or 1.0)
-        self._fh = open(path, "w")
-        try:
+        self._file = self._write(path, title, x_label, y_label, x_range, y_range)
+
+    def __enter__(self):
+        return self._file.__enter__()
+
+    def __exit__(self, exc_type, exc, tb):
+        return self._file.__exit__(exc_type, exc, tb)
+
+    @contextmanager
+    def _write(self, path, title, x_label, y_label, x_range, y_range):
+        (x0, x1), (y0, y1) = x_range, y_range
+        with open_input(path, ConfigError, mode="w", newline="") as self._fh:
             self._put(
                 f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
                 f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">'
@@ -60,17 +75,8 @@ class _Canvas:
                 f'<text x="16" y="{_H / 2}" text-anchor="middle" '
                 f'transform="rotate(-90 16 {_H / 2})">{_esc(y_label)}</text>'
             )
-        except BaseException:
-            self._fh.close()
-            raise
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        with self._fh:
-            if exc_type is None:
-                self._put("</svg>")
+            yield self
+            self._put("</svg>")
 
     def _put(self, element):
         self._fh.write(element + "\n")

@@ -9,6 +9,10 @@ from tce.core import Rect, TimeGrid, TraceSet, Venue
 ROOT = Path(__file__).resolve().parents[1]
 FESTIVAL_INI = ROOT / "configs" / "festival.ini"  # the demo scenario
 
+# a device every write to fails with ENOSPC; tests writing to it skip without one
+DEV_FULL = Path("/dev/full")
+needs_dev_full = pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+
 # One user's zones over 9 instants. The window of the first forecast (instant 8)
 # holds the transitions 0->0, 0->1, 0->2, 0->2 out of zone 0, i.e. counts
 # [1, 1, 2], and ends in zone 0, so that forecast samples [0.25, 0.25, 0.5].
@@ -26,7 +30,7 @@ CELLS = [
 @pytest.fixture
 def festival_venue():
     """50x80 precinct with a 10x50 strip outside the right edge."""
-    return Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)),), 1.0)
+    return Venue(Rect((0, 0), (50, 80)), (Rect((50, 15), (60, 65)),), 1.0)
 
 
 @pytest.fixture
@@ -76,7 +80,7 @@ def nearest_zone_loop(zoning, venue, p):
     region class (the precinct, boundary included, or outside it), ties
     going to the lowest zone id."""
     x, y = float(p[0]), float(p[1])
-    (x0, y0), (x1, y1) = venue.precinct_min.tolist(), venue.precinct_max.tolist()
+    (x0, y0), (x1, y1) = venue.precinct.lo.tolist(), venue.precinct.hi.tolist()
     inside = x0 <= x <= x1 and y0 <= y <= y1
     ids = range(zoning.inside_count) if inside else range(zoning.inside_count, zoning.zone_count)
     centroids = zoning.all_centroids().tolist()

@@ -11,7 +11,7 @@ import pytest
 
 import tce
 from tce.config import load_config
-from tce.core import TimeGrid, TraceSet, Venue
+from tce.core import Rect, TimeGrid, TraceSet, Venue
 from tce.markov import (
     GENERAL,
     PER_USER,
@@ -49,7 +49,7 @@ def _reproduction_run(tmp_path, user_count):
     cfg = dataclasses.replace(load_config(FESTIVAL_INI), user_count=user_count)
     durations = []
     t0 = time.perf_counter()
-    manifest = pipeline_run(cfg, tmp_path / "out")
+    manifest = pipeline_run(cfg, tmp_path / "out", cfg.base_seed)
     total = time.perf_counter() - t0
     mean_error = manifest["summary"]["mean_error"]
 
@@ -103,7 +103,7 @@ def test_criterion_2_worked_examples():
     series = tce.aggregate(traces, np.zeros((2, 2), np.int64), np.zeros((2, 2), np.int64), 1)
     traffic_sum = series.users_real[0, 0] == 2 and series.traffic_real[0, 0] == 3.0
 
-    venue = Venue((0, 0), (10, 10), (), index_scale=2.0)
+    venue = Venue(Rect((0, 0), (10, 10)), (), index_scale=2.0)
     coordinates = tce.real_distance(1.0, venue) == 2.0
 
     ok = normalization and sampling and traffic_sum and coordinates
@@ -195,7 +195,7 @@ def _tiny_mobility(rng):
 
 def test_criterion_3e_kinematic_bound():
     rng = np.random.default_rng(104)
-    venue = Venue((0, 0), (10, 10), ())
+    venue = Venue(Rect((0, 0), (10, 10)), ())
     tiers = TrafficTiers(((1.0, 1.0),))
     for case in range(CASES):
         grid = TimeGrid(float(rng.uniform(10, 400)), int(rng.integers(2, 6)))
@@ -209,7 +209,7 @@ def test_criterion_3e_kinematic_bound():
 
 def test_criterion_3f_determinism():
     rng = np.random.default_rng(105)
-    venue = Venue((0, 0), (10, 10), ())
+    venue = Venue(Rect((0, 0), (10, 10)), ())
     tiers = TrafficTiers(((0.5, 1.0), (0.5, 3.0)))
     for case in range(CASES):
         grid = TimeGrid(60.0, int(rng.integers(3, 6)))
@@ -287,7 +287,7 @@ def test_criterion_5_brute_force_oracles(festival_venue):
 
 def test_criterion_6_learning_prediction_boundary():
     rng = np.random.default_rng(108)
-    venue = Venue((0, 0), (10, 10), ())
+    venue = Venue(Rect((0, 0), (10, 10)), ())
     tiers = TrafficTiers(((1.0, 1.0),))
     mobility = _tiny_mobility(rng)
     grid = TimeGrid(120.0, 40)

@@ -17,7 +17,7 @@ from tce import csvio, pipeline
 from tce.cli import _EPILOG, main
 from tce.config import SECTIONS
 
-from conftest import FESTIVAL_INI
+from conftest import DEV_FULL, FESTIVAL_INI, needs_dev_full
 
 CONFIG = """\
 [venue]
@@ -356,6 +356,16 @@ class TestRun:
         assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: [scenario] pause_instants must be below 2**63, got 10000000000000000000\n"
+        )
+        assert not out.exists()
+
+    def test_traffic_total_past_float64_exit_code(self, tmp_path, capsys):
+        # every tier rate is finite, the 200 users' total traffic is not
+        text = re.sub(r"tiers =\n(    .*\n)+", "tiers =\n    1 1e308\n", FESTIVAL_INI.read_text())
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: [input] mean_traffic entries must be >= 0 with a finite total, got total inf\n"
         )
         assert not out.exists()
 
@@ -814,6 +824,64 @@ class TestOutputDirectory:
         (left,) = hidden_siblings(out)
         assert (tmp_path / left / "predictions_run0.csv").exists()
 
+    @needs_dev_full
+    def test_manifest_write_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # manifest.json is made a link to a full device once the files are hashed
+        out = tmp_path / "out"
+        real = pipeline._sha256
+
+        def hash_then_link(path):
+            (tmp,) = out.parent.glob(f".{out.name}.*")
+            if not (tmp / "manifest.json").is_symlink():
+                (tmp / "manifest.json").symlink_to(DEV_FULL)
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_sha256", hash_then_link)
+        assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 2
+        assert re.fullmatch(r"error: \S+manifest\.json: cannot write \(.+\)\n", capsys.readouterr().err)
+        assert not out.exists()
+        assert hidden_siblings(out) == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no RLIMIT_FSIZE")  # POSIX only
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])
+    @pytest.mark.parametrize(
+        "command, stage, name", [("run", "input", "trace.csv"), ("report", "error", "errors_run0.csv")]
+    )
+    def test_file_size_limit_exit_code(self, tmp_path, command, stage, name, existing):
+        # under a file size limit one byte below the size of ``name``, the
+        # files written before it fit and writing it fails; with 40 users the
+        # errors files outgrow the zone series the report writes first
+        import resource
+
+        cfg = write_cfg(tmp_path, CONFIG.replace("user_count = 6", "user_count = 40"))
+        full = tmp_path / "full"
+        assert main(["run", "--config", str(cfg), "--out", str(full)]) == 0
+        limit = (full / name).stat().st_size - 1
+        assert (full / "zone_series_run1.csv").stat().st_size <= limit
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        pythonpath = [str(Path(tce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        out = tmp_path / "out"
+        if existing:
+            out.mkdir()
+        argv = command_argv(command, cfg, full, out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tce.cli", *argv], env=env, capture_output=True, text=True,
+            preexec_fn=limit_file_size, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        message = rf"error: \[{stage}\] \S+{re.escape(os.sep + name)}: cannot write \(.+\)\n"
+        assert re.fullmatch(message, proc.stderr)
+        if existing:
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
+        assert hidden_siblings(out) == []
+
     def test_non_finite_centroid_exit_code(self, tmp_path, full, capsys):
         zones = (full / "zones.csv").read_text().splitlines()
         zone_id, region, _, cy = zones[1].split(",")
@@ -917,3 +985,9 @@ def test_help_epilog_names_exactly_the_accepted_keys():
         text = re.sub(r"=[^,(]*", "", re.sub(r"\([^)]*\)", "", " ".join(text.split())))
         named[section] = [key.strip() for key in text.split(",")]
     assert named == {section: list(keys) for section, keys in SECTIONS.items()}
+
+
+def test_report_help_says_seed_is_unused(capsys):
+    with pytest.raises(SystemExit):
+        main(["report", "--help"])
+    assert re.search(r"--seed SEED\s+accepted and unused", capsys.readouterr().out)

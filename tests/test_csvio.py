@@ -6,12 +6,12 @@ import pytest
 from tce import csvio
 from tce.aggregation import ZoneSeries
 from tce.core import TimeGrid, TraceSet
-from tce.errors import DataError, open_input
+from tce.errors import ConfigError, DataError, open_input
 from tce.metrics import ErrorSeries
 from tce.scenario import generate_scenario
 from tce.zoning import Zoning
 
-from conftest import CELLS
+from conftest import CELLS, DEV_FULL, needs_dev_full
 from test_scenario import THIRDS, simple_mobility
 
 
@@ -49,6 +49,14 @@ class TestTraceRoundTrip:
         with open(tmp_path / "trace.csv", "a") as fh:
             fh.write("0,0,1.0,1.0\n")
         with pytest.raises(DataError, match="duplicate"):
+            csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
+
+    def test_traffic_total_past_float64_rejected(self, tmp_path, traces, grid_small):
+        # every rate is finite, the total the zone series sum up to is not
+        csvio.write_trace(tmp_path / "trace.csv", traces)
+        rows = "".join(f"{u},1e308\n" for u in range(4))
+        (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n" + rows)
+        with pytest.raises(DataError, match=r"traffic\.csv: the mean_traffic total overflows float64"):
             csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
     def test_bad_header_rejected(self, tmp_path, grid_small):
@@ -112,6 +120,24 @@ class TestWaypointImport:
         expected = csvio.load_waypoint_lines(tmp_path / "wp.txt", grid)
         assert loaded.positions.tobytes() == expected.tobytes()
         assert loaded.mean_traffic.tolist() == [0.0, 2.5]
+
+
+class TestWriteFailure:
+    """A write that fails, here on a device that is always full, raises
+    ConfigError naming the file instead of a bare OSError."""
+
+    @needs_dev_full
+    @pytest.mark.parametrize(
+        "writer", [csvio.write_traffic, csvio.write_trace], ids=["csv_writer", "write_table"]
+    )
+    def test_full_device_names_the_file(self, traces, writer):
+        with pytest.raises(ConfigError, match=f"^{DEV_FULL}: cannot write "):
+            writer(DEV_FULL, traces)
+
+    def test_missing_directory_is_a_write_failure(self, tmp_path, traces):
+        path = tmp_path / "gone" / "traffic.csv"
+        with pytest.raises(ConfigError, match=r"traffic\.csv: cannot write \("):
+            csvio.write_traffic(path, traces)
 
 
 class TestZoningRoundTrip:

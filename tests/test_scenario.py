@@ -53,7 +53,7 @@ EAST, WEST = Rect((50, 15), (60, 65)), Rect((-10, 20), (0, 60))
 def two_outside_scenario():
     """East and west strips on either side of the precinct, one attractor in
     each, plus a background share: users route outside -> outside."""
-    venue = Venue((0, 0), (50, 80), (EAST, WEST), 1.0)
+    venue = Venue(Rect((0, 0), (50, 80)), (EAST, WEST), 1.0)
     mobility = simple_mobility(
         speed_max=0.1,
         attractors=(
@@ -157,8 +157,7 @@ class TestGenerateScenario:
 
     def test_seed_pins_scaled_speed_floor_bytes(self, festival_venue):
         # speed_min > 0, no dwell at waypoints and index units of 0.37 m
-        venue = Venue(festival_venue.precinct_min, festival_venue.precinct_max,
-                      festival_venue.outside_regions, 0.37)
+        venue = Venue(festival_venue.precinct, festival_venue.outside_regions, 0.37)
         mobility = with_background(simple_mobility(speed_min=0.02, speed_max=0.09), venue, 0.1)
         traces = generate_scenario(venue, TimeGrid(300.0, 30), 25, mobility, THIRDS, seed=11)
         assert trace_digest(traces) == (
@@ -231,7 +230,7 @@ class TestGenerateScenario:
 
     def test_rejects_region_wider_than_float64(self):
         # hi - lo overflows, so a uniform point in it would be inf or nan
-        venue = Venue((-1e308, 0), (1e308, 80))
+        venue = Venue(Rect((-1e308, 0), (1e308, 80)))
         mobility = with_background(
             simple_mobility(attractors=(Attractor(Rect((2, 28), (14, 52)), 1.0),)), venue, 0.5
         )
@@ -248,7 +247,7 @@ class TestGenerateScenario:
 
     def test_rejects_detached_outside_attractor(self):
         # outside region not touching the precinct cannot host waypoints
-        venue = Venue((0, 0), (50, 80), (Rect((60, 15), (70, 65)),))
+        venue = Venue(Rect((0, 0), (50, 80)), (Rect((60, 15), (70, 65)),))
         grid = TimeGrid(300.0, 4)
         mobility = simple_mobility(
             attractors=(
@@ -262,7 +261,7 @@ class TestGenerateScenario:
 
 def assert_far_corners_refused(far_x):
     # past 2**52 lattice steps a count difference is not exact in float64
-    venue = Venue((-far_x, -8e307), (far_x, 8e307))
+    venue = Venue(Rect((-far_x, -8e307), (far_x, 8e307)))
     mobility = simple_mobility(speed_min=0.05, speed_max=0.08, attractors=(
         Attractor(Rect((-far_x, -8e307), (-7e307, -7e307)), 1.0, "south_west"),
         Attractor(Rect((7e307, 7e307), (far_x, 8e307)), 1.0, "north_east"),
@@ -392,8 +391,8 @@ def reference_generate(venue, grid, user_count, mobility, traffic, seed):
     ranges = [[lattice_range(r.lo[c], r.hi[c]) for c in range(2)] for r in rects]
     gates = {}
     for h, region in enumerate(venue.outside_regions):
-        lo = np.maximum(venue.precinct_min, region.lo)
-        hi = np.minimum(venue.precinct_max, region.hi)
+        lo = np.maximum(venue.precinct.lo, region.lo)
+        hi = np.minimum(venue.precinct.hi, region.hi)
         if np.all(lo <= hi):
             gates[h] = [sum(lattice_range(lo[c], hi[c])) // 2 for c in range(2)]
 
@@ -456,14 +455,14 @@ def two_outside_case():
 
 
 def scaled_speed_floor_case():
-    festival = Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)),), 1.0)
-    venue = Venue(festival.precinct_min, festival.precinct_max, festival.outside_regions, 0.37)
+    festival = Venue(Rect((0, 0), (50, 80)), (Rect((50, 15), (60, 65)),), 1.0)
+    venue = Venue(festival.precinct, festival.outside_regions, 0.37)
     mobility = with_background(simple_mobility(speed_min=0.02, speed_max=0.09), venue, 0.1)
     return venue, TimeGrid(300.0, 30), 60, mobility, THIRDS, 11
 
 
 def zero_speed_case():
-    venue = Venue((0, 0), (50, 80), (Rect((50, 15), (60, 65)),), 1.0)
+    venue = Venue(Rect((0, 0), (50, 80)), (Rect((50, 15), (60, 65)),), 1.0)
     return venue, TimeGrid(300.0, 12), 600, simple_mobility(speed_max=0.0), THIRDS, 3
 
 
@@ -497,7 +496,7 @@ def off_lattice_scenario():
     that all fall between lattice points; only the shared boundary x = 0 is
     on the lattice. Every user walks at speed_max, so each partial step
     spends the whole budget and the speed bound is tight."""
-    venue = Venue((0, 0), (50.0004, 80.0007), (OFF_LATTICE_WEST,), 1.0)
+    venue = Venue(Rect((0, 0), (50.0004, 80.0007)), (OFF_LATTICE_WEST,), 1.0)
     mobility = simple_mobility(
         speed_min=0.1,
         speed_max=0.1,
@@ -552,7 +551,7 @@ class TestLattice:
             generate_scenario(festival_venue, TimeGrid(300.0, 4), 3, sliver, THIRDS, seed=0)
 
     def test_rejects_shared_boundary_without_a_lattice_point(self):
-        venue = Venue((0, 0), (50.0005, 80), (Rect((50.0005, 15), (60, 65)),))
+        venue = Venue(Rect((0, 0), (50.0005, 80)), (Rect((50.0005, 15), (60, 65)),))
         mobility = simple_mobility(attractors=(
             Attractor(Rect((2, 28), (14, 52)), 0.5, "stage"),
             Attractor(Rect((51, 30), (59, 50)), 0.5, "exit"),
@@ -562,7 +561,7 @@ class TestLattice:
             generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
 
     def test_rejects_precinct_edge_past_the_exact_count_range(self):
-        venue = Venue((0, 0), (5e12, 80))
+        venue = Venue(Rect((0, 0), (5e12, 80)))
         mobility = simple_mobility(attractors=(Attractor(Rect((2, 28), (14, 52)), 1.0, "stage"),))
         with pytest.raises(ValueError, match=r"the precinct \[0\.0, 0\.0\]\.\.\[5000000000000\.0, 80\.0\] "
                                              r"reaches 4\.5036e\+12 index units"):

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from tce import svgplot
+from tce.errors import ConfigError
+
+from conftest import DEV_FULL, needs_dev_full
 
 
 def chart_sha256(path, *args, **kwargs):
@@ -206,3 +209,13 @@ def test_line_chart_matches_per_polyline_reference(tmp_path, kind, count, step):
         svgplot.line_chart(tmp_path / "chart.svg", *args, step=step)
         reference_line_chart(tmp_path / "reference.svg", *args, step=step)
         assert (tmp_path / "chart.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
+
+
+@needs_dev_full
+@pytest.mark.parametrize("points", [2, 5000], ids=["fails_on_close", "fails_mid_chart"])
+def test_chart_on_a_full_device_names_the_file(points):
+    # a short chart fails when its buffered text is flushed at close, a long
+    # one at a write inside the drawing
+    xs = np.arange(points)
+    with pytest.raises(ConfigError, match=f"^{DEV_FULL}: cannot write "):
+        svgplot.line_chart(DEV_FULL, xs, [("zone 0", xs * 0.5, "")], "t", "x", "y", vline_at=1)

@@ -9,7 +9,7 @@ import pytest
 from tce import _kernels as kern
 from tce import zoning as zoning_module
 from tce.config import load_config
-from tce.core import Venue
+from tce.core import Rect, Venue
 from tce.errors import InfeasibleError
 from tce.scenario import generate_scenario
 from tce.zoning import Zoning, _lloyd, cluster
@@ -216,7 +216,7 @@ class TestLloyd:
             [7.08, -42.08], [-0.0, 0.01], [106.91, -36.23], [0.01, -0.01], [0.01, -0.01],
             [2.68, -24.13], [-19.13, 19.96],
         ]
-        venue = Venue((-200, -200), (200, 200), (), 1.0)
+        venue = Venue(Rect((-200, -200), (200, 200)), (), 1.0)
         spy = mock.patch.object(zoning_module, "_repair_empty", wraps=zoning_module._repair_empty)
         with spy as repair:
             zoning = cluster(make_traces(np.reshape(points, (28, 1, 2))), venue, 6, 1, seed=17666)
@@ -406,7 +406,7 @@ class TestLloydOracle:
             [2.68, -24.13], [-19.13, 19.96],
         ])
         assert_lloyd_matches_reference(points, 6, 17666)
-        venue = Venue((-200, -200), (200, 200), (), 1.0)
+        venue = Venue(Rect((-200, -200), (200, 200)), (), 1.0)
         assert_cluster_matches_reference(make_traces(points.reshape(28, 1, 2)), venue, 6, 1, 17666)
 
     @pytest.mark.parametrize(
