@@ -9,21 +9,15 @@ smaller distance (ties go to the lowest index), and the running best is kept
 with ``np.minimum``, which for finite inputs holds the same bits (every
 distance is at least +0, and on a tie both sides are equal);
 ``accumulate_points`` sums with ``np.bincount(labels, weights=...)``, which
-adds the points in ascending index order, and ``predict_series`` adds each
-row's probabilities in zone order, one in-place row add at a time, which is
-the sequential order of ``np.cumsum``. ``predict_series`` forecasts every
+adds the points in ascending index order. ``predict_series`` forecasts every
 run of one label table in one pass over one sliding count table, one
 instant at a time; its pair keys, draws and predictions are instant-major
-tables, so every step reads and writes contiguous rows. A count table with
-fewer columns than the chain has rows is scored once per column, and each
-row looks its column's cumulative probabilities up. Both ways of scoring do
-the same divisions and adds per column, so they give the same bits. The
-table holds its counts in the narrowest unsigned type that holds a full
-column, w-1 pairs per user or users*(w-1) in general; each step casts the
-counts it scores to float64 once and divides float64 by float64, the
-operation numpy's integer true division performs, so the bits are those of
-an int64 table. ``tests/test_kernels.py`` checks each kernel against a
-plain-Python loop, and the stacked runs against one loop per run.
+tables, so every step reads and writes contiguous rows. It draws each zone
+from the integer window counts, in the narrowest unsigned type that holds a
+full column (w-1 pairs per user, or users*(w-1) in general), so the only
+rounding is one product per draw. ``tests/test_kernels.py`` checks each
+kernel against a plain-Python loop, and the stacked runs against one loop
+per run.
 """
 
 from __future__ import annotations
@@ -112,38 +106,28 @@ def count_transitions(labels, k):
 # after the predictions are allocated: allocating the keys first left a
 # heap hole that raised the benchmark's peak RSS by 2.8 MB.
 #
-# Scoring works on (k, columns) float64 arrays whose probabilities are summed by k-1
-# in-place row adds, the sequential order of np.cumsum. A narrow table, with
-# fewer columns than the chain has rows (the general table, or per_user with
-# more runs than zones), is scored whole, once per column, and each row
-# takes its column's cumulative sums; a wider one has the rows' columns
-# gathered first. Either way each column sees the same division and adds,
-# so the bits do not depend on the route.
-#
 # A window holds w-1 pairs per user, so no cell and no column total passes
 # (1 if per_user else U) * (w-1), and the table holds its counts in the
 # narrowest unsigned type that does: uint8 per user for w <= 256, which at
 # event scale makes the gather read one byte per count instead of eight.
 # The first window is counted straight into it, so no int64 table (3.9 MB
-# at event scale) is ever made. Increments are scalars of the table's type: with a Python int, np.add.at
-# on a uint8 table took 1.3 ms a call at event scale, against 34 us. The
-# pair that enters is added before the one that leaves is dropped, so a
-# full cell may wrap for a moment; unsigned arithmetic is modular, and the
-# drop brings it back before the next score. Each step copies the scored
-# counts into cum (an exact cast) and sums the column totals
-# there, exactly, as every count is an integer far below 2**53; it then
-# divides by the totals, 0 read as 1. numpy's int/int true division casts
-# both sides to float64 and divides, so the bits are the same as an int64
-# table's. Summing in the table's type, or casting the totals inside
-# np.maximum, left numpy's 64 KB cast buffers on the heap and raised the
-# benchmark's peak RSS by 0.1-0.25 MB.
+# at event scale) is ever made. Increments are scalars of the table's type:
+# with a Python int, np.add.at on a uint8 table took 1.3 ms a call at event
+# scale, against 34 us. The pair that enters is added before the one that
+# leaves is dropped, so a full cell may wrap for a moment; unsigned
+# arithmetic is modular, and the drop brings it back before the next score.
+#
+# Each step gathers the rows' columns, sums them in place into cumulative
+# counts C (k-1 row adds, exact in the table's type) and draws zone j where
+# C[j-1] <= floor(u*total) < C[j], total = C[k-1]. Only the product rounds:
+# for u <= 1 - 2**-53 and total < 2**53, fl(u*total) < total, so a draw
+# never passes the last zone with a count.
 
 
 def predict_series(labels, k, w, per_user, draws):
     U, T = labels.shape
     runs = draws.shape[1] // U
     width = (U if per_user else 1) * k
-    narrow = width < runs * U
     user_row = (np.arange(U) if per_user else np.zeros(U, np.int64)) * k
     first_row = np.tile(user_row, runs)
     pred = np.empty((T, runs * U), np.int64)
@@ -156,25 +140,14 @@ def predict_series(labels, k, w, per_user, draws):
     one = dtype.type(1)
     table = np.zeros((k, width), dtype)
     np.add.at(table.reshape(-1), pairs[: w - 1].ravel(), one)
-    cum = np.empty((k, width if narrow else runs * U))
     for t in range(w, T):
         state = pred[t - 1]
-        cols = first_row + state
-        rows = table if narrow else np.take(table, cols, axis=1)
-        np.copyto(cum, rows)
-        total = cum.sum(axis=0)
-        np.divide(cum, np.maximum(total, 1), out=cum)
+        cum = np.take(table, first_row + state, axis=1)
         for r in range(1, k):
             np.add(cum[r - 1], cum[r], out=cum[r])
-        if narrow:
-            j = (np.take(cum, cols, axis=1) <= draws[t - w]).sum(axis=0)
-            total = total[cols]
-        else:
-            j = (cum <= draws[t - w]).sum(axis=0)
-        # cum is nondecreasing, so j passes the last positive-probability zone
-        # only by reaching k; there the residual float mass lands in that zone
-        over = np.flatnonzero((j == k) & (total > 0))
-        j[over] = (k - 1) - np.argmax(table[::-1, cols[over]] > 0, axis=0)
+        total = cum[k - 1]
+        target = (draws[t - w] * total).astype(dtype)
+        j = (cum <= target).sum(axis=0)
         pred[t] = np.where(total == 0, state, j)
         np.add.at(table.reshape(-1), pairs[t - 1], one)
         np.subtract.at(table.reshape(-1), pairs[t - w], one)

@@ -63,7 +63,9 @@ def atomic_dir(target):
     """Yield a new hidden sibling of ``target`` to write into, and rename it
     onto ``target`` when the body succeeds; on any failure remove it and leave
     ``target`` untouched. ``target`` must be absent or an empty directory, which
-    the rename replaces (a symlink is resolved first; a mount point cannot be)."""
+    the rename replaces (a symlink is resolved first; a mount point cannot be).
+    A ``ToolError`` raised in the body names ``target``'s files, not the
+    sibling's, since the sibling is gone when the message is read."""
     target = Path(os.path.realpath(target))
     if target.exists() and (not target.is_dir() or any(target.iterdir())):
         raise ConfigError(f"output directory {target} is not an empty directory")
@@ -79,8 +81,10 @@ def atomic_dir(target):
             os.replace(tmp, target)
         except OSError as exc:
             raise ConfigError(f"cannot move the output onto {target}: {exc.strerror}") from None
-    except BaseException:
+    except BaseException as exc:
         shutil.rmtree(tmp, ignore_errors=True)
+        if isinstance(exc, ToolError):
+            exc.args = (str(exc).replace(str(tmp), str(target)),)
         raise
 
 

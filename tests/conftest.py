@@ -51,19 +51,16 @@ def random_labels(rng, users, instants, zones):
 
 def interval_lookup(counts_row, state, u):
     """Zone drawn by ``u`` from one row of transition counts, as a plain loop:
-    the first interval of the cumulative probabilities whose right end lies
-    above ``u``, never past the last zone with a positive count; a row with no
-    count stays in ``state``."""
+    the first zone whose cumulative count lies above ``u * total``; a row with
+    no count stays in ``state``."""
     total = sum(int(c) for c in counts_row)
     if total == 0:
         return state
-    last_pos = max(j for j, c in enumerate(counts_row) if c > 0)
-    acc = 0.0
+    acc = 0
     for j, c in enumerate(counts_row):
-        acc += int(c) / total
-        if u < acc:
-            return min(j, last_pos)
-    return last_pos
+        acc += int(c)
+        if u * total < acc:
+            return j
 
 
 def first_forecasts(row, k, w, us):

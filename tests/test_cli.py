@@ -838,7 +838,11 @@ class TestOutputDirectory:
 
         monkeypatch.setattr(pipeline, "_sha256", hash_then_link)
         assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 2
-        assert re.fullmatch(r"error: \S+manifest\.json: cannot write \(.+\)\n", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        # the message names --out's own file, not the removed hidden sibling
+        manifest = re.escape(os.path.join(os.path.realpath(out), "manifest.json"))
+        assert re.fullmatch(rf"error: {manifest}: cannot write \(.+\)\n", err)
+        assert f".{out.name}." not in err
         assert not out.exists()
         assert hidden_siblings(out) == []
 
@@ -874,8 +878,9 @@ class TestOutputDirectory:
             preexec_fn=limit_file_size, timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
-        message = rf"error: \[{stage}\] \S+{re.escape(os.sep + name)}: cannot write \(.+\)\n"
-        assert re.fullmatch(message, proc.stderr)
+        path = re.escape(os.path.join(os.path.realpath(out), name))
+        assert re.fullmatch(rf"error: \[{stage}\] {path}: cannot write \(.+\)\n", proc.stderr)
+        assert f".{out.name}." not in proc.stderr
         if existing:
             assert list(out.iterdir()) == []
         else:

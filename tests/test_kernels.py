@@ -1,5 +1,6 @@
 """Each numpy kernel must equal a plain-Python reference loop bit for bit, so
-the float accumulation order (and with it every output byte) is pinned."""
+the float accumulation order of the K-Means kernels and the integer draw rule
+of the prediction chain (and with them every output byte) are pinned."""
 
 import numpy as np
 
@@ -172,9 +173,11 @@ def test_accumulate_points_matches_reference_loop():
         assert np.array_equal(cn, cr)
 
 
-# draws on interval ends: 0, fractions m/n whose cumulative sums land on them
-# exactly for small row totals n, and the largest double below 1
+# draws on interval ends: 0, fractions m/n whose products with small row
+# totals n land on an interval end or one rounding off it, and the largest
+# double below 1; then the doubles either side of each, clipped below 1
 EDGES = np.array([0.0, 0.125, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 0.875, np.nextafter(1.0, 0.0)])
+EDGES = np.unique(np.minimum(np.concatenate([EDGES, np.nextafter(EDGES, 0), np.nextafter(EDGES, 1)]), EDGES[-1]))
 
 
 def test_predict_series_matches_reference_loop():
@@ -225,12 +228,8 @@ def test_predict_series_stacked_runs_match_one_loop_per_run():
 
 
 def test_predict_series_blocks_match_one_loop_per_run():
-    # forecasts of 1 to 37 steps must equal the loop on both scoring routes.
-    # A count table with fewer columns than the chain has rows is scored once
-    # per column, a wider one per row. Of the (users, zones, runs) shapes,
-    # (1, 4, 1) has a wide general table and the others a narrow one;
-    # per_user is narrow only with more runs than zones, as in (5, 2, 3),
-    # (9, 4, 5) and (3, 2, 11), and (4, 3, 3) sits on the edge.
+    # forecasts of 1 to 37 steps, of 1 to 11 stacked runs of (users, zones,
+    # runs) shapes, must equal one loop per run
     rng = np.random.default_rng(16)
     shapes = [(7, 3, 1), (1, 4, 1), (5, 2, 3), (4, 3, 3), (9, 4, 5), (3, 2, 11)]
     for users, zones, runs in shapes:
@@ -255,10 +254,10 @@ def test_predict_series_blocks_match_one_loop_per_run():
 
 
 def test_predict_series_residual_mass_lands_in_last_zone_on_both_routes():
-    # zone 10's window row counts one move to each of zones 0..9, so its
-    # cumulative sum ends at 10 * 0.1 = 1 - 2**-53, and the largest draw below
-    # 1 must land in zone 9, the last one with a count. One run leaves the
-    # table wider than the chain; 12 runs make it narrow in both scopes.
+    # zone 10's window row counts one move to each of zones 0..9, so the
+    # largest draw below 1 times the total 10 rounds to just below 10, and it
+    # must land in zone 9, the last one with a count, in both scopes for one
+    # run and for 12 stacked runs
     zones, stay = 11, 10
     row = [z for move in range(10) for z in (stay, move)] + [stay, stay]
     labels = np.array([row], np.int64)

@@ -188,8 +188,8 @@ class TestPredictNext:
     @pytest.mark.parametrize("per_user", [False, True])
     def test_residual_mass_lands_in_last_positive_zone(self, per_user):
         # zone 0's row counts one transition to each of zones 0-9 out of 11;
-        # the ten tenths add up to 0.9999999999999999, which the draw just
-        # below 1 equals, so every interval end lies at or below it
+        # the draw just below 1 times the total 10 rounds to just below 10,
+        # inside zone 9's interval, the last one with a count
         row = [0, 0] + [z for zone in range(1, 10) for z in (zone, 0)] + [0]
         w = len(row) - 1
         u = np.nextafter(1.0, 0.0)
@@ -197,6 +197,16 @@ class TestPredictNext:
         out = kern.predict_series(labels, 11, w, per_user, np.full((1, 1), u).T)
         assert out[0, w] == 9
         assert interval_lookup([1] * 10 + [0], 0, u) == 9
+
+    @pytest.mark.parametrize("per_user", [False, True])
+    def test_product_rounding_onto_an_interval_end(self, per_user):
+        # zone 0's row counts [1, 5, 3]: the draw 2/3 times the total 9 rounds
+        # onto 6.0, the end of zone 1's interval, so the draw picks zone 2
+        row = [0, 0] + [1, 0] * 5 + [2, 0] * 3 + [0]
+        w = len(row) - 1
+        labels = np.array([row], np.int64)
+        out = kern.predict_series(labels, 3, w, per_user, np.full((1, 1), 2 / 3))
+        assert out[0, w] == 2
 
     def test_monte_carlo_frequencies(self):
         # 10^6 draws on [0.25, 0.25, 0.5] stay within 3 binomial sigmas
