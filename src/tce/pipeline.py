@@ -292,8 +292,8 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
 
     instants = np.arange(traces.instant_count)
     boundary = cfg.window.window_size
-    for uid in cfg.plot_users:
-        for r, pred in enumerate(runs):
+    for r, (pred, zs) in enumerate(zip(runs, series)):
+        for uid in cfg.plot_users:
             svgplot.line_chart(
                 plots / f"user{uid}_run{r}_zones.svg",
                 instants,
@@ -307,20 +307,15 @@ def emit_plots(out_dir: Path, cfg: RunConfig, traces, zoning, runs, series, hist
                 vline_at=boundary,
                 step=True,
             )
-
-    for r, zs in enumerate(series):
-        users_series = []
-        traffic_series = []
-        for z in range(zoning.zone_count):
-            users_series.append((f"zone {z} real", zs.users_real[z], ""))
-            users_series.append((f"zone {z} pred", zs.users_pred[z], "5 3"))
-            traffic_series.append((f"zone {z} real", zs.traffic_real[z], ""))
-            traffic_series.append((f"zone {z} pred", zs.traffic_pred[z], "5 3"))
-        svgplot.line_chart(
-            plots / f"zone_users_run{r}.svg", instants, users_series,
-            f"Users per zone, run {r}", "instant", "users", vline_at=boundary,
-        )
-        svgplot.line_chart(
-            plots / f"zone_traffic_run{r}.svg", instants, traffic_series,
-            f"Traffic per zone, run {r}", "instant", "traffic (Mbit/s)", vline_at=boundary,
-        )
+        for name, real, predicted, y_label in (
+            ("users", zs.users_real, zs.users_pred, "users"),
+            ("traffic", zs.traffic_real, zs.traffic_pred, "traffic (Mbit/s)"),
+        ):
+            zone_series = []
+            for z in range(zoning.zone_count):
+                zone_series.append((f"zone {z} real", real[z], ""))
+                zone_series.append((f"zone {z} pred", predicted[z], "5 3"))
+            svgplot.line_chart(
+                plots / f"zone_{name}_run{r}.svg", instants, zone_series,
+                f"{name.capitalize()} per zone, run {r}", "instant", y_label, vline_at=boundary,
+            )

@@ -245,16 +245,23 @@ def generate_scenario(
     ``user_count``. Raises ValueError when an attractor has no host region,
     an outside host does not touch the precinct, the weight total overflows
     float64, a venue coordinate reaches 2**52 lattice steps (which also
-    bounds every drawn rectangle, as each lies in a venue region), or a
-    drawn rectangle or a used shared boundary holds no lattice point.
+    bounds every drawn rectangle, as each lies in a venue region), a drawn
+    rectangle or a used shared boundary holds no lattice point, or the
+    fastest user's lattice budget per instant, speed_max * step_seconds /
+    index_scale * _LATTICE, is not finite.
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     draw = _WaypointDraw(venue, mobility)
+    step_budget = grid.step_seconds / venue.index_scale * _LATTICE  # lattice steps per (m/s)
+    if not np.isfinite(mobility.speed_max * step_budget):
+        raise ValueError(
+            f"speed_max * step_seconds / index_scale * {_LATTICE}, the fastest user's lattice steps "
+            f"per instant, must be finite, got {mobility.speed_max} * {grid.step_seconds} / {venue.index_scale}"
+        )
     tier_seed, move_seed = np.random.SeedSequence(seed).spawn(2)
     rates = assign_tiers(user_count, traffic, np.random.default_rng(tier_seed))
     uniforms = np.random.default_rng(move_seed).random((user_count, grid.instant_count, 4))
-    step_budget = grid.step_seconds / venue.index_scale * _LATTICE  # lattice steps per (m/s)
     speed_span = mobility.speed_max - mobility.speed_min
     positions = np.empty((user_count, grid.instant_count, 2), np.float64)
 

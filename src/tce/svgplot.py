@@ -25,58 +25,14 @@ def _esc(text: str) -> str:
 
 
 class _Canvas:
-    """A chart's SVG file, used as ``with _Canvas(path, ...) as canvas``.
+    """A chart's pixel mapping and element writers over an open SVG file;
+    each element is written one per line as it is drawn."""
 
-    Each element is written to the open file, one per line, as it is drawn;
-    a clean exit closes the ``<svg>`` element. A failed write raises
-    ConfigError naming the file."""
-
-    def __init__(self, path, title, x_label, y_label, x_range, y_range):
+    def __init__(self, fh, x_range, y_range):
         (x0, x1), (y0, y1) = x_range, y_range
+        self._fh = fh
         self.x0, self.xs = x0, (_W - _ML - _MR) / ((x1 - x0) or 1.0)
         self.y0, self.ys = y0, (_H - _MT - _MB) / ((y1 - y0) or 1.0)
-        self._file = self._write(path, title, x_label, y_label, x_range, y_range)
-
-    def __enter__(self):
-        return self._file.__enter__()
-
-    def __exit__(self, exc_type, exc, tb):
-        return self._file.__exit__(exc_type, exc, tb)
-
-    @contextmanager
-    def _write(self, path, title, x_label, y_label, x_range, y_range):
-        (x0, x1), (y0, y1) = x_range, y_range
-        with open_input(path, ConfigError, mode="w", newline="") as self._fh:
-            self._put(
-                f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-                f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">'
-            )
-            self._put(f'<rect width="{_W}" height="{_H}" fill="white"/>')
-            self._put(f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>')
-            self._put(
-                f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
-                'fill="none" stroke="#444"/>'
-            )
-            for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-                xv = x0 + frac * (x1 - x0)
-                yv = y0 + frac * (y1 - y0)
-                self._put(
-                    f'<text x="{self.px(xv):.1f}" y="{_H - _MB + 16}" text-anchor="middle" '
-                    f'fill="#444">{xv:g}</text>'
-                )
-                self._put(
-                    f'<text x="{_ML - 6}" y="{self.py(yv):.1f}" text-anchor="end" '
-                    f'dominant-baseline="middle" fill="#444">{yv:g}</text>'
-                )
-            self._put(
-                f'<text x="{_W / 2}" y="{_H - 10}" text-anchor="middle">{_esc(x_label)}</text>'
-            )
-            self._put(
-                f'<text x="16" y="{_H / 2}" text-anchor="middle" '
-                f'transform="rotate(-90 16 {_H / 2})">{_esc(y_label)}</text>'
-            )
-            yield self
-            self._put("</svg>")
 
     def _put(self, element):
         self._fh.write(element + "\n")
@@ -115,6 +71,46 @@ class _Canvas:
             self._put(f'<text x="{_W - _MR - 112}" y="{y}" fill="#222">{_esc(label)}</text>')
 
 
+@contextmanager
+def _chart(path, title, x_label, y_label, x_range, y_range):
+    """The framed, titled and labelled chart at ``path``, as a canvas to draw
+    on; a clean exit closes the ``<svg>`` element. A failed write raises
+    ConfigError naming the file."""
+    (x0, x1), (y0, y1) = x_range, y_range
+    with open_input(path, ConfigError, mode="w", newline="") as fh:
+        canvas = _Canvas(fh, x_range, y_range)
+        canvas._put(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+            f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">'
+        )
+        canvas._put(f'<rect width="{_W}" height="{_H}" fill="white"/>')
+        canvas._put(f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>')
+        canvas._put(
+            f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
+            'fill="none" stroke="#444"/>'
+        )
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            xv = x0 + frac * (x1 - x0)
+            yv = y0 + frac * (y1 - y0)
+            canvas._put(
+                f'<text x="{canvas.px(xv):.1f}" y="{_H - _MB + 16}" text-anchor="middle" '
+                f'fill="#444">{xv:g}</text>'
+            )
+            canvas._put(
+                f'<text x="{_ML - 6}" y="{canvas.py(yv):.1f}" text-anchor="end" '
+                f'dominant-baseline="middle" fill="#444">{yv:g}</text>'
+            )
+        canvas._put(
+            f'<text x="{_W / 2}" y="{_H - 10}" text-anchor="middle">{_esc(x_label)}</text>'
+        )
+        canvas._put(
+            f'<text x="16" y="{_H / 2}" text-anchor="middle" '
+            f'transform="rotate(-90 16 {_H / 2})">{_esc(y_label)}</text>'
+        )
+        yield canvas
+        canvas._put("</svg>")
+
+
 def line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
     """Polylines, or with ``step`` step lines (e.g. zone over time) padded
     half a unit, and a dashed line at x = ``vline_at``; series is
@@ -122,7 +118,9 @@ def line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
     ys_all = np.array([ys for _, ys, _ in series], np.float64)
     lo, hi = float(ys_all.min()), float(ys_all.max())
     pad = 0.5 if step else (hi - lo) * 0.05 or 1.0
-    with _Canvas(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad)) as canvas:
+    if not np.isfinite((hi + pad) - (lo - pad)):  # a span past float64 would scale by 0
+        pad = 0.0
+    with _chart(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad)) as canvas:
         canvas.vline(vline_at)
         # keyed on bits, as in csvio._formatted, whose sort is loaded already
         distinct, rank = np.unique(ys_all.view(np.int64), return_inverse=True)
@@ -152,7 +150,7 @@ def scatter_chart(path, points, rects, title):
     lo = np.min([first, *(r[0] for r in rects)], axis=0)
     hi = np.max([first + dims * side, *(r[1] for r in rects)], axis=0)
     pad = (hi - lo) * 0.04
-    with _Canvas(path, title, "x (index units)", "y (index units)", *zip(lo - pad, hi + pad)) as canvas:
+    with _chart(path, title, "x (index units)", "y (index units)", *zip(lo - pad, hi + pad)) as canvas:
         xs, ys = canvas.px(first[0] + ix * side).tolist(), canvas.py(first[1] + (iy + 1) * side).tolist()
         size = f'width="{side * canvas.xs:.2f}" height="{side * canvas.ys:.2f}"'
         opacity = (counts[counts > 0] / counts.max()).tolist()
@@ -167,7 +165,7 @@ def histogram_chart(path, counts, edges, title):
     counts = np.asarray(counts)
     top = int(counts.max()) or 1
     width = len(counts)
-    with _Canvas(path, title, "prediction error", "count", (float(edges[0]), float(edges[-1])), (0, top)) as canvas:
+    with _chart(path, title, "prediction error", "count", (float(edges[0]), float(edges[-1])), (0, top)) as canvas:
         for i, run_counts in enumerate(counts):
             color = PALETTE[i % len(PALETTE)]
             for b, count in enumerate(run_counts):

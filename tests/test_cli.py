@@ -369,6 +369,35 @@ class TestRun:
         )
         assert not out.exists()
 
+    def test_traffic_total_near_float64_max_plots_finite(self, tmp_path):
+        # one user at 1.7e308 Mbit/s: a 5% pad around its traffic chart's
+        # span would overflow, and the canvas would scale by 0 into nan
+        text = re.sub(r"tiers =\n(    .*\n)+", "tiers =\n    1 1.7e308\n", FESTIVAL_INI.read_text())
+        text = text.replace("user_count = 200", "user_count = 1").replace("plot_users = 0 1 2", "plot_users = 0")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out), "--seed", "7"]) == 0
+        charts = sorted((out / "plots").glob("*.svg"))
+        assert charts
+        for chart in charts:
+            assert not re.search(r"\b(nan|inf)\b", chart.read_text()), chart.name
+
+    @pytest.mark.parametrize(
+        "speed_max, index_scale, got",
+        [("1e308", "1.0", "1e+308 * 300.0 / 1.0"), ("0", "1e-320", "0.0 * 300.0 / 1e-320")],
+        ids=["speed", "index_scale"],
+    )
+    def test_lattice_budget_past_float64_exit_code(self, tmp_path, capsys, speed_max, index_scale, got):
+        # every value is finite, the fastest user's lattice steps per instant are not
+        text = FESTIVAL_INI.read_text().replace("speed_max = 0.08", f"speed_max = {speed_max}")
+        text = text.replace("index_scale = 1.0", f"index_scale = {index_scale}")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: [input] speed_max * step_seconds / index_scale * 1000, the fastest user's lattice "
+            f"steps per instant, must be finite, got {got}\n"
+        )
+        assert not out.exists()
+
     def test_oversized_grid_exit_code(self, tmp_path, capsys):
         # numpy refuses the (1, 10**15, 2) position array outright
         text = FESTIVAL_INI.read_text().replace("user_count = 200", "user_count = 1")

@@ -245,6 +245,14 @@ class TestGenerateScenario:
         # at +-1e308 the x difference itself is inf
         assert_far_corners_refused(1e308)
 
+    @pytest.mark.parametrize("speed_max, index_scale", [(1e308, 1.0), (0.0, 1e-320)])
+    def test_rejects_lattice_budget_past_float64(self, speed_max, index_scale):
+        # speed_max * step_seconds / index_scale * _LATTICE is inf, or 0 * inf
+        venue = Venue(Rect((0, 0), (50, 80)), (Rect((50, 15), (60, 65)),), index_scale)
+        mobility = simple_mobility(speed_max=speed_max)
+        with pytest.raises(ValueError, match=r"speed_max \* step_seconds / index_scale .* must be finite"):
+            generate_scenario(venue, TimeGrid(300.0, 4), 3, mobility, THIRDS, seed=0)
+
     def test_rejects_detached_outside_attractor(self):
         # outside region not touching the precinct cannot host waypoints
         venue = Venue(Rect((0, 0), (50, 80)), (Rect((60, 15), (70, 65)),))

@@ -150,6 +150,14 @@ def test_histogram_chart_bytes_pinned(tmp_path):
     assert digest == "192493b798874a140e52c5074f0f76d77ea080b54e45462ca7ad68aad022101e"
 
 
+def test_line_chart_near_float64_max_stays_finite(tmp_path):
+    # a 5% pad around [0, 1.7e308] would overflow the span and scale by 0
+    path = tmp_path / "traffic.svg"
+    ys = np.array([0.0, 1.7e308])
+    svgplot.line_chart(path, np.arange(2), [("zone 0 real", ys, "")], "Traffic", "instant", "traffic", vline_at=1)
+    assert not re.search(r"\b(nan|inf)\b", path.read_text())
+
+
 def reference_line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
     """``line_chart`` drawing one polyline at a time, each point formatted
     on its own from Python floats: the per-polyline form the chart-level
@@ -157,7 +165,7 @@ def reference_line_chart(path, xs, series, title, x_label, y_label, vline_at, st
     ys_all = np.concatenate([np.asarray(ys, float) for _, ys, _ in series])
     lo, hi = float(ys_all.min()), float(ys_all.max())
     pad = 0.5 if step else (hi - lo) * 0.05 or 1.0
-    with svgplot._Canvas(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad)) as canvas:
+    with svgplot._chart(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad)) as canvas:
         canvas.vline(vline_at)
         for i, (_, ys, dash) in enumerate(series):
             sx = [f"{canvas.px(float(x)):.2f}" for x in xs]
