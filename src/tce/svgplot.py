@@ -8,6 +8,8 @@ A legend lists only the entries that fit above the bottom margin."""
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,24 +26,43 @@ def _esc(text: str) -> str:
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _halves_between(a, b, frac):
+    """a + frac * (b - a), for a <= b, from halves: the same bits wherever
+    that is finite, and b where its rounding would pass float64."""
+    half = a / 2 + frac * (b / 2 - a / 2)
+    return 2 * half if half <= sys.float_info.max / 2 else b
+
+
+def _padded(lo, hi, pad):
+    """The axis range (lo - pad, hi + pad), or (lo, hi) where a padded end
+    would pass float64: the one pad rule of every chart."""
+    lo, hi, pad = float(lo), float(hi), float(pad)
+    return (lo - pad, hi + pad) if math.isfinite(lo - pad) and math.isfinite(hi + pad) else (lo, hi)
+
+
 class _Canvas:
     """A chart's pixel mapping and element writers over an open SVG file;
-    each element is written one per line as it is drawn."""
+    each element is written one per line as it is drawn.
+
+    The mapping scales from halves, ``(x/2 - x0/2) * xs`` with ``xs`` the
+    pixels per half unit, so it stays finite for any finite range; halving
+    is exact above the subnormals, so the bits are those of ``x - x0``
+    scaled per unit."""
 
     def __init__(self, fh, x_range, y_range):
         (x0, x1), (y0, y1) = x_range, y_range
         self._fh = fh
-        self.x0, self.xs = x0, (_W - _ML - _MR) / ((x1 - x0) or 1.0)
-        self.y0, self.ys = y0, (_H - _MT - _MB) / ((y1 - y0) or 1.0)
+        self.x0, self.xs = x0 / 2, (_W - _ML - _MR) / ((x1 / 2 - x0 / 2) or 0.5)
+        self.y0, self.ys = y0 / 2, (_H - _MT - _MB) / ((y1 / 2 - y0 / 2) or 0.5)
 
     def _put(self, element):
         self._fh.write(element + "\n")
 
     def px(self, x):
-        return _ML + (x - self.x0) * self.xs
+        return _ML + (x / 2 - self.x0) * self.xs
 
     def py(self, y):
-        return _H - _MB - (y - self.y0) * self.ys
+        return _H - _MB - (y / 2 - self.y0) * self.ys
 
     def vline(self, x):
         self._put(
@@ -51,8 +72,8 @@ class _Canvas:
 
     def rect(self, lo, hi, color, opacity=1.0, stroke="none"):
         x, y = self.px(lo[0]), self.py(hi[1])
-        w = (hi[0] - lo[0]) * self.xs
-        h = (hi[1] - lo[1]) * self.ys
+        w = (hi[0] / 2 - lo[0] / 2) * self.xs
+        h = (hi[1] / 2 - lo[1] / 2) * self.ys
         self._put(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
             f'fill="{color}" fill-opacity="{opacity}" stroke="{stroke}"/>'
@@ -90,8 +111,7 @@ def _chart(path, title, x_label, y_label, x_range, y_range):
             'fill="none" stroke="#444"/>'
         )
         for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            xv = x0 + frac * (x1 - x0)
-            yv = y0 + frac * (y1 - y0)
+            xv, yv = _halves_between(x0, x1, frac), _halves_between(y0, y1, frac)
             canvas._put(
                 f'<text x="{canvas.px(xv):.1f}" y="{_H - _MB + 16}" text-anchor="middle" '
                 f'fill="#444">{xv:g}</text>'
@@ -117,10 +137,8 @@ def line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
     [(label, ys, dash), ...], each ys as long as xs."""
     ys_all = np.array([ys for _, ys, _ in series], np.float64)
     lo, hi = float(ys_all.min()), float(ys_all.max())
-    pad = 0.5 if step else (hi - lo) * 0.05 or 1.0
-    if not np.isfinite((hi + pad) - (lo - pad)):  # a span past float64 would scale by 0
-        pad = 0.0
-    with _chart(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), (lo - pad, hi + pad)) as canvas:
+    pad = 0.5 if step else (hi / 2 - lo / 2) * 0.1 or 1.0  # 5% of hi - lo
+    with _chart(path, title, x_label, y_label, (float(min(xs)), float(max(xs))), _padded(lo, hi, pad)) as canvas:
         canvas.vline(vline_at)
         # keyed on bits, as in csvio._formatted, whose sort is loaded already
         distinct, rank = np.unique(ys_all.view(np.int64), return_inverse=True)
@@ -149,10 +167,10 @@ def scatter_chart(path, points, rects, title):
     ix, iy = np.divmod(np.flatnonzero(counts), dims[1])
     lo = np.min([first, *(r[0] for r in rects)], axis=0)
     hi = np.max([first + dims * side, *(r[1] for r in rects)], axis=0)
-    pad = (hi - lo) * 0.04
-    with _chart(path, title, "x (index units)", "y (index units)", *zip(lo - pad, hi + pad)) as canvas:
+    ranges = [_padded(a, b, (b / 2 - a / 2) * 0.08) for a, b in zip(lo, hi)]  # 4% of b - a
+    with _chart(path, title, "x (index units)", "y (index units)", *ranges) as canvas:
         xs, ys = canvas.px(first[0] + ix * side).tolist(), canvas.py(first[1] + (iy + 1) * side).tolist()
-        size = f'width="{side * canvas.xs:.2f}" height="{side * canvas.ys:.2f}"'
+        size = f'width="{side / 2 * canvas.xs:.2f}" height="{side / 2 * canvas.ys:.2f}"'
         opacity = (counts[counts > 0] / counts.max()).tolist()
         rows = [f'<rect x="{x:.2f}" y="{y:.2f}" {size} fill-opacity="{o:.3g}"/>\n' for x, y, o in zip(xs, ys, opacity)]
         canvas._put(f'<g fill="{PALETTE[0]}">\n{"".join(rows)}</g>')

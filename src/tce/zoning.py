@@ -36,7 +36,9 @@ def _zone_table(table, zone_count, name: str, shape=None) -> np.ndarray:
         raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
     if table.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integer zone ids, got dtype {table.dtype}")
-    if zone_count is not None and (table.min() < 0 or table.max() >= zone_count):
+    # one max over the same-width unsigned view, where a negative id reads as
+    # at least 2**(bits-1); the view keeps the table's byte order
+    if zone_count is not None and int(table.view(table.dtype.str.replace("i", "u")).max()) >= zone_count:
         raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
     return table.astype(np.int64, copy=False)
 

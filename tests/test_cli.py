@@ -520,6 +520,21 @@ class TestLoadMode:
         )
         assert not out.exists()
 
+    def test_venue_span_past_float64_plots_finite(self, tmp_path):
+        # a generated festival trace loaded into a venue from x = -1e308 to
+        # 1e308: the position chart's span passes float64
+        inputs = tmp_path / "inputs"
+        assert main(["generate", "--config", str(FESTIVAL_INI), "--out", str(inputs)]) == 0
+        text = FESTIVAL_INI.read_text().replace("precinct_min = 0 0", "precinct_min = -1e308 0")
+        text = text.replace("    50 15 60 65\n", "    50 15 1e308 65\n")
+        text += f"\n[input]\ntrace_file = {inputs / 'trace.csv'}\ntraffic_file = {inputs / 'traffic.csv'}\n"
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+        charts = sorted((out / "plots").glob("*.svg"))
+        assert (out / "plots" / "positions_scatter.svg") in charts
+        for chart in charts:
+            assert not re.search(r"\b(nan|inf)\b", chart.read_text()), chart.name
+
     @pytest.mark.parametrize("trace_format", ["csv", "waypoint"])
     def test_directory_as_trace_file_exit_code(self, tmp_path, capsys, trace_format):
         # a directory named like either kind of trace file is refused before its format is sniffed

@@ -305,6 +305,31 @@ def test_predict_series_count_dtype_edges_match_loop():
                     assert np.array_equal(out[rows], b), (users, w, per_user, r)
 
 
+def test_predict_series_zone_counter_width_edge_matches_loop():
+    # the drawn zone is a byte count of the cumulative counts at or below
+    # the draw, summed in the narrowest unsigned type that holds k: uint8 at
+    # k = 255, uint16 at k = 256. Every user starts in the last zone, and its
+    # window moves from the last zone to the last, the one before it or zone
+    # 0, so the first draws land at both ends of a 255- or 256-zone row.
+    rng = np.random.default_rng(19)
+    users, w, steps, runs = 40, 7, 3, 2
+    T = w + steps
+    for zones in (255, 256):
+        top = zones - 1
+        labels = rng.integers(0, zones, size=(users, T)).astype(np.int64)
+        labels[:, 0:w:2] = top
+        labels[:, 1:w:2] = rng.choice([top, top - 1, 0], size=(users, len(range(1, w, 2))))
+        shape = (runs * users, steps)
+        for uniforms in (rng.random(shape), rng.choice(EDGES, shape)):
+            for per_user in (False, True):
+                out = kern.predict_series(labels, zones, w, per_user, uniforms.T)
+                assert {0, top - 1, top} <= set(out[:, w].tolist()), (zones, per_user)
+                for r in range(runs):
+                    rows = slice(r * users, (r + 1) * users)
+                    b = predict_series_loop(labels, zones, w, per_user, uniforms[rows])
+                    assert np.array_equal(out[rows], b), (zones, per_user, r)
+
+
 def test_count_transitions_matches_double_loop():
     rng = np.random.default_rng(13)
     for _ in range(500):

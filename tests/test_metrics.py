@@ -97,6 +97,21 @@ class TestPositionExtent:
         assert np.array_equal(hi, [55.0, 70.0])
 
 
+    @pytest.mark.parametrize("users, instants", [(1, 1), (1, 9), (8, 1), (13, 17)])
+    def test_matches_strided_column_reductions(self, users, instants):
+        # the extreme values sit anywhere, the last user's last instant included
+        rng = np.random.default_rng([users, instants])
+        for trial in range(6):
+            positions = rng.uniform(-100.0, 100.0, size=(users, instants, 2))
+            if trial % 2:
+                positions[-1, -1] = (-1e3, 1e3) if trial % 4 == 1 else (1e3, -1e3)
+            lo, hi = position_extent(TraceSet(positions, np.zeros(users)))
+            x, y = positions[..., 0], positions[..., 1]
+            assert lo.tobytes() == np.array([x.min(), y.min()]).tobytes()
+            assert hi.tobytes() == np.array([x.max(), y.max()]).tobytes()
+            assert lo.shape == hi.shape == (2,)
+
+
 class TestErrorSeries:
     def test_matches_scalar_op(self):
         rng = np.random.default_rng(35)
@@ -133,6 +148,23 @@ class TestErrorSeries:
             lo, hi = rng.uniform(-5, 0, size=2), rng.uniform(60, 90, size=2)
             expected = error_series_norm(zoning, run, lo, hi)
             assert error_series(zoning, run, lo, hi).e.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_matches_norm_form_at_the_cell_index_width_edge(self, k):
+        # the flat (real, predicted) cell index real*k + pred has its largest
+        # value k*k - 1 at 255 for k = 16 (uint8) and 288 for k = 17 (uint16);
+        # user u forecasts the pair (u // k, u % k), so every cell is read
+        rng = np.random.default_rng(k)
+        inside, outside = rng.uniform(0, 50, size=(k - 1, 2)), np.array([[55.0, 40.0]])
+        w, pairs = 3, np.arange(k * k)
+        labels = rng.integers(0, k, size=(k * k, w + 4)).astype(np.int64)
+        pred = labels.copy()
+        pred[:, w:] = rng.integers(0, k, size=(k * k, 4))
+        labels[:, w], pred[:, w] = pairs // k, pairs % k
+        zoning, run = Zoning(inside, outside, labels), PredictionRun(pred, w)
+        lo, hi = np.array([-5.0, 0.0]), np.array([60.0, 90.0])
+        expected = error_series_norm(zoning, run, lo, hi)
+        assert error_series(zoning, run, lo, hi).e.tobytes() == expected.tobytes()
 
     def test_rejects_out_of_bound_errors(self):
         with pytest.raises(ValueError):

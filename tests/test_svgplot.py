@@ -158,6 +158,18 @@ def test_line_chart_near_float64_max_stays_finite(tmp_path):
     assert not re.search(r"\b(nan|inf)\b", path.read_text())
 
 
+@pytest.mark.parametrize("edge", [1e308, np.finfo(np.float64).max], ids=["1e308", "float64_max"])
+def test_scatter_chart_venue_span_past_float64_stays_finite(tmp_path, edge):
+    # the precinct's span, and at float64's max also its 4% pad, pass float64
+    path = tmp_path / "scatter.svg"
+    points = np.array([[5.0, 40.0], [55.0, 40.0]])
+    svgplot.scatter_chart(path, points, [((-edge, 0.0), (edge, 80.0))], "Positions")
+    text = path.read_text()
+    assert not re.search(r"\b(nan|inf)\b", text)
+    numbers = [float(v) for v in re.findall(r' (?:x|y|width|height)="([^"]+)"', text)]
+    assert numbers and all(math.isfinite(v) and -1.0 <= v <= 641.0 for v in numbers)
+
+
 def reference_line_chart(path, xs, series, title, x_label, y_label, vline_at, step=False):
     """``line_chart`` drawing one polyline at a time, each point formatted
     on its own from Python floats: the per-polyline form the chart-level

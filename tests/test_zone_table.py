@@ -74,3 +74,45 @@ def test_every_entry_point_refuses_with_one_text(entry, fault):
         call(table)
     assert str(refused.value) == message.format(name=name, shape=table.shape)
 
+
+
+# the [0, k) check is one max over the table's same-width unsigned view, so
+# it must read narrow, unsigned and big-endian tables as their values
+DTYPES = ["int8", "int32", "uint16", ">i8"]
+INTEGER_FAULTS = ["id_minus_1", "id_k", "wrong_shape", "3d", "empty"]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        (entry, fault)
+        for entry, (_, _, shaped) in ENTRY_POINTS.items()
+        for fault in INTEGER_FAULTS
+        if shaped or fault != "wrong_shape"
+    ],
+)
+def test_every_entry_point_refuses_any_integer_dtype_with_one_text(entry, fault, dtype):
+    call, name, _ = ENTRY_POINTS[entry]
+    table, message = BAD_TABLES[fault]
+    with pytest.raises(ValueError) as refused:
+        call(table.astype(dtype))  # -1 wraps to 65535 in uint16, still outside [0, 3)
+    assert str(refused.value) == message.format(name=name, shape=table.shape)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_accepts_a_good_table_of_any_integer_dtype(entry, dtype):
+    call, _, _ = ENTRY_POINTS[entry]
+    table = GOOD.astype(dtype)
+    assert table.dtype == np.dtype(dtype)
+    call(table)
+
+
+def test_big_endian_table_reads_as_its_values():
+    # a native u8 view of a '>i8' table would read GOOD's 1 as 2**56
+    table = GOOD.astype(">i8")
+    assert np.array_equal(tce.Zoning(INSIDE, OUTSIDE, table).labels, GOOD)
+    assert np.array_equal(
+        tce.build_general_matrix(table, K).counts, tce.build_general_matrix(GOOD, K).counts
+    )
