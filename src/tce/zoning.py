@@ -37,9 +37,12 @@ def _zone_table(table, zone_count, name: str, shape=None) -> np.ndarray:
     if table.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integer zone ids, got dtype {table.dtype}")
     # one max over the same-width unsigned view, where a negative id reads as
-    # at least 2**(bits-1); the view keeps the table's byte order
-    if zone_count is not None and int(table.view(table.dtype.str.replace("i", "u")).max()) >= zone_count:
-        raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
+    # at least 2**(bits-1), so a signed table's bound is capped there; the
+    # view keeps the table's byte order
+    if zone_count is not None:
+        bound = zone_count if table.dtype.kind == "u" else min(zone_count, 1 << (8 * table.itemsize - 1))
+        if int(table.view(table.dtype.str.replace("i", "u")).max()) >= bound:
+            raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
     return table.astype(np.int64, copy=False)
 
 

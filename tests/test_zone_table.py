@@ -35,27 +35,33 @@ BAD_TABLES = {
 }
 
 
-def zoning(labels=GOOD):
-    return tce.Zoning(INSIDE, OUTSIDE, labels)
+def zoning(labels=GOOD, k=K):
+    """INSIDE and OUTSIDE, with k - K more outside zones after them."""
+    return tce.Zoning(INSIDE, OUTSIDE + [[60.0 + z, 40.0] for z in range(k - K)], labels)
 
 
-# entry point -> (call with the table, the name its refusal gives, whether it
-# is given a shape the table must have: Zoning and build_general_matrix take
-# a table of any (users, instants) shape, so they have no "wrong_shape")
-ENTRY_POINTS = {
-    "Zoning": (zoning, "labels", False),
-    "build_general_matrix": (lambda t: tce.build_general_matrix(t, K), "labels", False),
-    "run_prediction": (
-        lambda t: tce.run_prediction(TRACES, zoning(t), WindowConfig(WINDOW), 0), "labels", True
-    ),
-    "aggregate_real": (lambda t: tce.aggregate(TRACES, t, GOOD, K), "labels_real", True),
-    "aggregate_pred": (lambda t: tce.aggregate(TRACES, GOOD, t, K), "labels_pred", True),
-    "error_series": (
-        lambda t: tce.error_series(zoning(), PredictionRun(t, WINDOW), (0, 0), (60, 80)),
-        "labels_pred",
-        True,
-    ),
-}
+def entry_points(k):
+    """Entry point -> (call with the table at zone count ``k``, the name its
+    refusal gives, whether it is given a shape the table must have: Zoning,
+    build_general_matrix and predict_labels take a table of any (users,
+    instants) shape, so they have no "wrong_shape")."""
+    return {
+        "Zoning": (lambda t: zoning(t, k), "labels", False),
+        "build_general_matrix": (lambda t: tce.build_general_matrix(t, k), "labels", False),
+        "run_prediction": (
+            lambda t: tce.run_prediction(TRACES, zoning(t, k), WindowConfig(WINDOW), 0), "labels", True
+        ),
+        "aggregate_real": (lambda t: tce.aggregate(TRACES, t, GOOD, k), "labels_real", True),
+        "aggregate_pred": (lambda t: tce.aggregate(TRACES, GOOD, t, k), "labels_pred", True),
+        "error_series": (
+            lambda t: tce.error_series(zoning(k=k), PredictionRun(t, WINDOW), (0, 0), (60 + k, 80)),
+            "labels_pred",
+            True,
+        ),
+    }
+
+
+ENTRY_POINTS = entry_points(K)
 
 
 @pytest.mark.parametrize(
@@ -116,3 +122,32 @@ def test_big_endian_table_reads_as_its_values():
     assert np.array_equal(
         tce.build_general_matrix(table, K).counts, tce.build_general_matrix(GOOD, K).counts
     )
+
+
+# a negative id reads as at least 2**(bits-1) through the unsigned view, so
+# where k passes that, the view alone would read int8 -100 (156) as inside
+# [0, 200), and int16 -100 (65436) as inside [0, 65500); every entry point
+# that takes k must still refuse them
+SIGNED_PAST_K = [("int8", 200), ("int16", 65500)]
+
+
+@pytest.mark.parametrize("dtype, k", SIGNED_PAST_K)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_negative_id_refused_where_k_passes_the_signed_range(entry, dtype, k):
+    call, name, _ = entry_points(k)[entry]
+    with pytest.raises(ValueError) as refused:
+        call(with_zone(-100).astype(dtype))
+    assert str(refused.value) == f"{name} contains zone ids outside [0, {k})"
+
+
+@pytest.mark.parametrize("dtype, k", SIGNED_PAST_K)
+def test_predict_labels_refuses_negative_id_where_k_passes_the_signed_range(dtype, k):
+    with pytest.raises(ValueError) as refused:
+        tce.markov.predict_labels(with_zone(-100).astype(dtype), k, WindowConfig(WINDOW), [0])
+    assert str(refused.value) == f"labels contains zone ids outside [0, {k})"
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_signed_max_accepted_where_k_passes_the_signed_range(entry):
+    call, _, _ = entry_points(200)[entry]
+    call(with_zone(127).astype(np.int8))
