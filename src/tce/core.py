@@ -22,6 +22,18 @@ def _vec2(value, name: str) -> np.ndarray:
     return arr
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int when it is integral (a Python or numpy integer, or
+    a float with no fraction); anything else is a ValueError naming ``name``."""
+    try:
+        whole = int(value)
+        if whole == value:
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -83,7 +95,7 @@ class TimeGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "step_seconds", float(self.step_seconds))
-        object.__setattr__(self, "instant_count", int(self.instant_count))
+        object.__setattr__(self, "instant_count", _whole(self.instant_count, "instant_count"))
         if not (np.isfinite(self.step_seconds) and self.step_seconds > 0):
             raise ValueError(f"step_seconds must be positive, got {self.step_seconds}")
         if self.instant_count < 2:

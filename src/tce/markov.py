@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kern
-from .core import TraceSet, _frozen
+from .core import TraceSet, _frozen, _whole
 from .errors import InfeasibleError
 from .zoning import Zoning, _zone_table
 
@@ -27,15 +27,19 @@ PER_USER = "per_user"
 class TransitionMatrix:
     """Row-stochastic zone transition matrix derived from raw counts.
 
-    ``counts`` is copied as int64; ``probs`` is each row over its sum, and
-    rows with no observed transition stay all-zero. Both are read-only.
+    ``counts`` must have an integer dtype and is copied as int64; ``probs``
+    is each row over its sum, and rows with no observed transition stay
+    all-zero. Both are read-only.
     """
 
     counts: np.ndarray
     probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu" or (counts.size and int(counts.max()) > np.iinfo(np.int64).max):
+            raise ValueError(f"counts must be integers below 2**63, got dtype {counts.dtype}")
+        counts = np.array(counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"counts must be square, got shape {counts.shape}")
         if np.any(counts < 0):
@@ -54,7 +58,7 @@ class WindowConfig:
     scope: str = PER_USER
 
     def __post_init__(self):
-        object.__setattr__(self, "window_size", int(self.window_size))
+        object.__setattr__(self, "window_size", _whole(self.window_size, "window_size"))
         if self.window_size < 1:
             raise ValueError(f"window_size must be >= 1, got {self.window_size}")
         if self.scope not in (GENERAL, PER_USER):
@@ -82,6 +86,7 @@ class PredictionRun:
 
     def __post_init__(self):
         labels = _frozen(np.array(_zone_table(self.labels_pred, None, "labels_pred"), order="C"))
+        object.__setattr__(self, "window_size", _whole(self.window_size, "window_size"))
         if not 1 <= self.window_size < labels.shape[1]:
             raise ValueError(f"window_size must lie in [1, {labels.shape[1]}), got {self.window_size}")
         object.__setattr__(self, "labels_pred", labels)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TraceSet, _frozen
+from .core import TraceSet, _frozen, _whole
 from .markov import PredictionRun
 from .zoning import Zoning, _zone_table
 
@@ -28,6 +28,7 @@ class ErrorSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "e", _frozen(np.asarray(self.e, np.float64)))
+        object.__setattr__(self, "first_instant", _whole(self.first_instant, "first_instant"))
         if self.e.size and not (self.e.min() >= 0.0 and self.e.max() <= _ERROR_MAX):
             raise ValueError("error values must lie in [0, 1]")
 
@@ -77,12 +78,15 @@ def error_histogram(errors, edges) -> np.ndarray:
     value in the bin whose edges hold it.
 
     The last bin is closed on the right, so an error of exactly 1 is counted.
-    Fewer than two edges, or a value outside [0, 1], with the tolerance
+    Fewer than two edges, edges that are not finite and strictly increasing
+    or do not cover [0, 1], a value outside [0, 1], with the tolerance
     ``ErrorSeries`` allows, or NaN is refused.
     """
     edges = np.asarray(edges, np.float64)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError(f"edges must be one row of at least two values, got shape {edges.shape}")
+    if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0) and edges[0] <= 0.0 and edges[-1] >= 1.0):
+        raise ValueError(f"edges must be finite, strictly increasing and cover [0, 1], got {edges}")
     bin_count = edges.size - 1
     values = np.asarray(errors, np.float64).ravel()
     if values.size and not (values.min() >= 0.0 and values.max() <= _ERROR_MAX):

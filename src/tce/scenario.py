@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rect, TimeGrid, TraceSet, Venue
+from .core import Rect, TimeGrid, TraceSet, Venue, _whole
 
 _PRECINCT = -1  # region id of the precinct in routing
 _LATTICE = 1000  # position lattice steps per index unit; see the module docstring
@@ -68,7 +68,7 @@ class MobilityParams:
         object.__setattr__(self, "speed_min", float(self.speed_min))
         object.__setattr__(self, "speed_max", float(self.speed_max))
         object.__setattr__(self, "attractors", tuple(self.attractors))
-        object.__setattr__(self, "pause_instants", int(self.pause_instants))
+        object.__setattr__(self, "pause_instants", _whole(self.pause_instants, "pause_instants"))
         if not (0 <= self.speed_min <= self.speed_max and np.isfinite(self.speed_max)):
             raise ValueError(
                 f"need finite 0 <= speed_min <= speed_max, got {self.speed_min}/{self.speed_max}"

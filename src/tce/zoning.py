@@ -27,8 +27,9 @@ MAX_ITER = 300
 
 def _zone_table(table, zone_count, name: str, shape=None) -> np.ndarray:
     """``table`` as an int64 (users, instants) table of zone ids in
-    [0, ``zone_count``) (unchecked when ``zone_count`` is None), of ``shape``
-    when one is given; anything else is a ValueError naming ``name``."""
+    [0, ``zone_count``) (unchecked when ``zone_count`` is None) that fit in
+    int64, of ``shape`` when one is given; anything else is a ValueError
+    naming ``name``."""
     table = np.asarray(table)
     if table.ndim != 2 or table.size == 0:
         raise ValueError(f"{name} must be a non-empty (users, instants) table, got shape {table.shape}")
@@ -36,14 +37,11 @@ def _zone_table(table, zone_count, name: str, shape=None) -> np.ndarray:
         raise ValueError(f"{name} must have shape {shape}, got {table.shape}")
     if table.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integer zone ids, got dtype {table.dtype}")
-    # one max over the same-width unsigned view, where a negative id reads as
-    # at least 2**(bits-1), so a signed table's bound is capped there; the
-    # view keeps the table's byte order
-    if zone_count is not None:
-        bound = zone_count if table.dtype.kind == "u" else min(zone_count, 1 << (8 * table.itemsize - 1))
-        if int(table.view(table.dtype.str.replace("i", "u")).max()) >= bound:
-            raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
-    return table.astype(np.int64, copy=False)
+    table = table.astype(np.int64, copy=False)
+    # a negative id reads as at least 2**63 through the uint64 view, so one max checks [0, min(k, 2**63))
+    if zone_count is not None and int(table.view(np.uint64).max()) >= min(zone_count, 1 << 63):
+        raise ValueError(f"{name} contains zone ids outside [0, {zone_count})")
+    return table
 
 
 @dataclass(frozen=True)

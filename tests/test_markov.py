@@ -57,6 +57,26 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix([[1, -1], [0, 0]])
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[0.6, 0.4], [1, 0]],  # row 0 used to truncate to zeros
+            [[1.0, 2.0], [0.0, 0.0]],
+            [[2**64, 0], [0, 0]],  # used to raise OverflowError
+            [[1e30, 0], [0, 0]],
+            np.array([[2**63, 0], [0, 0]], np.uint64),  # used to wrap to a negative count
+            [[True, False], [False, True]],
+        ],
+    )
+    def test_rejects_counts_that_are_not_int64_integers(self, counts):
+        with pytest.raises(ValueError, match=r"^counts must be integers below 2\*\*63, got dtype "):
+            TransitionMatrix(counts)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, ">i8"])
+    def test_accepts_counts_of_any_integer_dtype(self, dtype):
+        m = TransitionMatrix(np.array([[1, 3], [0, 0]], dtype))
+        assert m.counts.dtype == np.int64 and m.probs.tolist() == [[0.25, 0.75], [0.0, 0.0]]
+
     def test_probs_derived_from_counts_alone_and_read_only(self):
         counts = np.array([[2, 6], [0, 0]])
         m = TransitionMatrix(counts)

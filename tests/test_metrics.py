@@ -223,3 +223,22 @@ class TestErrorHistogram:
 
     def test_tolerance_of_error_series_lands_in_last_bin(self):
         assert error_histogram(np.array([1.0 + 1e-13, -0.0]), histogram_edges(4)).tolist() == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [0.0, 0.5],  # 0.9 used to be counted in [0, 0.5)
+            [0.1, 1.0],  # numpy used to fail on a negative bin index
+            [0.0, 0.5, 0.2, 1.0],  # [0.1, 0.3] used to count as [1, 0, 1]
+            [0.0, 0.5, 0.5, 1.0],
+            [0.0, np.nan, 1.0],
+            [0.0, np.inf],
+            [-np.inf, 1.0],
+        ],
+    )
+    def test_rejects_edges_that_are_not_increasing_or_miss_the_unit_interval(self, edges):
+        with pytest.raises(ValueError, match="^edges must be finite, strictly increasing and cover"):
+            error_histogram(np.array([0.1, 0.3, 0.9]), edges)
+
+    def test_edges_past_the_unit_interval_count_every_value(self):
+        assert error_histogram(np.array([0.0, 0.3, 0.6, 1.0]), [-1.0, 0.5, 2.0]).tolist() == [2, 2]

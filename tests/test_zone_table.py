@@ -7,6 +7,7 @@ import pytest
 
 import tce
 from tce.markov import PredictionRun, WindowConfig
+from tce.zoning import _zone_table
 
 K = 3  # two inside zones and one outside zone
 INSIDE, OUTSIDE = [[1.0, 1.0], [3.0, 3.0]], [[55.0, 40.0]]
@@ -82,8 +83,8 @@ def test_every_entry_point_refuses_with_one_text(entry, fault):
 
 
 
-# the [0, k) check is one max over the table's same-width unsigned view, so
-# it must read narrow, unsigned and big-endian tables as their values
+# the [0, k) check reads the table as int64, so it must read narrow, unsigned
+# and big-endian tables as their values
 DTYPES = ["int8", "int32", "uint16", ">i8"]
 INTEGER_FAULTS = ["id_minus_1", "id_k", "wrong_shape", "3d", "empty"]
 
@@ -151,3 +152,36 @@ def test_predict_labels_refuses_negative_id_where_k_passes_the_signed_range(dtyp
 def test_signed_max_accepted_where_k_passes_the_signed_range(entry):
     call, _, _ = entry_points(200)[entry]
     call(with_zone(127).astype(np.int8))
+
+
+INTEGER_DTYPES = ["int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64"]
+
+
+def min_max_refuses(table, k):
+    """The oracle: a table is refused when an id lies below 0, or at k or
+    above, or past int64, which the table is returned as (a uint64 id of
+    2**63 at k = 2**63 + 1)."""
+    return int(table.min()) < 0 or int(table.max()) >= min(k, 2**63)
+
+
+@pytest.mark.parametrize("byte_order", ["<", ">"])
+@pytest.mark.parametrize("dtype", INTEGER_DTYPES)
+def test_one_max_over_int64_refuses_exactly_what_min_and_max_refuse(dtype, byte_order):
+    info = np.iinfo(dtype)
+    half = 1 << (info.bits - 1)
+    rng = np.random.default_rng(info.bits)
+    for k in (1, half - 1, half, half + 1):
+        # ranges between the dtype's extremes, 0 and both sides of k and 2**(bits-1)
+        ends = (info.min, -1, 0, 1, k - 1, k, half - 1, half, info.max)
+        ends = sorted({e for e in ends if info.min <= e <= info.max})
+        for lo in ends:
+            for hi in (e for e in ends if e >= lo):
+                table = rng.integers(lo, hi, (6, 8), dtype=dtype, endpoint=True)
+                table[0, 0], table[-1, -1] = lo, hi
+                table = table.astype(np.dtype(dtype).newbyteorder(byte_order))
+                for view in (table, table[::2, ::3], table.T):
+                    if min_max_refuses(view, k):
+                        with pytest.raises(ValueError, match=r"contains zone ids outside"):
+                            _zone_table(view, k, "labels")
+                    else:
+                        assert np.array_equal(_zone_table(view, k, "labels"), view)
