@@ -39,8 +39,8 @@ def nearest_labels(points, centroids):
 
     The label moves only where a distance is strictly smaller than the best
     so far, and the best is kept with ``np.minimum``. Points and centroids
-    must be finite; ``zoning`` refuses coordinates whose squared distances
-    would overflow."""
+    must be finite; the coordinates ``zoning`` passes lie within 2**42 of 0
+    (``core._BOUND``), so no squared distance overflows."""
     x = np.ascontiguousarray(points[:, 0], np.float64)
     y = np.ascontiguousarray(points[:, 1], np.float64)
     labels = np.zeros(x.shape, np.int64)

@@ -7,17 +7,29 @@ are marked read-only), so instances can be shared across workers freely.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# Every coordinate (Rect corner, position, centroid) lies in (-_BOUND, _BOUND) and every rate in
+# [0, _BOUND): spans and squared-distance totals stay finite, 1/1000 lattice counts below 2**52.
+_BOUND = 2.0**42
+
+
+def _in_range(values: np.ndarray, rates: bool = False) -> bool:
+    """All ``values`` in (-_BOUND, _BOUND), or in [0, _BOUND) for ``rates``; NaN fails via min/max."""
+    lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+    return bool((lo >= 0 if rates else lo > -_BOUND) and hi < _BOUND)
 
 
 def _vec2(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=np.float64).reshape(-1)
     if arr.shape != (2,):
         raise ValueError(f"{name} must be a 2-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {arr}")
+    if not _in_range(arr):
+        raise ValueError(f"{name} must lie in (-2**42, 2**42), got {arr}")
     arr.setflags(write=False)
     return arr
 
@@ -100,6 +112,9 @@ class TimeGrid:
             raise ValueError(f"step_seconds must be positive, got {self.step_seconds}")
         if self.instant_count < 2:
             raise ValueError(f"instant_count must be >= 2, got {self.instant_count}")
+        last = self.instant_count - 1  # a count past float64 would raise OverflowError in the product
+        if last > sys.float_info.max or not math.isfinite(self.step_seconds * last):
+            raise ValueError(f"step_seconds * (instant_count - 1) must be finite, got {self.step_seconds} * {last}")
 
     def instants_seconds(self) -> np.ndarray:
         return np.arange(self.instant_count, dtype=np.float64) * self.step_seconds
@@ -123,16 +138,14 @@ class TraceSet:
             raise ValueError(f"positions must have shape (users, instants, 2), got {pos.shape}")
         if pos.shape[0] < 1 or pos.shape[1] < 1:
             raise ValueError("positions must contain at least one user and one instant")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
+        if not _in_range(pos):
+            raise ValueError("positions must lie in (-2**42, 2**42)")
         if traffic.shape != (pos.shape[0],):
             raise ValueError(
                 f"mean_traffic must have one entry per user, got {traffic.shape} for {pos.shape[0]} users"
             )
-        with np.errstate(over="ignore"):  # an overflowing total is refused below
-            total = traffic.sum()
-        if not np.isfinite(total) or np.any(traffic < 0):
-            raise ValueError(f"mean_traffic entries must be >= 0 with a finite total, got total {total}")
+        if not _in_range(traffic, rates=True):
+            raise ValueError("mean_traffic entries must lie in [0, 2**42)")
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "mean_traffic", _frozen(traffic))
 

@@ -24,7 +24,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import TimeGrid, TraceSet
+from .core import _BOUND, TimeGrid, TraceSet, _in_range
 from .errors import ConfigError, DataError, open_input
 from .zoning import Zoning
 
@@ -195,10 +195,10 @@ def _columns(path, header, kinds) -> tuple[Callable[[int], int], list]:
     return lambda i: _read_rows(path, header)[0][i], columns
 
 
-def _finite(path, row, x, y, what) -> None:
-    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
-    if bad.size:
-        raise DataError(f"{path}, row {row(bad[0])}: non-finite {what}")
+def _bounded(path, row, x, y, what) -> None:
+    if not (_in_range(x) and _in_range(y)):
+        i = np.flatnonzero(~((x > -_BOUND) & (x < _BOUND) & (y > -_BOUND) & (y < _BOUND)))[0]
+        raise DataError(f"{path}, row {row(i)}: {what} ({x[i]}, {y[i]}) must lie in (-2**42, 2**42)")
 
 
 def _zone_ids(path, row, z, zone_count: int) -> None:
@@ -267,7 +267,7 @@ def load_trace(trace_path, traffic_path, grid: TimeGrid) -> TraceSet:
         csv_trace = b"," in fh.readline()
     if csv_trace:
         row, (u, t, x, y) = _columns(trace_path, TRACE_HEADER, (int, int, float, float))
-        _finite(trace_path, row, x, y, "position")
+        _bounded(trace_path, row, x, y, "position")
         order = _grid(trace_path, row, u, t, grid.instant_count)
         positions = np.stack([x[order], y[order]], axis=-1)
     else:
@@ -279,16 +279,16 @@ def load_traffic(path, user_count: int) -> np.ndarray:
     """Per-user mean rates; each user id in [0, user_count) exactly once."""
     row, (u, rate) = _columns(path, TRAFFIC_HEADER, (int, float))
     unknown = (u < 0) | (u >= user_count)
-    negative = ~(np.isfinite(rate) & (rate >= 0))
+    outside = ~((rate >= 0) & (rate < _BOUND))
     repeated = np.ones(u.size, dtype=bool)
     repeated[np.unique(u, return_index=True)[1]] = False
-    bad = np.flatnonzero(unknown | negative | repeated)
+    bad = np.flatnonzero(unknown | outside | repeated)
     if bad.size:  # the first faulty row in file order, checks in the order below
         i = bad[0]
         if unknown[i]:
             fault = f"unknown user id {u[i]}"
-        elif negative[i]:
-            fault = f"mean_traffic must be >= 0, got {rate[i]}"
+        elif outside[i]:
+            fault = f"mean_traffic must lie in [0, 2**42), got {rate[i]}"
         else:
             fault = f"duplicate user id {u[i]}"
         raise DataError(f"{path}, row {row(i)}: {fault}")
@@ -297,10 +297,6 @@ def load_traffic(path, user_count: int) -> np.ndarray:
     missing = np.flatnonzero(np.isnan(traffic))
     if missing.size:
         raise DataError(f"{path}: missing traffic for user {missing[0]}")
-    with np.errstate(over="ignore"):
-        total = traffic.sum()
-    if not np.isfinite(total):
-        raise DataError(f"{path}: the mean_traffic total overflows float64")
     return traffic
 
 
@@ -319,9 +315,11 @@ def load_waypoint_lines(path, grid: TimeGrid) -> np.ndarray:
                     f"{path}, line {line_no}: expected t x y triples, got {len(fields)} fields"
                 )
             vals = np.array([_parse(path, line_no, f, float, "waypoint value") for f in fields])
-            if not np.all(np.isfinite(vals)):
-                raise DataError(f"{path}, line {line_no}: non-finite waypoint value")
             triples = vals.reshape(-1, 3)
+            if not np.all(np.isfinite(triples[:, 0])):
+                raise DataError(f"{path}, line {line_no}: non-finite waypoint time")
+            if not _in_range(triples[:, 1:]):
+                raise DataError(f"{path}, line {line_no}: waypoint x and y must lie in (-2**42, 2**42)")
             if np.any(np.diff(triples[:, 0]) < 0):
                 raise DataError(f"{path}, line {line_no}: waypoint times must be non-decreasing")
             x = np.interp(sample_t, triples[:, 0], triples[:, 1])
@@ -346,7 +344,7 @@ def write_zoning(zones_path, labels_path, zoning: Zoning) -> None:
 def load_zoning(zones_path, labels_path, instant_count: int) -> Zoning:
     """Zone centroids and the (users, instant_count) label table."""
     row, (zid, region, cx, cy) = _columns(zones_path, ZONES_HEADER, (int, str, float, float))
-    _finite(zones_path, row, cx, cy, "centroid")
+    _bounded(zones_path, row, cx, cy, "centroid")
     for i, name in enumerate(region):
         if name not in ("inside", "outside"):
             raise DataError(f"{zones_path}, row {row(i)}: region must be inside or outside")

@@ -44,7 +44,7 @@ class TransitionMatrix:
             raise ValueError(f"counts must be square, got shape {counts.shape}")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        row_sums = counts.sum(axis=1)
+        row_sums = counts.sum(axis=1, dtype=np.float64)  # int64 sums could wrap; exact below 2**53
         safe = np.where(row_sums == 0, 1, row_sums)
         object.__setattr__(self, "counts", _frozen(counts))
         object.__setattr__(self, "probs", _frozen(counts / safe[:, None]))

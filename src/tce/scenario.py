@@ -27,8 +27,8 @@ int64 counts n:
   never longer than the exact step and stays in the box of the leg's two
   ends. No clamp is needed for containment, and a component whose share of
   the step is below one lattice step does not move.
-Venue coordinates must stay below 2**52 lattice steps, where count
-differences are exact in float64.
+Venue coordinates lie within 2**42 of 0 (``Rect``), so every count stays
+below 2**52, where count differences are exact in float64.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Rect, TimeGrid, TraceSet, Venue, _whole
+from .core import _BOUND, Rect, TimeGrid, TraceSet, Venue, _whole
 
 _PRECINCT = -1  # region id of the precinct in routing
 _LATTICE = 1000  # position lattice steps per index unit; see the module docstring
@@ -95,8 +95,8 @@ class TrafficTiers:
         for frac, rate in tiers:
             if not 0 < frac <= 1:
                 raise ValueError(f"tier fraction must lie in (0, 1], got {frac}")
-            if not (np.isfinite(rate) and rate >= 0):
-                raise ValueError(f"tier rate must be finite and >= 0, got {rate}")
+            if not 0 <= rate < _BOUND:
+                raise ValueError(f"tier rate must lie in [0, 2**42), got {rate}")
         total = sum(f for f, _ in tiers)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"tier fractions must sum to 1, got {total}")
@@ -188,14 +188,6 @@ class _WaypointDraw:
         self.hosts = np.array(hosts)
         in_use = set(hosts)
         shared = {h: _shared_boundary(venue, h) for h in in_use if h != _PRECINCT}
-        regions = {"the precinct": venue.precinct,
-                   **{f"outside region {i}": r for i, r in enumerate(venue.outside_regions)}}
-        for name, r in regions.items():
-            if np.abs(np.concatenate((r.lo, r.hi))).max() >= 2**52 / _LATTICE:
-                raise ValueError(
-                    f"{name} {r.lo.tolist()}..{r.hi.tolist()} reaches {2**52 / _LATTICE:g} "
-                    "index units, past which lattice count differences are not exact in float64"
-                )
         ranges = [_lattice(r.lo, r.hi, name) for r, name in zip(rects, names)]
         self.firsts = np.array([first for first, _ in ranges])
         self.sizes = np.array([last - first + 1 for first, last in ranges], np.float64)
@@ -244,11 +236,9 @@ def generate_scenario(
     at most one waypoint per instant and user u's positions do not depend on
     ``user_count``. Raises ValueError when an attractor has no host region,
     an outside host does not touch the precinct, the weight total overflows
-    float64, a venue coordinate reaches 2**52 lattice steps (which also
-    bounds every drawn rectangle, as each lies in a venue region), a drawn
-    rectangle or a used shared boundary holds no lattice point, or the
-    fastest user's lattice budget per instant, speed_max * step_seconds /
-    index_scale * _LATTICE, is not finite.
+    float64, a drawn rectangle or a used shared boundary holds no lattice
+    point, or the fastest user's lattice budget per instant, speed_max *
+    step_seconds / index_scale * _LATTICE, is not finite.
     """
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")

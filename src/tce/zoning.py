@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kern
-from .core import TraceSet, Venue, _frozen
+from .core import TraceSet, Venue, _frozen, _in_range
 from .errors import InfeasibleError
 
 MAX_ITER = 300
@@ -58,8 +58,8 @@ class Zoning:
     def __post_init__(self):
         for name in ("inside_centroids", "outside_centroids"):
             centroids = np.array(getattr(self, name), np.float64).reshape(-1, 2)
-            if not np.all(np.isfinite(centroids)):
-                raise ValueError(f"{name} must be finite")
+            if not _in_range(centroids):
+                raise ValueError(f"{name} must lie in (-2**42, 2**42)")
             object.__setattr__(self, name, _frozen(centroids))
         object.__setattr__(self, "labels", _frozen(np.array(_zone_table(self.labels, self.zone_count, "labels"))))
 
@@ -93,15 +93,9 @@ def _kmeans_pp_init(points, firsts, back, k: int, region: str, rng: np.random.Ge
     A draw never lands on a position an earlier pick holds, so the D^2 total
     reaches 0 before pick j exactly when the points hold j < k distinct
     positions (j = 0 for no points): that count is the infeasibility error.
-    A squared distance is at most (2 max|coordinate|)^2, so positions too far
-    out for the D^2 total of n of them to stay finite are refused first.
+    Positions lie within 2**42 of 0 (``TraceSet``), so the D^2 total is finite.
     """
     n = points.shape[0]
-    big = float(np.abs(points).max(initial=0.0))
-    if big > np.sqrt(np.finfo(np.float64).max / (4 * max(n, 1))):
-        raise InfeasibleError(
-            f"cannot cluster {region} positions: |coordinate| up to {big:g} overflows their squared distances"
-        )
     fx, fy = np.ascontiguousarray(firsts[:, 0]), np.ascontiguousarray(firsts[:, 1])
     centroids = np.empty((k, 2), np.float64)
     d2 = np.full(n, np.inf)

@@ -359,20 +359,19 @@ class TestRun:
         )
         assert not out.exists()
 
-    def test_traffic_total_past_float64_exit_code(self, tmp_path, capsys):
-        # every tier rate is finite, the 200 users' total traffic is not
+    def test_tier_rate_past_range_exit_code(self, tmp_path, capsys):
+        # a rate below 2**42 keeps the 200 users' total traffic finite
         text = re.sub(r"tiers =\n(    .*\n)+", "tiers =\n    1 1e308\n", FESTIVAL_INI.read_text())
         out = tmp_path / "out"
-        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 4
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: [input] mean_traffic entries must be >= 0 with a finite total, got total inf\n"
+            "error: [traffic] tiers: tier rate must lie in [0, 2**42), got 1e+308\n"
         )
         assert not out.exists()
 
-    def test_traffic_total_near_float64_max_plots_finite(self, tmp_path):
-        # one user at 1.7e308 Mbit/s: a 5% pad around its traffic chart's
-        # span would overflow, and the canvas would scale by 0 into nan
-        text = re.sub(r"tiers =\n(    .*\n)+", "tiers =\n    1 1.7e308\n", FESTIVAL_INI.read_text())
+    def test_traffic_near_range_end_plots_finite(self, tmp_path):
+        # one user at the largest rate below 2**42 Mbit/s: every chart stays finite
+        text = re.sub(r"tiers =\n(    .*\n)+", "tiers =\n    1 4398046511103.9995\n", FESTIVAL_INI.read_text())
         text = text.replace("user_count = 200", "user_count = 1").replace("plot_users = 0 1 2", "plot_users = 0")
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out), "--seed", "7"]) == 0
@@ -496,8 +495,8 @@ class TestLoadMode:
         assert (out / "trace.csv").read_bytes() == trace.read_bytes()
         assert b"0,0,-0.0,5.0\r\n" in trace.read_bytes()
 
-    def test_positions_beyond_overflow_exit_code(self, tmp_path, capsys):
-        # two users walk at x = +-1e200: their squared distances overflow
+    def test_positions_past_range_exit_code(self, tmp_path, capsys):
+        # two users walk at x = +-1e200, past 2**42: refused as they load
         wp = tmp_path / "wp.txt"
         wp.write_text(
             "0 1e200 40 3300 1e200 40\n"
@@ -512,28 +511,27 @@ class TestLoadMode:
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 4
+            assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 3
         assert caught == []
         assert capsys.readouterr().err == (
-            "error: [clustering] cannot cluster outside positions: "
-            "|coordinate| up to 1e+200 overflows their squared distances\n"
+            f"error: [input] {wp}, line 1: waypoint x and y must lie in (-2**42, 2**42)\n"
         )
         assert not out.exists()
 
-    def test_venue_span_past_float64_plots_finite(self, tmp_path):
-        # a generated festival trace loaded into a venue from x = -1e308 to
-        # 1e308: the position chart's span passes float64
-        inputs = tmp_path / "inputs"
-        assert main(["generate", "--config", str(FESTIVAL_INI), "--out", str(inputs)]) == 0
-        text = FESTIVAL_INI.read_text().replace("precinct_min = 0 0", "precinct_min = -1e308 0")
-        text = text.replace("    50 15 60 65\n", "    50 15 1e308 65\n")
-        text += f"\n[input]\ntrace_file = {inputs / 'trace.csv'}\ntraffic_file = {inputs / 'traffic.csv'}\n"
+    def test_last_instant_past_float64_exit_code(self, tmp_path, capsys):
+        # each step is finite, the last of 12 instants is not: refused before
+        # the waypoint lines are resampled at inf seconds
+        wp = tmp_path / "wp.txt"
+        wp.write_text("0 5 40 3300 5 60\n")
+        traffic = tmp_path / "rates.csv"
+        traffic.write_text("user_id,mean_traffic_mbps\n0,1.0\n")
+        text = load_config_text(wp, traffic).replace("step_seconds = 300", "step_seconds = 1e308")
         out = tmp_path / "out"
-        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
-        charts = sorted((out / "plots").glob("*.svg"))
-        assert (out / "plots" / "positions_scatter.svg") in charts
-        for chart in charts:
-            assert not re.search(r"\b(nan|inf)\b", chart.read_text()), chart.name
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [time] step_seconds * (instant_count - 1) must be finite, got 1e+308 * 11\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("trace_format", ["csv", "waypoint"])
     def test_directory_as_trace_file_exit_code(self, tmp_path, capsys, trace_format):
@@ -939,7 +937,7 @@ class TestOutputDirectory:
         out = tmp_path / "out"
         argv = command_argv("report", write_cfg(tmp_path), full, out, zones=tmp_path / "zones.csv")
         assert main(argv) == 3
-        assert "zones.csv, row 2: non-finite centroid" in capsys.readouterr().err
+        assert "zones.csv, row 2: centroid (inf, " in capsys.readouterr().err
         assert not out.exists()
 
 

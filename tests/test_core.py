@@ -91,6 +91,21 @@ class TestTimeGrid:
         grid = TimeGrid(300.0, 4)
         assert list(grid.instants_seconds()) == [0.0, 300.0, 600.0, 900.0]
 
+    @pytest.mark.parametrize("step, count", [(1e308, 4), (1.7976931348623157e308, 3), (1e300, 10**9)])
+    def test_rejects_last_instant_past_float64(self, step, count):
+        # every step is finite, the last instant step * (count - 1) is not
+        with pytest.raises(ValueError, match=r"step_seconds \* \(instant_count - 1\) must be finite"):
+            TimeGrid(step, count)
+
+    def test_rejects_instant_count_past_float64(self):
+        # an instant count no float64 holds is refused, not an OverflowError
+        with pytest.raises(ValueError, match=rf"step_seconds \* \(instant_count - 1\) must be finite, got 1\.0 \* {2**1100 - 1}$"):
+            TimeGrid(1.0, 2**1100)
+
+    def test_largest_finite_last_instant(self):
+        grid = TimeGrid(1.7976931348623157e308, 2)
+        assert grid.instants_seconds().tolist() == [0.0, 1.7976931348623157e308]
+
 
 class TestTraceSet:
     def test_immutable_after_construction(self):
@@ -104,9 +119,9 @@ class TestTraceSet:
         with pytest.raises(ValueError):
             TraceSet(np.zeros((2, 3, 2)), np.array([1.0, -0.5]))
 
-    def test_rejects_traffic_whose_total_overflows(self):
-        # each rate is finite, their float64 sum is not
-        with pytest.raises(ValueError, match="finite total, got total inf"):
+    def test_rejects_traffic_past_range(self):
+        # each rate is finite, but past 2**42, where the float64 sum could overflow
+        with pytest.raises(ValueError, match=r"mean_traffic entries must lie in \[0, 2\*\*42\)"):
             TraceSet(np.zeros((2, 3, 2)), np.full(2, 1e308))
 
     def test_rejects_traffic_shape_mismatch(self):

@@ -51,12 +51,12 @@ class TestTraceRoundTrip:
         with pytest.raises(DataError, match="duplicate"):
             csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
-    def test_traffic_total_past_float64_rejected(self, tmp_path, traces, grid_small):
-        # every rate is finite, the total the zone series sum up to is not
+    def test_traffic_past_range_rejected(self, tmp_path, traces, grid_small):
+        # each rate lies below 2**42, so no zone series total can overflow
         csvio.write_trace(tmp_path / "trace.csv", traces)
         rows = "".join(f"{u},1e308\n" for u in range(4))
         (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n" + rows)
-        with pytest.raises(DataError, match=r"traffic\.csv: the mean_traffic total overflows float64"):
+        with pytest.raises(DataError, match=r"traffic\.csv, row 2: mean_traffic must lie in \[0, 2\*\*42\), got 1e\+308"):
             csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid_small)
 
     def test_bad_header_rejected(self, tmp_path, grid_small):
@@ -104,12 +104,25 @@ class TestWaypointImport:
         with pytest.raises(DataError, match="non-decreasing"):
             csvio.load_waypoint_lines(tmp_path / "wp.txt", grid)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
-    def test_rejects_non_finite_value(self, tmp_path, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309", "4398046511104"])
+    def test_rejects_position_outside_range(self, tmp_path, value):
         grid = TimeGrid(10.0, 3)
         (tmp_path / "wp.txt").write_text(f"0 1 1 10 2 2\n0 1 1 10 {value} 2\n")
-        with pytest.raises(DataError, match=r"wp.txt, line 2: non-finite waypoint value"):
+        with pytest.raises(DataError, match=r"wp.txt, line 2: waypoint x and y must lie in \(-2\*\*42, 2\*\*42\)"):
             csvio.load_waypoint_lines(tmp_path / "wp.txt", grid)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_rejects_non_finite_time(self, tmp_path, value):
+        grid = TimeGrid(10.0, 3)
+        (tmp_path / "wp.txt").write_text(f"0 1 1 10 2 2\n0 1 1 {value} 2 2\n")
+        with pytest.raises(DataError, match=r"wp.txt, line 2: non-finite waypoint time"):
+            csvio.load_waypoint_lines(tmp_path / "wp.txt", grid)
+
+    def test_far_waypoint_time_is_accepted(self, tmp_path):
+        # times are only required to be finite, not to lie within 2**42
+        grid = TimeGrid(10.0, 3)
+        (tmp_path / "wp.txt").write_text("0 1 1 1e300 3 1\n")
+        assert csvio.load_waypoint_lines(tmp_path / "wp.txt", grid).tolist() == [[[1, 1], [1, 1], [1, 1]]]
 
     def test_load_trace_reads_waypoint_lines(self, tmp_path):
         # a first line without a comma makes load_trace read waypoint lines
@@ -407,7 +420,7 @@ class TestRowNumbers:
             self.load(tmp_path, "0,0,1,1\n0,1,2,2\n0,2,3,1.2.3\n", TimeGrid(60.0, 3))
 
     def test_non_finite_position_names_its_row(self, tmp_path):
-        with pytest.raises(DataError, match=r"trace\.csv, row 3: non-finite position"):
+        with pytest.raises(DataError, match=r"trace\.csv, row 3: position \(inf, 2\.0\) must lie in \(-2\*\*42, 2\*\*42\)"):
             self.load(tmp_path, "0,0,1,1\n0,1,inf,2\n0,2,3,3\n", TimeGrid(60.0, 3))
 
     def test_integer_beyond_int64_names_its_row(self, tmp_path):
@@ -438,7 +451,7 @@ class TestRowNumbers:
         [
             ("0,1\n1,2\n0,3\n", r"traffic\.csv, row 4: duplicate user id 0"),
             ("0,1\n2,2\n1,3\n", r"traffic\.csv, row 3: unknown user id 2"),
-            ("0,1\n1,-2\n1,3\n", r"traffic\.csv, row 3: mean_traffic must be >= 0, got -2\.0"),
+            ("0,1\n1,-2\n1,3\n", r"traffic\.csv, row 3: mean_traffic must lie in \[0, 2\*\*42\), got -2\.0"),
             ("0,1\n1,x\n", r"traffic\.csv, row 3: bad mean_traffic_mbps 'x'"),
             ("1,1\n", r"traffic\.csv: missing traffic for user 0"),
         ],
@@ -457,7 +470,7 @@ class TestRowNumbers:
     def test_non_finite_centroid_names_its_row(self, tmp_path):
         (tmp_path / "zones.csv").write_text("zone_id,region,cx,cy\n0,inside,1,1\n1,outside,inf,68.1\n")
         (tmp_path / "labels.csv").write_text("user_id,t,zone_id\n0,0,0\n0,1,1\n")
-        with pytest.raises(DataError, match=r"zones\.csv, row 3: non-finite centroid"):
+        with pytest.raises(DataError, match=r"zones\.csv, row 3: centroid \(inf, 68\.1\) must lie in"):
             csvio.load_zoning(tmp_path / "zones.csv", tmp_path / "labels.csv", 2)
 
     # A blank record before the fault still counts as a row. All but the bad
@@ -466,18 +479,18 @@ class TestRowNumbers:
     @pytest.mark.parametrize(
         "name, rows, message",
         [
-            ("trace", "0,0,1,1\n\n0,1,inf,2\n0,2,3,3\n", r"trace\.csv, row 4: non-finite position"),
+            ("trace", "0,0,1,1\n\n0,1,inf,2\n0,2,3,3\n", r"trace\.csv, row 4: position \(inf, 2\.0\) must lie in"),
             ("trace", "0,0,1,1\n\n0,3,2,2\n", r"trace\.csv, row 4: instant 3 outside \[0, 3\)"),
             ("trace", "0,0,1,1\r\n\r\n0,1,2,2\r\n0,0,3,3\n", r"trace\.csv, row 5: duplicate entry for user 0, instant 0"),
             ("labels", "0,0,0\n\n0,1,1\n0,2,2\n", r"labels\.csv, row 5: zone id 2 outside \[0, 2\)"),
             ("labels", "0,0,0\n\n\n0,0,1\n", r"labels\.csv, row 5: duplicate label for user 0, instant 0"),
             ("zones", "0,inside,1,1\n\n1,middle,9,9\n", r"zones\.csv, row 4: region must be inside or outside"),
             ("zones", "0,inside,1,1\r\rI,outside,nan,9\r", r"zones\.csv, row 4: bad zone_id 'I'"),
-            ("zones", "\n0,inside,1,1\n1,outside,nan,9\n", r"zones\.csv, row 4: non-finite centroid"),
+            ("zones", "\n0,inside,1,1\n1,outside,nan,9\n", r"zones\.csv, row 4: centroid \(nan, 9\.0\) must lie in"),
             ("predictions", "0,0,1,1\n\n0,1,1,7\n", r"predictions\.csv, row 4: zone id 7 outside \[0, 2\)"),
             ("traffic", "0,1\n\n1,2\n0,3\n", r"traffic\.csv, row 5: duplicate user id 0"),
             ("traffic", "0,1\n\n2,2\n1,3\n", r"traffic\.csv, row 4: unknown user id 2"),
-            ("traffic", "\n0,1\n1,-2\n", r"traffic\.csv, row 4: mean_traffic must be >= 0, got -2\.0"),
+            ("traffic", "\n0,1\n1,-2\n", r"traffic\.csv, row 4: mean_traffic must lie in \[0, 2\*\*42\), got -2\.0"),
             ("traffic", "0,1\n\n1,x\n", r"traffic\.csv, row 4: bad mean_traffic_mbps 'x'"),
         ],
     )
@@ -677,20 +690,19 @@ class TestLoaderOracle:
         outcomes = self.check(tmp_path, monkeypatch, traffic="user_id,mean_traffic_mbps\n")
         assert outcomes["load_traffic"].endswith("traffic.csv: missing traffic for user 0")
 
-    def test_random_doubles_bit_for_bit(self, tmp_path, monkeypatch):
+    def test_random_doubles_bit_for_bit(self, tmp_path):
+        # the codec keeps every finite double, far past the range TraceSet
+        # accepts, so it is checked below the loaders
         rng = np.random.default_rng(16)
         bits = rng.integers(0, 2**64, (1500, 2, 2), dtype=np.uint64, endpoint=False)
         positions = bits.view(np.float64)
         positions[~np.isfinite(positions)] = 0.5
-        traces = TraceSet(positions, np.ones(1500))
-        csvio.write_trace(tmp_path / "trace.csv", traces)
-        csvio.write_traffic(tmp_path / "traffic.csv", traces)
-        grid = TimeGrid(60.0, 2)
-        loaded = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid)
-        assert loaded.positions.tobytes() == positions.tobytes()
-        monkeypatch.setattr(csvio, "_columns", reference_columns)
-        reference = csvio.load_trace(tmp_path / "trace.csv", tmp_path / "traffic.csv", grid)
-        assert reference.positions.tobytes() == positions.tobytes()
+        path, kinds = tmp_path / "trace.csv", (int, int, float, float)
+        csvio._write_table(path, csvio.TRACE_HEADER, positions[..., 0], positions[..., 1])
+        for columns in (csvio._columns, reference_columns):
+            _, (u, t, x, y) = columns(path, csvio.TRACE_HEADER, kinds)
+            assert np.array_equal(u * 2 + t, np.arange(3000))
+            assert np.stack([x, y], axis=-1).tobytes() == positions.tobytes()
 
 
 class TestNumpyReader:

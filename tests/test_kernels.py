@@ -147,17 +147,17 @@ def test_nearest_labels_keeps_the_loops_bytes_on_edge_values():
         assert np.array_equal(centroids[labels[:30]], on)
 
 
-def test_nearest_labels_near_the_clustering_overflow_bound():
-    # zoning refuses |coordinate| above sqrt(max / (4 n)); up to there every
-    # squared distance, and the D^2 total of n points, stays finite
+def test_nearest_labels_at_the_coordinate_range_end():
+    # core bounds every coordinate below 2**42; up to there every squared
+    # distance, and the D^2 total of n points, stays finite
     rng = np.random.default_rng(29)
+    big = np.nextafter(2.0**42, 0)
     for n in (2, 50, 1000):
-        big = np.sqrt(np.finfo(np.float64).max / (4 * n))
         points = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, 2)) * big
         points[0] = [big, -big]
         centroids = np.array([[-big, big], [big, big], [0.0, 0.0], [-big, -big], [big, -big]])
         labels, dist2 = assert_nearest_labels_match_loop(points, centroids)
-        assert np.all(np.isfinite(dist2)) and labels[0] == 4 and dist2[0] == 0
+        assert np.isfinite(dist2.sum()) and labels[0] == 4 and dist2[0] == 0
 
 
 def test_accumulate_points_matches_reference_loop():

@@ -51,6 +51,11 @@ class TestTransitionMatrix:
         assert list(m.probs[0]) == [0.0, 0.0]
         assert list(m.probs[1]) == [0.75, 0.25]
 
+    def test_row_sum_past_int64_keeps_probabilities(self):
+        # 2**62 + 2**62 wraps to -2**63 in int64; summed in float64 it is exact
+        m = TransitionMatrix([[2**62, 2**62], [0, 2**63 - 1]])
+        assert m.probs.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+
     def test_rejects_non_square_or_negative(self):
         with pytest.raises(ValueError):
             TransitionMatrix([[1, 2, 3], [4, 5, 6]])

@@ -144,13 +144,8 @@ class TestCluster:
                 np.array([[[0.0, 0.0], [1e-200, 0.0]]]), 2, 1,
                 "cannot form 2 in-precinct zones from 1 distinct in-precinct positions",
             ),
-            # (2e200)^2 overflows: refused before seeding, even for one zone
-            (
-                np.array([[[1e200, 40.0], [-1e200, 40.0]], [[5.0, 40.0], [10.0, 5.0]]]), 2, 1,
-                "cannot cluster outside positions: |coordinate| up to 1e+200 overflows their squared distances",
-            ),
         ],
-        ids=["one_inside", "none_inside", "two_outside", "underflow", "overflow"],
+        ids=["one_inside", "none_inside", "two_outside", "underflow"],
     )
     def test_infeasible_message_names_distinct_count(self, festival_venue, positions, k_inside, k_outside, message):
         traces = make_traces(positions)
@@ -159,11 +154,13 @@ class TestCluster:
         assert str(exc.value) == message
 
     def test_far_positions_within_range_still_cluster(self, festival_venue):
-        positions = np.array([[[1e150, 40.0], [-1e150, 40.0]], [[5.0, 40.0], [10.0, 5.0]]])
+        # the farthest positions TraceSet accepts: their squared distances stay finite
+        far = np.nextafter(2.0**42, 0)
+        positions = np.array([[[far, 40.0], [-far, 40.0]], [[5.0, 40.0], [10.0, 5.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             zoning = cluster(make_traces(positions), festival_venue, k_inside=2, k_outside=2, seed=0)
-        assert sorted(zoning.outside_centroids[:, 0]) == [-1e150, 1e150]
+        assert sorted(zoning.outside_centroids[:, 0]) == [-far, far]
 
     def test_centroid_within_member_bounding_box(self, festival_venue):
         rng = np.random.default_rng(9)
@@ -262,11 +259,6 @@ def reference_nearest_labels(points, centroids):
 
 def reference_kmeans_pp_init(points, k, region, rng):
     n = points.shape[0]
-    big = float(np.abs(points).max(initial=0.0))
-    if big > np.sqrt(np.finfo(np.float64).max / (4 * max(n, 1))):
-        raise InfeasibleError(
-            f"cannot cluster {region} positions: |coordinate| up to {big:g} overflows their squared distances"
-        )
     centroids = np.empty((k, 2), np.float64)
     d2 = np.full(n, np.inf)
     for j in range(k):
@@ -416,9 +408,8 @@ class TestLloydOracle:
             (np.empty((0, 2)), 3),
             (np.repeat([[1.0, 2.0], [1.0, 5.0], [1.0, 2.0]], 4, axis=0), 3),
             (np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0]]), 2),
-            (np.array([[1e200, 40.0], [1e200, 40.0], [-1e200, 40.0]]), 1),
         ],
-        ids=["one_spot", "no_points", "two_spots_three_runs", "signed_zeros", "overflow"],
+        ids=["one_spot", "no_points", "two_spots_three_runs", "signed_zeros"],
     )
     def test_same_infeasible_messages(self, points, k):
         with pytest.raises(InfeasibleError) as got:
@@ -426,7 +417,7 @@ class TestLloydOracle:
         with pytest.raises(InfeasibleError) as want:
             reference_lloyd(points, k, "in-precinct", np.random.default_rng(0))
         assert str(got.value) == str(want.value)
-        assert "distinct" in str(got.value) or "overflows" in str(got.value)
+        assert "distinct" in str(got.value)
 
 
 class TestAssign:
@@ -485,5 +476,5 @@ class TestZoning:
         ([[1.0, 1.0]], [[math.inf, 2.0]]),
     ])
     def test_rejects_non_finite_centroids(self, inside, outside):
-        with pytest.raises(ValueError, match="centroids must be finite"):
+        with pytest.raises(ValueError, match=r"centroids must lie in \(-2\*\*42, 2\*\*42\)"):
             Zoning(inside, outside, [[0]])
