@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +130,7 @@ class TraceSet:
 
     positions: np.ndarray
     mean_traffic: np.ndarray
+    _extent: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=np.float64)
@@ -138,7 +139,9 @@ class TraceSet:
             raise ValueError(f"positions must have shape (users, instants, 2), got {pos.shape}")
         if pos.shape[0] < 1 or pos.shape[1] < 1:
             raise ValueError("positions must contain at least one user and one instant")
-        if not _in_range(pos):
+        rows = pos.reshape(pos.shape[0], -1)  # users first over contiguous rows, then (instants, 2)
+        extent = rows.min(axis=0).reshape(-1, 2).min(axis=0), rows.max(axis=0).reshape(-1, 2).max(axis=0)
+        if not _in_range(np.concatenate(extent)):
             raise ValueError("positions must lie in (-2**42, 2**42)")
         if traffic.shape != (pos.shape[0],):
             raise ValueError(
@@ -148,6 +151,7 @@ class TraceSet:
             raise ValueError("mean_traffic entries must lie in [0, 2**42)")
         object.__setattr__(self, "positions", _frozen(pos))
         object.__setattr__(self, "mean_traffic", _frozen(traffic))
+        object.__setattr__(self, "_extent", tuple(map(_frozen, extent)))
 
     @property
     def user_count(self) -> int:

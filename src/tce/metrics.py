@@ -2,7 +2,8 @@
 
 The error for one (user, instant) is the distance between the real and
 predicted zone centroids divided by the diagonal of the observed position
-extent, which keeps it in [0, 1] whenever the extent covers the centroids.
+extent, which ``TraceSet`` reduces once, in its range check; the error lies
+in [0, 1] whenever the extent covers the centroids.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TraceSet, _frozen, _whole
+from .core import TraceSet, _frozen, _in_range, _whole
 from .markov import PredictionRun
 from .zoning import Zoning, _zone_table
 
@@ -35,13 +36,8 @@ class ErrorSeries:
 
 def position_extent(traces: TraceSet) -> tuple[np.ndarray, np.ndarray]:
     """Component-wise min and max over every observed position, outside
-    points included.
-
-    Each reduces the (users, instants * 2) rows along users first, which
-    reads contiguous rows, then folds the (instants, 2) result; min and max
-    are exact, so this order gives the values of one pass per column."""
-    rows = traces.positions.reshape(traces.user_count, -1)
-    return rows.min(axis=0).reshape(-1, 2).min(axis=0), rows.max(axis=0).reshape(-1, 2).max(axis=0)
+    points included: fresh copies of the pair ``TraceSet`` reduced once."""
+    return tuple(end.copy() for end in traces._extent)
 
 
 def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> ErrorSeries:
@@ -49,9 +45,11 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
 
     Each error is a lookup of the flat (real, predicted) zone-pair table at
     ``real * k + pred``, an index computed in the narrowest unsigned type
-    that holds k*k - 1 (uint8 for k <= 16)."""
-    extent_min = np.asarray(extent_min, np.float64)
-    extent_max = np.asarray(extent_max, np.float64)
+    that holds k*k - 1 (uint8 for k <= 16). Each extent end is a 2-vector."""
+    for name, end in (("extent_min", extent_min), ("extent_max", extent_max)):
+        if np.shape(end) != (2,):
+            raise ValueError(f"{name} must be a 2-vector, got shape {np.shape(end)}")
+    extent_min, extent_max = np.asarray(extent_min, np.float64), np.asarray(extent_max, np.float64)
     with np.errstate(all="ignore"):  # a span that overflows is refused below
         diagonal = np.linalg.norm(extent_max - extent_min)
     if not (np.all(extent_max > extent_min) and np.isfinite(diagonal)):
@@ -78,15 +76,15 @@ def error_histogram(errors, edges) -> np.ndarray:
     value in the bin whose edges hold it.
 
     The last bin is closed on the right, so an error of exactly 1 is counted.
-    Fewer than two edges, edges that are not finite and strictly increasing
-    or do not cover [0, 1], a value outside [0, 1], with the tolerance
+    Fewer than two edges, edges not strictly increasing, not covering [0, 1]
+    or outside (-2**42, 2**42), a value outside [0, 1], with the tolerance
     ``ErrorSeries`` allows, or NaN is refused.
     """
     edges = np.asarray(edges, np.float64)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError(f"edges must be one row of at least two values, got shape {edges.shape}")
-    if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0) and edges[0] <= 0.0 and edges[-1] >= 1.0):
-        raise ValueError(f"edges must be finite, strictly increasing and cover [0, 1], got {edges}")
+    if not (_in_range(edges) and np.all(np.diff(edges) > 0) and edges[0] <= 0.0 and edges[-1] >= 1.0):
+        raise ValueError(f"edges must be finite, strictly increasing and cover [0, 1] in (-2**42, 2**42), got {edges}")
     bin_count = edges.size - 1
     values = np.asarray(errors, np.float64).ravel()
     if values.size and not (values.min() >= 0.0 and values.max() <= _ERROR_MAX):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tce.core import TraceSet
+from tce import csvio
+from tce.config import load_config
+from tce.core import TimeGrid, TraceSet
 from tce.markov import PredictionRun
 from tce.metrics import (
     ErrorSeries,
@@ -12,7 +14,10 @@ from tce.metrics import (
     histogram_edges,
     position_extent,
 )
+from tce.scenario import generate_scenario
 from tce.zoning import Zoning
+
+from conftest import FESTIVAL_INI
 
 
 def zoning_with(centroids, labels=((0,),)):
@@ -26,6 +31,20 @@ def error_series_norm(zoning, run, lo, hi):
     c = zoning.all_centroids()
     diff = c[zoning.labels[:, first:]] - c[run.labels_pred[:, first:]]
     return np.linalg.norm(diff, axis=2) / np.linalg.norm(np.subtract(hi, lo, dtype=float))
+
+
+def row_wise_extent(positions):
+    """The per-call reduction ``position_extent`` ran before ``TraceSet``
+    kept its extent: users first over the (users, instants * 2) rows, then
+    the (instants, 2) result."""
+    rows = positions.reshape(positions.shape[0], -1)
+    return rows.min(axis=0).reshape(-1, 2).min(axis=0), rows.max(axis=0).reshape(-1, 2).max(axis=0)
+
+
+def assert_row_wise_extent(traces):
+    lo, hi = position_extent(traces)
+    want_lo, want_hi = row_wise_extent(traces.positions)
+    assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
 
 
 def error_of(centroids, real, pred, lo, hi):
@@ -87,6 +106,14 @@ class TestPredictionError:
         with pytest.raises(ValueError, match="must be finite"):
             error_of([[0.0, 0.0], [1.0, 1.0]], 0, 1, lo, hi)
 
+    @pytest.mark.parametrize("end", [[0, 0, 0], [[0, 0]], 0.0, [0.0]])
+    @pytest.mark.parametrize("name", ["extent_min", "extent_max"])
+    def test_extent_that_is_not_a_2_vector_rejected(self, name, end):
+        # (0, 0, 0) to (1, 1, 1) used to be scored over its 3-D diagonal
+        ends = {"extent_min": [0, 0], "extent_max": [1, 1], name: end}
+        with pytest.raises(ValueError, match=rf"^{name} must be a 2-vector, got shape"):
+            error_of([[0.0, 0.0], [1.0, 1.0]], 0, 1, ends["extent_min"], ends["extent_max"])
+
 
 class TestPositionExtent:
     def test_covers_outside_points(self):
@@ -110,6 +137,44 @@ class TestPositionExtent:
             assert lo.tobytes() == np.array([x.min(), y.min()]).tobytes()
             assert hi.tobytes() == np.array([x.max(), y.max()]).tobytes()
             assert lo.shape == hi.shape == (2,)
+            assert_row_wise_extent(TraceSet(positions, np.zeros(users)))
+
+    def test_matches_row_wise_reduction_for_generated_traces(self):
+        cfg = load_config(FESTIVAL_INI)
+        for seed in range(3):
+            assert_row_wise_extent(generate_scenario(cfg.venue, cfg.grid, 12, cfg.mobility, cfg.traffic, seed))
+
+    def test_matches_row_wise_reduction_for_loaded_traces(self, tmp_path):
+        grid = TimeGrid(10.0, 3)
+        (tmp_path / "traffic.csv").write_text("user_id,mean_traffic_mbps\n0,1\n1,2\n")
+        (tmp_path / "trace.csv").write_text(
+            "user_id,t,x,y\n1,2,-3.5,0.25\n0,0,4,-0.0\n0,1,2.5,7\n1,0,0.0,9\n0,2,-1e3,0.0\n1,1,8,-2\n"
+        )
+        (tmp_path / "wp.txt").write_text("0 0 0 20 40 -5\n5 -0.0 3 15 6 0.0\n")
+        for name in ("trace.csv", "wp.txt"):
+            traces = csvio.load_trace(tmp_path / name, tmp_path / "traffic.csv", grid)
+            assert_row_wise_extent(traces)
+
+    @pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_signed_zeros_in_one_column_keep_their_bits(self, first, second, axis):
+        # zeros of both signs across users, then across instants of one user
+        for shape in ((2, 1, 2), (1, 2, 2)):
+            positions = np.ones(shape)
+            positions.reshape(-1, 2)[:, axis] = first, second
+            traces = TraceSet(positions, np.zeros(shape[0]))
+            assert_row_wise_extent(traces)
+            lo, hi = position_extent(traces)
+            assert lo[1 - axis] == hi[1 - axis] == 1.0 and lo[axis] == hi[axis] == 0.0
+
+    def test_returns_fresh_writable_arrays(self):
+        traces = TraceSet([[[1.0, 2.0], [3.0, -4.0]]], [0.0])
+        lo, hi = position_extent(traces)
+        lo[:] = hi[:] = np.nan
+        again_lo, again_hi = position_extent(traces)
+        assert again_lo.tolist() == [1.0, -4.0] and again_hi.tolist() == [3.0, 2.0]
+        assert again_lo.flags.writeable and again_hi.flags.writeable
+        assert not np.shares_memory(again_lo, lo) and not np.shares_memory(again_hi, hi)
 
 
 class TestErrorSeries:
@@ -242,3 +307,13 @@ class TestErrorHistogram:
 
     def test_edges_past_the_unit_interval_count_every_value(self):
         assert error_histogram(np.array([0.0, 0.3, 0.6, 1.0]), [-1.0, 0.5, 2.0]).tolist() == [2, 2]
+
+    @pytest.mark.parametrize("edges", [[-1e308, 0.5, 1e308], [-(2.0**42), 1.0], [0.0, 2.0**42]])
+    def test_rejects_edges_outside_the_coordinate_range(self, edges):
+        # [-1e308, 0.5, 1e308] used to be accepted and charted as nan
+        with pytest.raises(ValueError, match=r"^edges must .* in \(-2\*\*42, 2\*\*42\), got"):
+            error_histogram(np.array([0.2, 0.7]), edges)
+
+    def test_edges_at_the_range_end_count_every_value(self):
+        near = np.nextafter(2.0**42, 0)
+        assert error_histogram(np.array([0.2, 0.7]), [-near, 0.5, near]).tolist() == [1, 1]

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tce import svgplot
+from tce import metrics, svgplot
 from tce.errors import ConfigError
 
 from conftest import DEV_FULL, needs_dev_full
@@ -156,6 +156,18 @@ def test_line_chart_of_range_end_rates_stays_finite(tmp_path):
     ys = np.array([0.0, 1e6 * np.nextafter(2.0**42, 0)])
     svgplot.line_chart(path, np.arange(2), [("zone 0 real", ys, "")], "Traffic", "instant", "traffic", vline_at=1)
     assert not re.search(r"\b(nan|inf)\b", path.read_text())
+
+
+def test_histogram_chart_of_range_end_edges_stays_finite(tmp_path):
+    # the widest edges error_histogram accepts: both ends just inside 2**42
+    near = np.nextafter(2.0**42, 0)
+    edges = np.array([-near, 0.5, near])
+    path = tmp_path / "histogram.svg"
+    svgplot.histogram_chart(path, [metrics.error_histogram([0.2, 0.7], edges)] * 2, edges, "Prediction error")
+    text = path.read_text()
+    assert not re.search(r"\b(nan|inf)\b", text)
+    numbers = [float(v) for v in re.findall(r' (?:x|y|width|height)="([^"]+)"', text)]
+    assert numbers and all(math.isfinite(v) and -1.0 <= v <= 641.0 for v in numbers)
 
 
 def test_scatter_chart_venue_at_range_end_stays_finite(tmp_path):
