@@ -7,14 +7,14 @@ are marked read-only), so instances can be shared across workers freely.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Every coordinate (Rect corner, position, centroid) lies in (-_BOUND, _BOUND) and every rate in
-# [0, _BOUND): spans and squared-distance totals stay finite, 1/1000 lattice counts below 2**52.
+# Every coordinate (Rect corner, position, centroid, extent end) lies in (-_BOUND, _BOUND); every
+# rate, speed, weight and step in [0, _BOUND) (step and weight above 0); index_scale in (1/_BOUND,
+# _BOUND). Spans, squared-distance totals, weight totals, last instants and lattice budgets stay
+# finite, and 1/1000 lattice counts of a coordinate stay below 2**52.
 _BOUND = 2.0**42
 
 
@@ -89,8 +89,8 @@ class Venue:
         object.__setattr__(self, "index_scale", float(self.index_scale))
         if not isinstance(self.precinct, Rect):
             raise ValueError("precinct must be a Rect")
-        if not (np.isfinite(self.index_scale) and self.index_scale > 0):
-            raise ValueError(f"index_scale must be positive, got {self.index_scale}")
+        if not 1 / _BOUND < self.index_scale < _BOUND:
+            raise ValueError(f"index_scale must be positive, in (2**-42, 2**42), got {self.index_scale}")
         for i, region in enumerate(self.outside_regions):
             if not isinstance(region, Rect):
                 raise ValueError(f"outside_regions[{i}] must be a Rect")
@@ -108,13 +108,10 @@ class TimeGrid:
     def __post_init__(self):
         object.__setattr__(self, "step_seconds", float(self.step_seconds))
         object.__setattr__(self, "instant_count", _whole(self.instant_count, "instant_count"))
-        if not (np.isfinite(self.step_seconds) and self.step_seconds > 0):
-            raise ValueError(f"step_seconds must be positive, got {self.step_seconds}")
-        if self.instant_count < 2:
-            raise ValueError(f"instant_count must be >= 2, got {self.instant_count}")
-        last = self.instant_count - 1  # a count past float64 would raise OverflowError in the product
-        if last > sys.float_info.max or not math.isfinite(self.step_seconds * last):
-            raise ValueError(f"step_seconds * (instant_count - 1) must be finite, got {self.step_seconds} * {last}")
+        if not 0 < self.step_seconds < _BOUND:
+            raise ValueError(f"step_seconds must be positive, in (0, 2**42), got {self.step_seconds}")
+        if not 2 <= self.instant_count < 2**63:
+            raise ValueError(f"instant_count must be >= 2, in [2, 2**63), got {self.instant_count}")
 
     def instants_seconds(self) -> np.ndarray:
         return np.arange(self.instant_count, dtype=np.float64) * self.step_seconds

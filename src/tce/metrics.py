@@ -45,17 +45,16 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
 
     Each error is a lookup of the flat (real, predicted) zone-pair table at
     ``real * k + pred``, an index computed in the narrowest unsigned type
-    that holds k*k - 1 (uint8 for k <= 16). Each extent end is a 2-vector."""
+    that holds k*k - 1 (uint8 for k <= 16). Each extent end is a 2-vector
+    in (-2**42, 2**42), as every coordinate is, so the diagonal is finite."""
     for name, end in (("extent_min", extent_min), ("extent_max", extent_max)):
         if np.shape(end) != (2,):
             raise ValueError(f"{name} must be a 2-vector, got shape {np.shape(end)}")
     extent_min, extent_max = np.asarray(extent_min, np.float64), np.asarray(extent_max, np.float64)
-    with np.errstate(all="ignore"):  # a span that overflows is refused below
-        diagonal = np.linalg.norm(extent_max - extent_min)
-    if not (np.all(extent_max > extent_min) and np.isfinite(diagonal)):
+    if not (_in_range(np.concatenate((extent_min, extent_max))) and np.all(extent_max > extent_min)):
         raise ValueError(
             f"degenerate extent: max {extent_max} must exceed min {extent_min} component-wise, "
-            "and the span between them must be finite"
+            "and both must be finite, in (-2**42, 2**42)"
         )
     k = zoning.zone_count
     pred = _zone_table(run.labels_pred, k, "labels_pred", zoning.labels.shape)
@@ -63,7 +62,7 @@ def error_series(zoning: Zoning, run: PredictionRun, extent_min, extent_max) -> 
     c = zoning.all_centroids()
     # one cell per (real, predicted) zone pair, from the same operands as a
     # per-(user, instant) difference would use, so the bits are the same
-    table = np.linalg.norm(c[:, None] - c[None], axis=2) / diagonal
+    table = np.linalg.norm(c[:, None] - c[None], axis=2) / np.linalg.norm(extent_max - extent_min)
     # built in place: an int64 index table raised the benchmark's peak RSS
     cell = np.multiply(zoning.labels[:, first:], k, dtype=np.min_scalar_type(k * k - 1), casting="unsafe")
     np.add(cell, pred[:, first:], out=cell, casting="unsafe")

@@ -53,8 +53,8 @@ class Attractor:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", float(self.weight))
-        if not (np.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"attractor weight must be positive, got {self.weight}")
+        if not 0 < self.weight < _BOUND:
+            raise ValueError(f"attractor weight must be positive, in (0, 2**42), got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,9 @@ class MobilityParams:
         object.__setattr__(self, "speed_max", float(self.speed_max))
         object.__setattr__(self, "attractors", tuple(self.attractors))
         object.__setattr__(self, "pause_instants", _whole(self.pause_instants, "pause_instants"))
-        if not (0 <= self.speed_min <= self.speed_max and np.isfinite(self.speed_max)):
+        if not 0 <= self.speed_min <= self.speed_max < _BOUND:
             raise ValueError(
-                f"need finite 0 <= speed_min <= speed_max, got {self.speed_min}/{self.speed_max}"
+                f"need finite 0 <= speed_min <= speed_max < 2**42, got {self.speed_min}/{self.speed_max}"
             )
         if not self.attractors:
             raise ValueError("at least one attractor is required")
@@ -179,11 +179,7 @@ class _WaypointDraw:
         names = [f"attractor {a.label!r}" if a.label else "attractor" for a in mobility.attractors]
         hosts = [_host(venue, a) for a in mobility.attractors]
         w = np.array([a.weight for a in mobility.attractors], np.float64)
-        with np.errstate(over="ignore"):  # refused just below, not warned
-            total = w.sum()
-        if not np.isfinite(total):
-            raise ValueError("the waypoint weight total must be finite in float64")
-        cdf = np.cumsum(w / total)
+        cdf = np.cumsum(w / w.sum())
         self.cdf = cdf / cdf[-1]  # the CDF Generator.choice builds from p
         self.hosts = np.array(hosts)
         in_use = set(hosts)
@@ -234,21 +230,18 @@ def generate_scenario(
     index_scale in index units; leftover movement budget at a waypoint is
     dropped (the user dwells there until the next instant), so a user picks
     at most one waypoint per instant and user u's positions do not depend on
-    ``user_count``. Raises ValueError when an attractor has no host region,
-    an outside host does not touch the precinct, the weight total overflows
-    float64, a drawn rectangle or a used shared boundary holds no lattice
-    point, or the fastest user's lattice budget per instant, speed_max *
-    step_seconds / index_scale * _LATTICE, is not finite.
+    ``user_count``. Raises ValueError when ``user_count`` is not an integer
+    >= 1, an attractor has no host region, an outside host does not touch
+    the precinct, or a drawn rectangle or a used shared boundary holds no
+    lattice point. Speeds, weights, the step and the scale each lie in their
+    range (``core._BOUND``), so the weight total and the lattice budget per
+    instant are finite.
     """
+    user_count = _whole(user_count, "user_count")
     if user_count < 1:
         raise ValueError(f"user_count must be >= 1, got {user_count}")
     draw = _WaypointDraw(venue, mobility)
     step_budget = grid.step_seconds / venue.index_scale * _LATTICE  # lattice steps per (m/s)
-    if not np.isfinite(mobility.speed_max * step_budget):
-        raise ValueError(
-            f"speed_max * step_seconds / index_scale * {_LATTICE}, the fastest user's lattice steps "
-            f"per instant, must be finite, got {mobility.speed_max} * {grid.step_seconds} / {venue.index_scale}"
-        )
     tier_seed, move_seed = np.random.SeedSequence(seed).spawn(2)
     rates = assign_tiers(user_count, traffic, np.random.default_rng(tier_seed))
     uniforms = np.random.default_rng(move_seed).random((user_count, grid.instant_count, 4))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kern
-from .core import TraceSet, Venue, _frozen, _in_range
+from .core import TraceSet, Venue, _frozen, _in_range, _whole
 from .errors import InfeasibleError
 
 MAX_ITER = 300
@@ -162,6 +162,7 @@ def cluster(traces: TraceSet, venue: Venue, k_inside: int, k_outside: int, seed:
     the precinct, an independent K-Means over the outside points. Every
     (user, instant) is labeled with its nearest centroid of its region class.
     """
+    k_inside, k_outside = _whole(k_inside, "k_inside"), _whole(k_outside, "k_outside")
     if k_inside < 1 or k_outside < 1:
         raise ValueError("k_inside and k_outside must be >= 1")
     points = traces.all_points()

@@ -19,7 +19,7 @@ def test_every_export_resolves_once_in_sorted_order():
 LABELS = np.zeros((2, 4), np.int64)
 ATTRACTORS = (Attractor(Rect((0, 0), (1, 1)), 1.0, "all"),)
 
-# class -> (its integer field, build one holding ``value`` there and read it back)
+# class or function -> (its integer field or argument, build one holding ``value`` there and read it back)
 INTEGER_FIELDS = {
     "WindowConfig": ("window_size", lambda v: WindowConfig(v).window_size),
     "TimeGrid": ("instant_count", lambda v: TimeGrid(300.0, v).instant_count),
@@ -29,6 +29,19 @@ INTEGER_FIELDS = {
     ),
     "PredictionRun": ("window_size", lambda v: PredictionRun(LABELS, v).window_size),
     "ErrorSeries": ("first_instant", lambda v: ErrorSeries(np.zeros((2, 2)), v).first_instant),
+    "generate_scenario": ("user_count", lambda v: tce.generate_scenario(
+        tce.Venue(Rect((0, 0), (1, 1))), TimeGrid(300.0, 2), v, MobilityParams(0.0, 1.0, ATTRACTORS),
+        tce.TrafficTiers(((1.0, 0.0),)), 0,
+    ).user_count),
+    # two distinct points inside the unit precinct and two outside it
+    "cluster(k_inside)": ("k_inside", lambda v: len(tce.cluster(
+        tce.TraceSet([[[0.2, 0.2], [0.8, 0.8]], [[1.5, 0.5], [1.8, 0.5]]], [0.0, 0.0]),
+        tce.Venue(Rect((0, 0), (1, 1))), v, 1, 0,
+    ).inside_centroids)),
+    "cluster(k_outside)": ("k_outside", lambda v: len(tce.cluster(
+        tce.TraceSet([[[0.2, 0.2], [0.8, 0.8]], [[1.5, 0.5], [1.8, 0.5]]], [0.0, 0.0]),
+        tce.Venue(Rect((0, 0), (1, 1))), 1, v, 0,
+    ).outside_centroids)),
 }
 
 
